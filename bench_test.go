@@ -12,9 +12,11 @@ import (
 	"idyll"
 	"idyll/internal/checkpoint/store"
 	"idyll/internal/core"
+	"idyll/internal/datapath"
 	"idyll/internal/experiment"
 	"idyll/internal/memdef"
 	"idyll/internal/sim"
+	"idyll/internal/stats"
 )
 
 // benchOptions is the reduced scale for benchmark runs. Jobs is pinned to 1
@@ -265,6 +267,58 @@ func BenchmarkEventEngine(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkDataPageFlush measures the data-cache side of a page migration:
+// InvalidatePage on a warm 4-CU hierarchy. "resident" re-fills two lines of
+// the page from a different CU each time and flushes them, so it includes
+// the two DRAM-fill accesses; "absent" flushes a page with nothing cached,
+// which two thirds of fig11's flushes are.
+func BenchmarkDataPageFlush(b *testing.B) {
+	const cus, page = 4, memdef.PAddr(4096)
+	warm := func() (*sim.Engine, *datapath.Hierarchy) {
+		e := sim.NewEngine()
+		h := datapath.New(e, cus, datapath.DefaultConfig(), stats.NewSim())
+		// Fill every cache with lines of pages 16 and up.
+		for i := 0; i < 8192; i++ {
+			h.Access(i%cus, page*16+memdef.PAddr(i*64), false, func() {})
+		}
+		e.Run()
+		return e, h
+	}
+	b.Run("resident", func(b *testing.B) {
+		e, h := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Access(i%cus, page, false, func() {})
+			h.Access(i%cus, page+64, true, func() {})
+			h.InvalidatePage(page)
+			e.Run()
+		}
+	})
+	b.Run("absent", func(b *testing.B) {
+		_, h := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.InvalidatePage(page)
+		}
+	})
+}
+
+// BenchmarkNewSystem measures assembling one fig11 cell's machine at bench
+// scale: engines for every synchronization domain, GPUs with their TLBs,
+// walkers and data caches, interconnect and driver.
+func BenchmarkNewSystem(b *testing.B) {
+	m := idyll.DefaultMachine()
+	m.CUsPerGPU = benchOptions().CUsPerGPU
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := idyll.NewSystem(m, idyll.IDYLL()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkZipfSampling(b *testing.B) {

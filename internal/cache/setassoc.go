@@ -151,25 +151,49 @@ func (c *SetAssoc[K, V]) Invalidate(key K) bool {
 	return false
 }
 
-// InvalidateIf removes every entry for which pred returns true and reports
-// how many were removed. Used for page-granular flushes of cacheline-keyed
-// caches.
-func (c *SetAssoc[K, V]) InvalidateIf(pred func(K, V) bool) int {
+// InvalidateRange removes every entry of c whose key lies in [lo, hi] and
+// reports how many were removed — the page-granular flush of a
+// cacheline-keyed cache. It visits only the sets the range's keys index to:
+// at most hi-lo+1 sets, falling back to one sweep of every set when the range
+// is at least as wide as the set count. Surviving lines keep their per-set
+// recency order. It is a function rather than a method because it needs
+// ordered keys, which SetAssoc's comparable K does not promise.
+func InvalidateRange[V any](c *SetAssoc[uint64, V], lo, hi uint64) int {
 	removed := 0
-	for s := range c.lines {
-		ln := c.lines[s]
-		kept := ln[:0]
-		for i := range ln {
-			if pred(ln[i].key, ln[i].val) {
-				removed++
-			} else {
-				kept = append(kept, ln[i])
-			}
+	if hi-lo >= uint64(c.sets-1) {
+		for s := range c.lines {
+			removed += dropRange(c, s, lo, hi)
 		}
-		c.lines[s] = kept
+	} else {
+		// Two keys of the range may share a set under a non-identity
+		// index; the second visit then finds nothing left to remove.
+		for i := uint64(0); i <= hi-lo; i++ {
+			removed += dropRange(c, c.set(lo+i), lo, hi)
+		}
 	}
 	c.size -= removed
 	return removed
+}
+
+// dropRange removes set s's lines with keys in [lo, hi], keeping the order of
+// the rest, and reports how many it removed. It does not adjust c.size.
+func dropRange[V any](c *SetAssoc[uint64, V], s int, lo, hi uint64) int {
+	ln := c.lines[s]
+	i := 0
+	for i < len(ln) && (ln[i].key < lo || ln[i].key > hi) {
+		i++
+	}
+	if i == len(ln) {
+		return 0 // the common case: read-only
+	}
+	kept := ln[:i]
+	for _, l := range ln[i+1:] {
+		if l.key < lo || l.key > hi {
+			kept = append(kept, l)
+		}
+	}
+	c.lines[s] = kept
+	return len(ln) - len(kept)
 }
 
 // Flush removes every entry, keeping each set's storage for reuse.

@@ -79,24 +79,99 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestInvalidateIf(t *testing.T) {
+func TestInvalidateRange(t *testing.T) {
 	c := newTest(4, 4)
 	for k := uint64(0); k < 16; k++ {
 		c.Insert(k, int(k))
 	}
-	n := c.InvalidateIf(func(k uint64, _ int) bool { return k%2 == 0 })
-	if n != 8 {
+	// [5, 6] touches two sets; [8, 15] is as wide as the set count and takes
+	// the full-sweep path.
+	if n := InvalidateRange(c, 5, 6); n != 2 {
+		t.Fatalf("removed %d, want 2", n)
+	}
+	if n := InvalidateRange(c, 8, 15); n != 8 {
 		t.Fatalf("removed %d, want 8", n)
 	}
-	if c.Len() != 8 {
-		t.Fatalf("len = %d, want 8", c.Len())
+	if n := InvalidateRange(c, 3, 2); n != 0 {
+		t.Fatalf("empty range removed %d", n)
+	}
+	if c.Len() != 6 {
+		t.Fatalf("len = %d, want 6", c.Len())
 	}
 	c.Range(func(k uint64, _ int) bool {
-		if k%2 == 0 {
-			t.Fatalf("even key %d survived", k)
+		if k >= 5 && k != 7 {
+			t.Fatalf("key %d survived", k)
 		}
 		return true
 	})
+}
+
+// invalidateIfRef is the reference a range flush must match: a full sweep of
+// every set with a per-line predicate, keeping survivors in order.
+func invalidateIfRef[V any](c *SetAssoc[uint64, V], pred func(uint64) bool) int {
+	removed := 0
+	for s := range c.lines {
+		kept := c.lines[s][:0]
+		for _, l := range c.lines[s] {
+			if pred(l.key) {
+				removed++
+			} else {
+				kept = append(kept, l)
+			}
+		}
+		c.lines[s] = kept
+	}
+	c.size -= removed
+	return removed
+}
+
+// Property: InvalidateRange removes exactly what a full predicate sweep
+// removes and leaves every set's contents and recency order identical, for
+// random geometries, identity and scattering index functions, shuffled
+// recency, and ranges both narrower and wider than the set count.
+func TestInvalidateRangeMatchesReferenceProperty(t *testing.T) {
+	scatter := func(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> 7 }
+	prop := func(ops []uint16, sets8, ways8 uint8, lo16, width8 uint16, scattered bool) bool {
+		sets := int(sets8%16) + 1
+		ways := int(ways8%8) + 1
+		idx := ident
+		if scattered {
+			idx = scatter
+		}
+		got := New[uint64, int](sets, ways, idx)
+		want := New[uint64, int](sets, ways, idx)
+		for i, op := range ops {
+			k := uint64(op % 256)
+			if op&0x8000 != 0 {
+				got.Lookup(k)
+				want.Lookup(k)
+			} else {
+				got.Insert(k, i)
+				want.Insert(k, i)
+			}
+		}
+		lo := uint64(lo16 % 256)
+		hi := lo + uint64(width8%40) // up to 2.5x the largest set count
+		n := InvalidateRange(got, lo, hi)
+		m := invalidateIfRef(want, func(k uint64) bool { return k >= lo && k <= hi })
+		if n != m || got.Len() != want.Len() {
+			return false
+		}
+		for s := range got.lines {
+			if len(got.lines[s]) != len(want.lines[s]) {
+				return false
+			}
+			for i := range got.lines[s] {
+				if got.lines[s][i] != want.lines[s][i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFlush(t *testing.T) {

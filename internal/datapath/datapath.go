@@ -24,6 +24,9 @@ type Config struct {
 	L2HitLatency sim.VTime
 	DRAMLatency  sim.VTime
 	LineBytes    int
+	// PageBytes is the granule InvalidatePage flushes: the machine's page
+	// size. Both sizes must be powers of two, PageBytes >= LineBytes.
+	PageBytes int
 }
 
 // DefaultConfig returns the Table 2 data-path configuration.
@@ -33,6 +36,7 @@ func DefaultConfig() Config {
 		L2Bytes: 256 << 10, L2Ways: 16, L2HitLatency: 30,
 		DRAMLatency: 200,
 		LineBytes:   memdef.CachelineBytes,
+		PageBytes:   int(memdef.Page4K.Bytes()),
 	}
 }
 
@@ -48,14 +52,32 @@ type Hierarchy struct {
 	l2     *cache.SetAssoc[uint64, lineState]
 	st     *stats.Sim
 
-	lineShift uint
+	// resident counts, per page number, the page's lines held in the L2
+	// and every L1 together. It is kept on fill and eviction, so
+	// InvalidatePage can skip a page with nothing cached in O(1) and stop
+	// sweeping once every resident line is gone. Pages with no resident
+	// line have no entry. Derived from the caches' contents, it is rebuilt
+	// rather than serialized on RestoreState.
+	resident map[uint64]int32
+
+	lineShift     uint
+	pageLineShift uint // log2(lines per page)
+}
+
+// log2 returns the exponent of a power of two.
+func log2(n int) uint {
+	shift := uint(0)
+	for 1<<shift < n {
+		shift++
+	}
+	return shift
 }
 
 // New builds the hierarchy for numCUs compute units.
 func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
+	shift := log2(cfg.LineBytes)
+	if cfg.PageBytes < cfg.LineBytes {
+		panic("datapath: page smaller than a cacheline")
 	}
 	idx := func(k uint64) uint64 { return k }
 	l1Sets := cfg.L1Bytes / cfg.LineBytes / cfg.L1Ways
@@ -66,7 +88,12 @@ func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
 	if l2Sets < 1 {
 		l2Sets = 1
 	}
-	h := &Hierarchy{engine: engine, cfg: cfg, st: st, lineShift: shift}
+	h := &Hierarchy{
+		engine: engine, cfg: cfg, st: st,
+		resident:      make(map[uint64]int32),
+		lineShift:     shift,
+		pageLineShift: log2(cfg.PageBytes) - shift,
+	}
 	h.l1 = make([]*cache.SetAssoc[uint64, lineState], numCUs)
 	for i := range h.l1 {
 		h.l1[i] = cache.New[uint64, lineState](l1Sets, cfg.L1Ways, idx)
@@ -77,6 +104,19 @@ func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
 
 // line returns the cacheline key of a physical address.
 func (h *Hierarchy) line(pa memdef.PAddr) uint64 { return uint64(pa) >> h.lineShift }
+
+// fill inserts a line known to be absent from c and uncounts the line it
+// evicts, if any. The caller counts the new line, once per cache it fills.
+func (h *Hierarchy) fill(c *cache.SetAssoc[uint64, lineState], ln uint64, st lineState) {
+	if victim, _, evicted := c.Insert(ln, st); evicted {
+		page := victim >> h.pageLineShift
+		if n := h.resident[page] - 1; n > 0 {
+			h.resident[page] = n
+		} else {
+			delete(h.resident, page)
+		}
+	}
+}
 
 // Access performs a local data access by cu to physical address pa and
 // invokes done when the data is available (write completion is acknowledged
@@ -96,26 +136,39 @@ func (h *Hierarchy) Access(cu int, pa memdef.PAddr, write bool, done func()) {
 	h.st.L2DLookups++
 	if _, ok := h.l2.Lookup(ln); ok {
 		h.st.L2DHits++
-		l1.Insert(ln, lineState{dirty: write})
+		h.resident[ln>>h.pageLineShift]++
+		h.fill(l1, ln, lineState{dirty: write})
 		h.engine.Schedule(h.cfg.L1HitLatency+h.cfg.L2HitLatency, done)
 		return
 	}
 	// Miss everywhere: DRAM fill. Write-back traffic of dirty victims is
 	// absorbed in DRAMLatency; the experiments are translation-bound.
-	h.l2.Insert(ln, lineState{})
-	l1.Insert(ln, lineState{dirty: write})
+	h.resident[ln>>h.pageLineShift] += 2
+	h.fill(h.l2, ln, lineState{})
+	h.fill(l1, ln, lineState{dirty: write})
 	h.engine.Schedule(h.cfg.L1HitLatency+h.cfg.L2HitLatency+h.cfg.DRAMLatency, done)
 }
 
-// InvalidatePage drops every cached line of the given physical page, called
-// when a page migrates away so stale data cannot be read locally.
-func (h *Hierarchy) InvalidatePage(base memdef.PAddr, pageBytes uint64) int {
-	lo := h.line(base)
-	hi := h.line(base + memdef.PAddr(pageBytes) - 1)
-	pred := func(k uint64, _ lineState) bool { return k >= lo && k <= hi }
-	n := h.l2.InvalidateIf(pred)
+// InvalidatePage drops every cached line of the page containing pa, called
+// when a page migrates away so stale data cannot be read locally, and
+// reports how many lines it removed. A page with no resident line costs one
+// map lookup; otherwise each cache is swept over only the sets the page
+// indexes to, L2 first, stopping once the page's last resident line is gone.
+func (h *Hierarchy) InvalidatePage(pa memdef.PAddr) int {
+	page := h.line(pa) >> h.pageLineShift
+	want := int(h.resident[page])
+	if want == 0 {
+		return 0
+	}
+	delete(h.resident, page)
+	lo := page << h.pageLineShift
+	hi := lo | (1<<h.pageLineShift - 1)
+	n := cache.InvalidateRange(h.l2, lo, hi)
 	for _, l1 := range h.l1 {
-		n += l1.InvalidateIf(pred)
+		if n == want {
+			break
+		}
+		n += cache.InvalidateRange(l1, lo, hi)
 	}
 	return n
 }

@@ -1,8 +1,11 @@
 package datapath
 
 import (
+	"maps"
 	"testing"
+	"testing/quick"
 
+	"idyll/internal/checkpoint"
 	"idyll/internal/memdef"
 	"idyll/internal/sim"
 	"idyll/internal/stats"
@@ -73,7 +76,7 @@ func TestInvalidatePageDropsLines(t *testing.T) {
 	for off := memdef.PAddr(0); off < 4096; off += 64 {
 		runAccess(t, e, h, 0, 0x10000+off, false)
 	}
-	n := h.InvalidatePage(0x10000, 4096)
+	n := h.InvalidatePage(0x10000)
 	if n == 0 {
 		t.Fatal("no lines invalidated")
 	}
@@ -88,7 +91,7 @@ func TestInvalidatePageLeavesNeighbours(t *testing.T) {
 	e, h, _ := newHier(1)
 	runAccess(t, e, h, 0, 0x10000, false) // page A
 	runAccess(t, e, h, 0, 0x11000, false) // page B
-	h.InvalidatePage(0x10000, 4096)
+	h.InvalidatePage(0x10000)
 	if got := runAccess(t, e, h, 0, 0x11000, false); got != DefaultConfig().L1HitLatency {
 		t.Fatalf("neighbour page evicted: access took %d", got)
 	}
@@ -110,5 +113,91 @@ func TestWriteMarksDirty(t *testing.T) {
 	runAccess(t, e, h, 0, 0x3000, true)
 	if got := runAccess(t, e, h, 0, 0x3000, false); got != DefaultConfig().L1HitLatency {
 		t.Fatalf("read after write took %d", got)
+	}
+}
+
+// recounted tallies the per-page resident lines from scratch, for checking
+// the incrementally maintained index against.
+func recounted(h *Hierarchy) map[uint64]int32 {
+	want := make(map[uint64]int32)
+	count := func(ln uint64, _ lineState) bool {
+		want[ln>>h.pageLineShift]++
+		return true
+	}
+	h.l2.Range(count)
+	for _, c := range h.l1 {
+		c.Range(count)
+	}
+	return want
+}
+
+// Property: after any sequence of accesses, page flushes, and checkpoint
+// round trips, the residency index equals a fresh recount, and a flush
+// removes exactly the page's counted lines and leaves none of them cached.
+// The caches are shrunk so evictions are frequent: with 4 KB pages a page's
+// 64 lines are narrower than the L2's 128 sets but wider than the L1's 16;
+// 2 MB pages span every set of both.
+func TestResidencyIndexMatchesRecountProperty(t *testing.T) {
+	for _, size := range []memdef.PageSize{memdef.Page4K, memdef.Page2M} {
+		cfg := DefaultConfig()
+		cfg.L1Bytes, cfg.L1Ways = 2<<10, 2
+		cfg.L2Bytes, cfg.L2Ways = 16<<10, 2
+		cfg.PageBytes = int(size.Bytes())
+		linesPerPage := cfg.PageBytes / cfg.LineBytes
+		// 1024 distinct lines over a few pages, four times the L2's
+		// capacity.
+		pages, lines := 16, linesPerPage
+		if lines > 256 {
+			pages, lines = 4, 256
+		}
+		prop := func(seed uint64) bool {
+			rng := sim.NewRand(seed)
+			e := sim.NewEngine()
+			h := New(e, 2, cfg, stats.NewSim())
+			for i := 0; i < 600; i++ {
+				page := uint64(rng.Intn(pages))
+				pa := memdef.PAddr(page*uint64(cfg.PageBytes) + uint64(rng.Intn(lines)*cfg.LineBytes))
+				switch op := rng.Intn(40); {
+				case op < 3:
+					want := int(recounted(h)[page])
+					if h.InvalidatePage(pa) != want {
+						return false
+					}
+					for k := 0; k < lines; k++ { // the lines ever touched
+						ln := page*uint64(linesPerPage) + uint64(k)
+						if _, ok := h.l2.Peek(ln); ok {
+							return false
+						}
+						for _, c := range h.l1 {
+							if _, ok := c.Peek(ln); ok {
+								return false
+							}
+						}
+					}
+				case op < 4:
+					w := checkpoint.NewWriter()
+					h.SaveState(w)
+					r, err := checkpoint.NewReader(w.Finish())
+					if err != nil {
+						return false
+					}
+					h = New(e, 2, cfg, stats.NewSim())
+					h.RestoreState(r)
+					if r.Finish() != nil {
+						return false
+					}
+				default:
+					h.Access(rng.Intn(2), pa, rng.Intn(2) == 0, func() {})
+				}
+				if !maps.Equal(h.resident, recounted(h)) {
+					return false
+				}
+			}
+			e.Run()
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("%s pages: %v", size, err)
+		}
 	}
 }

@@ -36,4 +36,18 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader) {
 		c.RestoreState(r, decLine)
 	}
 	h.l2.RestoreState(r, decLine)
+	h.recount()
+}
+
+// recount rebuilds the per-page residency counts from the caches' contents.
+func (h *Hierarchy) recount() {
+	clear(h.resident)
+	count := func(ln uint64, _ lineState) bool {
+		h.resident[ln>>h.pageLineShift]++
+		return true
+	}
+	h.l2.Range(count)
+	for _, c := range h.l1 {
+		c.Range(count)
+	}
 }

@@ -149,6 +149,7 @@ func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 		L2Bytes: machine.L2CacheBytes, L2Ways: machine.L2CacheWays, L2HitLatency: machine.L2CacheLatency,
 		DRAMLatency: machine.DRAMLatency,
 		LineBytes:   memdef.CachelineBytes,
+		PageBytes:   int(machine.PageSize.Bytes()),
 	}, st)
 	if scheme.Lazy {
 		geom := scheme.IRMB
@@ -596,7 +597,7 @@ func (g *GPU) invalidateDataCache(vpn memdef.VPN) {
 		return
 	}
 	base := memdef.PAddr(uint64(pte.PFN) << g.machine.PageSize.OffsetBits())
-	g.data.InvalidatePage(base, g.machine.PageSize.Bytes())
+	g.data.InvalidatePage(base)
 }
 
 // writebackBatch sends an evicted merged entry to the walker as one batch.

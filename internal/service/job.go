@@ -114,6 +114,11 @@ func newJob(id, hash string, spec CanonicalSpec) *job {
 // can fetch the full history again).
 func (j *job) emit(ev Event) {
 	j.mu.Lock()
+	j.emitLocked(ev)
+	j.mu.Unlock()
+}
+
+func (j *job) emitLocked(ev Event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
 	for ch := range j.subs {
@@ -122,7 +127,6 @@ func (j *job) emit(ev Event) {
 		default:
 		}
 	}
-	j.mu.Unlock()
 }
 
 // subscribe returns the event history so far plus a live channel for
@@ -163,8 +167,15 @@ func (j *job) setRunning() {
 }
 
 // finish transitions to a terminal state, emits the terminal event, closes
-// subscriber channels, and releases waiters.
+// subscriber channels, and releases waiters. The status flip, the terminal
+// event and the closes share one critical section: a subscribe that sees
+// the terminal status must also see the terminal event in its replay.
 func (j *job) finish(status string, result []byte, errMsg string) {
+	typ := map[string]string{
+		StatusDone:      "done",
+		StatusFailed:    "failed",
+		StatusCancelled: "cancelled",
+	}[status]
 	j.mu.Lock()
 	if j.terminalLocked() {
 		j.mu.Unlock()
@@ -174,16 +185,7 @@ func (j *job) finish(status string, result []byte, errMsg string) {
 	j.result = result
 	j.err = errMsg
 	j.finished = time.Now()
-	j.mu.Unlock()
-
-	typ := map[string]string{
-		StatusDone:      "done",
-		StatusFailed:    "failed",
-		StatusCancelled: "cancelled",
-	}[status]
-	j.emit(Event{Type: typ, Error: errMsg})
-
-	j.mu.Lock()
+	j.emitLocked(Event{Type: typ, Error: errMsg})
 	for ch := range j.subs {
 		close(ch)
 		delete(j.subs, ch)

@@ -14,10 +14,14 @@
 // The queue is split by distance from the clock. Events within ringWindow
 // cycles of the current time land in a ring of per-cycle FIFO buckets —
 // the overwhelmingly common Schedule(0..k) case is an O(1) append, and
-// firing is an O(1) pop off the current cycle's bucket. Events beyond the
-// ring horizon wait in a binary heap and migrate into buckets as the clock
-// advances past their admission point; each event migrates at most once.
-// A per-slot occupancy bitmap lets the drain loop skip runs of empty
+// firing is an O(1) pop off the current cycle's bucket. Each bucket is an
+// intrusive circular singly-linked list threaded through the event nodes
+// themselves, and the ring stores only its tail pointer (tail.next is the
+// head), so an idle engine costs one word per ring slot and filling a
+// bucket never allocates. Events beyond the ring horizon wait in a binary
+// heap and migrate into buckets as the clock advances past their admission
+// point; each event migrates at most once. A per-slot occupancy bitmap —
+// one bit per non-empty bucket — lets the drain loop skip runs of empty
 // cycles 64 at a time, so sparse stretches cost a few word tests rather
 // than a per-cycle scan.
 //
@@ -48,12 +52,13 @@ const ringWindow = 4096
 // live on the engine's free list between uses; gen distinguishes a node's
 // successive occupants so stale EventIDs cannot cancel a reused node.
 type eventNode struct {
-	at  VTime
-	seq uint64
-	fn  func()
-	gen uint64
-	pos int  // index within its bucket slice or the far heap
-	loc int8 // locNone, locRing, locFar
+	at   VTime
+	seq  uint64
+	fn   func()
+	gen  uint64
+	next *eventNode // successor in its ring bucket's circular list
+	pos  int32      // index within the far heap
+	loc  int8       // locNone, locRing, locFar
 }
 
 const (
@@ -76,13 +81,13 @@ func (h eventHeap) Less(i, j int) bool {
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
+	h[i].pos = int32(i)
+	h[j].pos = int32(j)
 }
 
 func (h *eventHeap) Push(x any) {
 	n := x.(*eventNode)
-	n.pos = len(*h)
+	n.pos = int32(len(*h))
 	*h = append(*h, n)
 }
 
@@ -93,15 +98,6 @@ func (h *eventHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return ev
-}
-
-// bucket is one cycle's FIFO of events. cycle tags which cycle the contents
-// belong to, so a slot can detect leftovers from an earlier window lap (which
-// are always fully consumed or cancelled, i.e. nil) and reclaim itself.
-type bucket struct {
-	cycle VTime
-	ev    []*eventNode
-	head  int
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -139,11 +135,15 @@ type Engine struct {
 	seq uint64
 
 	// The ring covers cycles [winStart, winStart+ringWindow); slot is
-	// cycle & (ringWindow-1). cursor is the lowest cycle that may still hold
-	// undrained events; it never trails winStart. occ has one bit per slot.
+	// cycle & (ringWindow-1). ring[slot] is the tail of that cycle's
+	// circular FIFO, nil when empty; every live ring event lies inside the
+	// window, so a non-empty slot holds exactly one cycle's events. cursor
+	// is the lowest cycle that may still hold undrained events; it never
+	// trails winStart. occ has one bit per slot, set iff the slot is
+	// non-empty.
 	winStart VTime
 	cursor   VTime
-	ring     []bucket
+	ring     []*eventNode
 	occ      []uint64
 	ringLive int
 
@@ -154,25 +154,12 @@ type Engine struct {
 	running bool
 }
 
-// bucketSeedCap is each bucket's pre-sized capacity. Buckets holding more
-// same-cycle events than this grow individually (and keep the grown storage
-// across window laps, since drains reslice to length 0).
-const bucketSeedCap = 8
-
 // NewEngine returns an engine positioned at cycle 0 with an empty queue.
 func NewEngine() *Engine {
-	e := &Engine{
-		ring: make([]bucket, ringWindow),
+	return &Engine{
+		ring: make([]*eventNode, ringWindow),
 		occ:  make([]uint64, ringWindow/64),
 	}
-	// One arena backs every bucket's initial storage, so filling the ring
-	// the first time costs zero allocations for cycles with up to
-	// bucketSeedCap events.
-	arena := make([]*eventNode, ringWindow*bucketSeedCap)
-	for i := range e.ring {
-		e.ring[i].ev = arena[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
-	}
-	return e
 }
 
 // Now reports the current simulated time.
@@ -245,27 +232,48 @@ func (e *Engine) recycle(n *eventNode) {
 }
 
 // pushRing appends n to its cycle's bucket. Only cycles inside the current
-// window reach here, so the slot's previous occupants (if from an earlier
-// lap) are guaranteed consumed or cancelled.
+// window reach here, so a non-empty slot already holds events of n's cycle.
 func (e *Engine) pushRing(n *eventNode) {
 	s := int(uint64(n.at) & (ringWindow - 1))
-	b := &e.ring[s]
-	if b.cycle != n.at {
-		b.ev = b.ev[:0]
-		b.head = 0
-		b.cycle = n.at
+	if tail := e.ring[s]; tail == nil {
+		n.next = n
+		e.occ[s>>6] |= 1 << (uint(s) & 63)
+	} else {
+		n.next = tail.next
+		tail.next = n
 	}
+	e.ring[s] = n
 	n.loc = locRing
-	n.pos = len(b.ev)
-	b.ev = append(b.ev, n)
-	e.occ[s>>6] |= 1 << (uint(s) & 63)
 	e.ringLive++
+}
+
+// unlinkRing removes n from its bucket, given its predecessor prev in the
+// circular list (prev == n when n is the only node), and clears the slot's
+// occupancy bit if the bucket empties.
+func (e *Engine) unlinkRing(n, prev *eventNode) {
+	s := int(uint64(n.at) & (ringWindow - 1))
+	switch {
+	case prev == n:
+		e.ring[s] = nil
+		e.occ[s>>6] &^= 1 << (uint(s) & 63)
+	case e.ring[s] == n:
+		prev.next = n.next
+		e.ring[s] = prev
+	default:
+		prev.next = n.next
+	}
+	n.loc = locNone
+	e.ringLive--
 }
 
 // Cancel removes a scheduled event. The node is recycled immediately and its
 // closure released, so a cancelled event holds no memory while waiting for
 // its cycle to pass. Cancelling an already-fired or already-cancelled event
-// (or the zero EventID) is a no-op.
+// (or the zero EventID) is a no-op. A ring event is unlinked by walking its
+// bucket from the head to find its predecessor, so the cost is the number
+// of same-cycle events scheduled before it; the model itself never cancels,
+// and the singly-linked bucket keeps the schedule/fire path to one pointer
+// per node.
 func (e *Engine) Cancel(id EventID) {
 	n := id.n
 	if n == nil || n.gen != id.gen {
@@ -273,11 +281,13 @@ func (e *Engine) Cancel(id EventID) {
 	}
 	switch n.loc {
 	case locRing:
-		s := int(uint64(n.at) & (ringWindow - 1))
-		e.ring[s].ev[n.pos] = nil
-		e.ringLive--
+		prev := e.ring[int(uint64(n.at)&(ringWindow-1))]
+		for prev.next != n {
+			prev = prev.next
+		}
+		e.unlinkRing(n, prev)
 	case locFar:
-		heap.Remove(&e.far, n.pos)
+		heap.Remove(&e.far, int(n.pos))
 	default:
 		return
 	}
@@ -308,7 +318,7 @@ func (e *Engine) advanceWindow(t VTime) {
 
 // popRing removes and returns the earliest live ring event at time <= limit
 // (limit < 0 means no limit), or nil if the ring has none. It advances
-// cursor past drained cycles, clearing their occupancy bits.
+// cursor past empty cycles.
 func (e *Engine) popRing(limit VTime) *eventNode {
 	end := e.winStart + ringWindow
 	for e.ringLive > 0 && e.cursor < end {
@@ -334,28 +344,12 @@ func (e *Engine) popRing(limit VTime) *eventNode {
 			e.cursor += VTime(d)
 			continue // re-check limit at the new cycle
 		}
-		b := &e.ring[s]
-		if b.cycle != e.cursor {
-			// Stale occupancy from an earlier lap; the contents are all
-			// consumed or cancelled. Reclaim and move on.
-			b.ev, b.head = b.ev[:0], 0
-			e.occ[s>>6] &^= 1 << (uint(s) & 63)
-			e.cursor++
-			continue
-		}
-		for b.head < len(b.ev) {
-			n := b.ev[b.head]
-			b.ev[b.head] = nil
-			b.head++
-			if n != nil {
-				e.ringLive--
-				n.loc = locNone
-				return n
-			}
-		}
-		b.ev, b.head = b.ev[:0], 0
-		e.occ[s>>6] &^= 1 << (uint(s) & 63)
-		e.cursor++
+		// The cursor stays on this cycle: the event about to fire may
+		// schedule more work into it.
+		tail := e.ring[s]
+		head := tail.next
+		e.unlinkRing(head, tail)
+		return head
 	}
 	return nil
 }
@@ -433,9 +427,9 @@ func (e *Engine) Step() bool {
 
 // NextAt reports the time of the earliest scheduled event without executing
 // or removing anything — the peek a conservative parallel coordinator needs
-// to place the next synchronization window. It scans the ring from the
-// cursor using the occupancy bitmap, skipping cancelled entries and stale
-// buckets, and falls back to the far heap's minimum.
+// to place the next synchronization window. It scans the occupancy bitmap
+// from the cursor for the first non-empty bucket, and falls back to the far
+// heap's minimum.
 func (e *Engine) NextAt() (VTime, bool) {
 	if e.ringLive > 0 {
 		end := e.winStart + ringWindow
@@ -446,19 +440,7 @@ func (e *Engine) NextAt() (VTime, bool) {
 				c += VTime(64 - (s & 63))
 				continue
 			}
-			if d := bits.TrailingZeros64(w); d > 0 {
-				c += VTime(d)
-				continue
-			}
-			b := &e.ring[s]
-			if b.cycle == c {
-				for i := b.head; i < len(b.ev); i++ {
-					if b.ev[i] != nil {
-						return c, true
-					}
-				}
-			}
-			c++
+			return c + VTime(bits.TrailingZeros64(w)), true
 		}
 		// ringLive > 0 guarantees a live event inside [cursor, end), so the
 		// scan above cannot fall through; this is unreachable.

@@ -33,9 +33,9 @@ func (e *Engine) SaveState(w *checkpoint.Writer) {
 
 // RestoreState rebuilds the state written by SaveState into e, which must be
 // quiescent (normally a freshly constructed engine). The clock resumes at
-// the checkpointed time: the ring window and cursor realign to it, and any
-// stale occupancy bits self-reclaim on the first drain (popRing's
-// bucket-cycle check), exactly as they do after a normal window lap.
+// the checkpointed time: the ring window and cursor realign to it. A
+// quiescent ring is all empty buckets with a clear bitmap, so nothing else
+// needs resetting.
 func (e *Engine) RestoreState(r *checkpoint.Reader) {
 	if e.Pending() != 0 {
 		r.Failf("sim: RestoreState into an engine with pending events")

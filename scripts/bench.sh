@@ -3,29 +3,35 @@
 #
 #   scripts/bench.sh run [count]       # run benchmarks, print + save output
 #   scripts/bench.sh check [count]     # run, then gate allocs/op + B/op
-#                                      # against BENCH_PR7.json (wall-clock is
+#                                      # against BENCH_PR12.json (wall-clock is
 #                                      # machine-dependent, so it is NOT gated
 #                                      # against the committed baseline)
 #   scripts/bench.sh record [count]    # run count>=3 times, rewrite
-#                                      # BENCH_PR7.json from the per-benchmark
+#                                      # BENCH_PR12.json from the per-benchmark
 #                                      # MINIMUM (noise only ever adds time)
 #   scripts/bench.sh compare OLD NEW   # diff two saved bench outputs
 #                                      # (10% ns/op + allocs/op thresholds,
 #                                      # plus a geomean summary row)
+#   scripts/bench.sh profile [count]   # CPU-profile BenchmarkSuiteFig11Serial
+#                                      # (count iterations, default 3) and
+#                                      # print flat% summed per package
 #
-# The tracked set is the micro-benchmarks plus the end-to-end throughput
-# benchmarks on both event engines (BenchmarkSuiteFig11Serial vs
-# BenchmarkSuiteFig11PDES8 is the parallel core's single-simulation speedup)
-# and on the warmup-checkpoint path (BenchmarkSuiteFig11Warmup vs
-# BenchmarkSuiteFig11Checkpointed is the warmup-sharing speedup); see
-# BENCH_PR7.json for the committed baseline and DESIGN.md "Engine internals &
-# profiling" / "Checkpoint format & forking" for how these numbers are used.
+# The tracked set is the micro-benchmarks (event engine, IRMB, Zipf, the
+# page-migration data-cache flush, one fig11 cell's machine assembly) plus
+# the end-to-end throughput benchmarks on both event engines
+# (BenchmarkSuiteFig11Serial vs BenchmarkSuiteFig11PDES8 is the parallel
+# core's single-simulation speedup) and on the warmup-checkpoint path
+# (BenchmarkSuiteFig11Warmup vs BenchmarkSuiteFig11Checkpointed is the
+# warmup-sharing speedup); see BENCH_PR12.json for the committed baseline and
+# DESIGN.md "Engine internals & profiling" / "Checkpoint format & forking"
+# for how these numbers are used.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11PDES8|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
-BASELINE=BENCH_PR7.json
+PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11PDES8|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
+BASELINE=BENCH_PR12.json
 OUT=${BENCH_OUT:-/tmp/idyll_bench.txt}
+PROFILE=${BENCH_PROFILE:-/tmp/idyll_cpu.pprof}
 
 run_bench() {
     local count=${1:-5}
@@ -68,8 +74,31 @@ compare)
     [ $# -eq 3 ] || { echo "usage: $0 compare OLD NEW" >&2; exit 2; }
     go run ./cmd/benchdiff "$2" "$3"
     ;;
+profile)
+    # Layer attribution for the ledger: which package's own code the suite's
+    # CPU time is spent in. pprof's flat% is per function; the awk pass
+    # strips receivers, generic shapes and closures from each symbol and
+    # sums per import path (runtime and other std packages included), so a
+    # wall-clock delta can be traced to the layer that moved.
+    bin=${PROFILE%.pprof}.test
+    go test -run '^$' -bench '^BenchmarkSuiteFig11Serial$' -benchtime "${2:-3}x" \
+        -cpuprofile "$PROFILE" -o "$bin" . >&2
+    go tool pprof -top -nodecount=1000000 "$bin" "$PROFILE" 2>/dev/null | awk '
+        $2 ~ /%$/ && $1 != "flat" {
+            name = $6
+            for (i = 7; i <= NF; i++) name = name " " $i
+            sub(/[[(].*/, "", name)           # receiver or generic shape
+            slash = match(name, /\/[^\/]*$/)   # last path element
+            rest = slash ? substr(name, slash) : name
+            dot = index(rest, ".")
+            pkg = dot ? substr(name, 1, (slash ? slash - 1 : 0) + dot - 1) : name
+            pct[pkg] += $2
+        }
+        END { for (p in pct) printf "%6.2f%%  %s\n", pct[p], p }' | sort -rn
+    echo "profile: $PROFILE (binary $bin)" >&2
+    ;;
 *)
-    echo "usage: $0 {run|check|record|compare} ..." >&2
+    echo "usage: $0 {run|check|record|compare|profile} ..." >&2
     exit 2
     ;;
 esac
