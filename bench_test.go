@@ -148,25 +148,16 @@ func BenchmarkAblationDrainOnIdle(b *testing.B) {
 // pool (-jobs=0, all cores); the ratio of their wall times is the suite
 // runner's speedup on this machine. Output is byte-identical either way.
 func BenchmarkSuiteFig11Serial(b *testing.B) {
-	benchSuiteFig11(b, 1, 0)
+	benchSuiteFig11(b, 1)
 }
 
 func BenchmarkSuiteFig11Parallel(b *testing.B) {
-	benchSuiteFig11(b, 0, 0)
+	benchSuiteFig11(b, 0)
 }
 
-// BenchmarkSuiteFig11PDES8 runs the same matrix with cells serialized
-// (-jobs=1) but each cell's event loop on the 8-worker parallel engine
-// (-par=8): its ratio against BenchmarkSuiteFig11Serial is the PDES core's
-// single-simulation speedup. Output is byte-identical to the serial engine.
-func BenchmarkSuiteFig11PDES8(b *testing.B) {
-	benchSuiteFig11(b, 1, 8)
-}
-
-func benchSuiteFig11(b *testing.B, jobs, par int) {
+func benchSuiteFig11(b *testing.B, jobs int) {
 	o := benchOptions()
 	o.Jobs = jobs
-	o.Par = par
 	var headline float64
 	for i := 0; i < b.N; i++ {
 		tab, err := experiment.Figure11(o)

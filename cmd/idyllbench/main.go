@@ -42,7 +42,6 @@ func main() {
 		appsFlag = flag.String("apps", "", "comma-separated app subset (default: all)")
 		format   = flag.String("format", "text", "output format: text, csv, json")
 		jobs     = flag.Int("jobs", 0, "concurrent simulation cells (0 = all cores)")
-		par      = flag.Int("par", 0, "parallel-engine workers per cell (<2 = serial engine; results identical)")
 		warmup   = flag.Int("warmup", 0, "warmup accesses per CU before the drain barrier (0 = single-phase run; changes results)")
 		ckptDir  = flag.String("ckpt-dir", "", "persist warmup checkpoints to this directory (with -warmup; empty = memory only)")
 		quiet    = flag.Bool("quiet", false, "suppress the stderr progress display")
@@ -50,6 +49,15 @@ func main() {
 	)
 	prof.Register(flag.CommandLine)
 	flag.Parse()
+
+	// An unknown format exits non-zero naming the valid set before any
+	// experiment runs.
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		fmt.Fprintf(os.Stderr, "idyllbench: unknown format %q (known: text, csv, json)\n", *format)
+		os.Exit(1)
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -83,7 +91,6 @@ func main() {
 		o.Apps = splitCSV(*appsFlag)
 	}
 	o.Jobs = *jobs
-	o.Par = *par
 	// The drain barrier is semantic (see experiment.Options), so tables at
 	// -warmup N differ from the default single-phase tables. The store is an
 	// execution knob: with -ckpt-dir, cells fork from cached warmup
@@ -146,7 +153,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "idyllbench: %s: %v\n", e.ID, err)
 				os.Exit(1)
 			}
-		default:
+		case "text":
 			body = tab.Render()
 		}
 		// Tables go to stdout and depend only on (scale, seed, apps);

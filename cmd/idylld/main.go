@@ -55,7 +55,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening")
 		workers      = flag.Int("workers", 0, "concurrent jobs (0 = all cores)")
-		par          = flag.Int("par", 0, "parallel-engine workers per simulation (<2 = serial engine; results identical)")
 		queueDepth   = flag.Int("queue", 64, "accepted-but-not-running job backlog before shedding with 429")
 		cacheEntries = flag.Int("cache-entries", 256, "in-memory result cache size")
 		cacheDir     = flag.String("cache-dir", "", "persist results to this directory (empty = memory only)")
@@ -159,7 +158,7 @@ func main() {
 			Logf:             logf,
 		}
 		if *degradedLocal {
-			fcfg.LocalRunner = service.RunSpecPar(*par)
+			fcfg.LocalRunner = service.RunSpec
 		}
 		coord, err := fleet.NewCoordinator(fcfg)
 		if err != nil {
@@ -174,7 +173,6 @@ func main() {
 	default:
 		cfg := service.Config{
 			Workers:        *workers,
-			Par:            *par,
 			QueueDepth:     *queueDepth,
 			TenantQueueMax: *tenantMax,
 			CacheEntries:   *cacheEntries,

@@ -118,7 +118,6 @@ func cmdRun(args []string) {
 		"scheme, comma-separated scheme list, or 'all'")
 	threshold := fs.Int("threshold", 2, "access-counter threshold")
 	jobs := fs.Int("jobs", 0, "concurrent scheme runs (0 = all cores)")
-	par := fs.Int("par", 0, "parallel-engine workers per run (<2 = serial engine; results identical)")
 	warmup := fs.Int("warmup", 0, "warmup accesses per CU before the drain barrier (0 = single-phase run; changes results)")
 	ckptDir := fs.String("ckpt-dir", "", "cache warmup checkpoints (with -warmup): schemes sharing a warmup fork from it; empty string keeps the per-run two-phase path")
 	quiet := fs.Bool("quiet", false, "suppress the stderr progress display")
@@ -144,7 +143,7 @@ func cmdRun(args []string) {
 	// Each scheme is one cell of the pool; every cell replays the same
 	// loaded trace (read-only during runs), so the sweep parallelizes
 	// without re-reading or regenerating anything.
-	o := experiment.Options{Jobs: *jobs, Par: *par, CounterThreshold: *threshold,
+	o := experiment.Options{Jobs: *jobs, CounterThreshold: *threshold,
 		WarmupAccessesPerCU: *warmup}
 	if *warmup > 0 && *ckptDir != "" {
 		// Fork-from-checkpoint replays byte-identically to the two-phase

@@ -28,15 +28,6 @@ var bannedCoreImports = map[string]string{
 	"math/rand/v2": "core randomness must come from the seeded sim.Rand",
 }
 
-// concurrencyBoundaryAllowed are the bans lifted — only — for the parallel
-// engine's synchronization layer (analysis.ConcurrencyBoundary): its barrier
-// protocol is built from sync and sync/atomic, while the wall-clock and
-// global-rand bans still bind it like any other core package.
-var concurrencyBoundaryAllowed = map[string]bool{
-	"sync":        true,
-	"sync/atomic": true,
-}
-
 // TestCoreImportsStayDeterministic parses only the import clauses of every
 // non-test file in every core package — no type-checking, so it stays fast
 // enough to never be worth skipping.
@@ -63,9 +54,6 @@ func TestCoreImportsStayDeterministic(t *testing.T) {
 			for _, imp := range f.Imports {
 				ipath, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {
-					continue
-				}
-				if rel == analysis.ConcurrencyBoundary && concurrencyBoundaryAllowed[ipath] {
 					continue
 				}
 				if why, banned := bannedCoreImports[ipath]; banned {

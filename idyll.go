@@ -114,10 +114,6 @@ type RunConfig struct {
 	Seed uint64
 	// Check enables the online translation-coherence checker.
 	Check bool
-	// Par runs the simulation on the parallel event engine with this many
-	// worker goroutines (values below 2 run serially). A pure execution
-	// knob: results are byte-identical at any setting.
-	Par int
 }
 
 // Simulate builds a system, generates the workload's trace, runs it to
@@ -137,7 +133,6 @@ func Simulate(m Machine, s Scheme, w Workload, rc RunConfig) (*Stats, error) {
 		return nil, err
 	}
 	sys.CheckTranslations = rc.Check
-	sys.ParWorkers = rc.Par
 	trace := workload.Generate(w, m.NumGPUs, m.CUsPerGPU, rc.AccessesPerCU, rc.Seed)
 	return sys.Run(trace)
 }

@@ -55,16 +55,6 @@ var CorePackages = []string{
 	"internal/workload",
 }
 
-// ConcurrencyBoundary is the one core package allowed to use goroutines and
-// sync primitives: the parallel engine's synchronization layer. Its whole
-// job is to run the per-domain engines on worker goroutines while proving —
-// by construction and by the byte-identity CI gate — that no schedule leaks
-// into results, so the straygoroutine analyzer exempts exactly this path.
-// Every other determinism check (wall time, global rand, map order, float
-// accumulation order) still applies to it in full: the boundary licenses
-// concurrency, not nondeterminism.
-const ConcurrencyBoundary = "internal/sim/pdes"
-
 // IsCore reports whether the module-relative package path (e.g.
 // "internal/sim") is part of the deterministic core.
 func IsCore(rel string) bool {

@@ -25,9 +25,6 @@ func TestAnalyzers(t *testing.T) {
 		{checks.Walltime, "walltime"},
 		{checks.Globalrand, "globalrand"},
 		{checks.Straygoroutine, "straygoroutine"},
-		// The concurrency boundary: same constructs as the straygoroutine
-		// golden package, zero expected findings (see the package comment).
-		{checks.Straygoroutine, "internal/sim/pdes"},
 		{checks.Maporder, "maporder"},
 		{checks.Floataccum, "floataccum"},
 		{checks.Envelopewrite, "envelopewrite"},

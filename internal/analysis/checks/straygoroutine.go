@@ -10,20 +10,16 @@ import (
 // Straygoroutine keeps the deterministic core single-threaded: no go
 // statements, no channel operations, no sync primitives. The event engine
 // is the only scheduler — concurrency lives in internal/experiment (worker
-// pool over independent cells), internal/service (HTTP), and the one
-// sanctioned core boundary, internal/sim/pdes (the parallel engine's
-// synchronization layer, whose barrier protocol keeps results
-// schedule-independent by construction). A stray goroutine anywhere else in
-// the core would make event interleaving depend on the Go scheduler, which
-// no seed can reproduce.
+// pool over independent cells) and internal/service (HTTP). A stray
+// goroutine anywhere in the core would make event interleaving depend on the
+// Go scheduler, which no seed can reproduce.
 var Straygoroutine = &analysis.Analyzer{
 	Name:     "straygoroutine",
 	CoreOnly: true,
 	Doc: "forbid go statements, channel operations, and sync primitives in the " +
 		"deterministic core: the event engine is the only scheduler, and " +
 		"simulations must replay identically regardless of GOMAXPROCS; " +
-		"concurrency belongs to experiment/, service/, and the sanctioned " +
-		"boundary " + analysis.ConcurrencyBoundary + "; chains into non-core " +
+		"concurrency belongs to experiment/ and service/; chains into non-core " +
 		"helpers that spawn goroutines or select over channels are reported " +
 		"interprocedurally",
 	Run:     runStraygoroutine,
@@ -32,13 +28,11 @@ var Straygoroutine = &analysis.Analyzer{
 
 // straygoroutineSources marks scheduler-dependent constructs inside fn as
 // taint sources: spawning a goroutine, selecting over channels, and raw
-// channel sends/receives. The sanctioned concurrency boundary contributes
-// none — its goroutine use is licensed and held to byte-identity by CI —
-// and sync.Mutex plumbing alone is not a source, because a lock changes
-// scheduling only when a second goroutine exists to contend with (which the
-// go-statement source already reports).
+// channel sends/receives. sync.Mutex plumbing alone is not a source,
+// because a lock changes scheduling only when a second goroutine exists to
+// contend with (which the go-statement source already reports).
 func straygoroutineSources(pass *analysis.Pass, fn *ast.FuncDecl) []analysis.Source {
-	if fn.Body == nil || pass.Pkg.Rel == analysis.ConcurrencyBoundary {
+	if fn.Body == nil {
 		return nil
 	}
 	var out []analysis.Source
@@ -61,12 +55,6 @@ func straygoroutineSources(pass *analysis.Pass, fn *ast.FuncDecl) []analysis.Sou
 }
 
 func runStraygoroutine(pass *analysis.Pass) error {
-	if pass.Pkg.Rel == analysis.ConcurrencyBoundary {
-		// The parallel engine's synchronization layer is the one core
-		// package licensed to spawn goroutines; the byte-identity gate in CI
-		// holds it to the same observable determinism as the rest.
-		return nil
-	}
 	reportImports(pass, map[string]string{
 		"sync":        "the core is single-threaded by contract; locking hides scheduling dependence instead of removing it",
 		"sync/atomic": "the core is single-threaded by contract; atomics hide scheduling dependence instead of removing it",

@@ -17,11 +17,9 @@ import (
 // source line, and the golden tests pin that the direct-import case and the
 // chained case surface under the same check name.
 //
-// The taint never propagates through the sanctioned concurrency boundary's
-// own goroutine use (analysis.ConcurrencyBoundary is core, so its sources
-// are out of scope by the core rule), and a non-core function is tainted by
-// what it can reach, not by the package it lives in — a pure helper in
-// internal/config stays callable from the core.
+// A non-core function is tainted by what it can reach, not by the package
+// it lives in — a pure helper in internal/config stays callable from the
+// core.
 
 // maxChain caps the rendered call chain. Deeper chains are still reported;
 // the tail is elided so one pathological diagnostic cannot flood the log.

@@ -10,9 +10,9 @@ import (
 )
 
 // canonicalOptions is the result-identity subset of Options in a fixed field
-// order. Jobs, Par, Progress, and the context are deliberately excluded: they
-// steer execution, never results (the determinism guarantee — see runner.go
-// and internal/sim/pdes), so two submissions differing only in them must hash
+// order. Jobs, Progress, and the context are deliberately excluded: they
+// steer execution, never results (the determinism guarantee — see
+// runner.go), so two submissions differing only in them must hash
 // identically.
 type canonicalOptions struct {
 	CUsPerGPU        int      `json:"cus_per_gpu"`
@@ -32,7 +32,7 @@ type canonicalOptions struct {
 // non-finite values — which Run would silently ignore or misbehave on — are
 // rejected. App order is preserved (it is part of result identity: it sets
 // table column order), but every app must resolve through the Table 3 / DNN
-// registry. Jobs/Par/Progress/context are zeroed: execution knobs, not
+// registry. Jobs/Progress/context are zeroed: execution knobs, not
 // identity.
 func (o Options) Canonical() (Options, error) {
 	if err := o.validateFinite(); err != nil {
@@ -97,9 +97,6 @@ func (o Options) validateFinite() error {
 		return err
 	}
 	if err := checkInt("Jobs", o.Jobs); err != nil {
-		return err
-	}
-	if err := checkInt("Par", o.Par); err != nil {
 		return err
 	}
 	return nil

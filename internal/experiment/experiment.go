@@ -47,15 +47,6 @@ type Options struct {
 	// cell seeds its trace from (Seed, figure, app) alone — see CellSeed —
 	// so Jobs=1 and Jobs=N render byte-identical tables.
 	Jobs int
-	// Par selects the parallel event engine inside each cell: the number of
-	// goroutines executing a system's synchronization domains (values below
-	// 2 run the serial executor). Like Jobs it is a pure execution knob —
-	// results are byte-identical at any setting (CI enforces this) — so it is
-	// excluded from Canonical and never part of result identity. Jobs and Par
-	// compose: Jobs spreads cells across cores, Par spreads one cell's GPUs;
-	// prefer Jobs when a pass has many cells, Par when a single large cell
-	// dominates wall-clock.
-	Par int
 	// WarmupAccessesPerCU, when positive, splits every run into two phases:
 	// each CU executes its first WarmupAccessesPerCU accesses, the system
 	// drains to a barrier, and the remainder runs from there. The drain
@@ -69,7 +60,7 @@ type Options struct {
 	// caches warmup checkpoints content-addressed by WarmupKey, so repeated
 	// or concurrent runs sharing a warmup prefix compute it once. Forking
 	// from the store is byte-identical to running straight through
-	// (CI-enforced), so like Jobs/Par it is an execution knob, never part of
+	// (CI-enforced), so like Jobs it is an execution knob, never part of
 	// result identity.
 	CheckpointStore *store.Store
 	// Progress, when non-nil, is called after each cell a runner pass

@@ -288,37 +288,3 @@ func TestCellTracePairing(t *testing.T) {
 		t.Fatal("repeated cell not deterministic")
 	}
 }
-
-// The PDES identity gate, experiment-level: a figure regenerated on the
-// serial engine and on the parallel engine (-par=8, with -jobs=1 so the only
-// concurrency is inside the cells) must render byte-identical tables. CI
-// enforces the same property on the shipped fig11 artifact via the
-// pdes-gate job.
-func TestParEngineMatchesSerial(t *testing.T) {
-	o := quick()
-	o.Jobs = 1
-	e, err := Find("fig11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := o
-	par := o
-	par.Par = 8
-	ts, err := e.Run(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := e.Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Render() != tp.Render() {
-		t.Fatalf("parallel-engine table differs from serial:\n--- par=0\n%s\n--- par=8\n%s",
-			ts.Render(), tp.Render())
-	}
-	js, _ := ts.RenderJSON()
-	jp, _ := tp.RenderJSON()
-	if js != jp {
-		t.Fatal("parallel-engine JSON differs from serial")
-	}
-}

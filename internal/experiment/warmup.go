@@ -54,24 +54,16 @@ func WarmupKey(m config.Machine, scheme config.Scheme, warmup int, trace *worklo
 //   - warmup + store: fetch or compute the warmup checkpoint, fork a fresh
 //     system from it, and run only the remainder.
 func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workload.Trace) (*stats.Sim, error) {
-	newSystem := func() (*system.System, error) {
-		s, err := system.New(m, scheme)
-		if err != nil {
-			return nil, err
-		}
-		s.ParWorkers = o.Par
-		return s, nil
-	}
 	warmup := o.WarmupAccessesPerCU
 	if warmup <= 0 {
-		s, err := newSystem()
+		s, err := system.New(m, scheme)
 		if err != nil {
 			return nil, err
 		}
 		return s.RunCtx(o.Context(), trace)
 	}
 	if o.CheckpointStore == nil {
-		s, err := newSystem()
+		s, err := system.New(m, scheme)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +74,7 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 	}
 	key := WarmupKey(m, scheme, warmup, trace)
 	compute := func() ([]byte, error) {
-		scratch, err := newSystem()
+		scratch, err := system.New(m, scheme)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +92,7 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 		if err != nil {
 			return nil, err
 		}
-		s, err := newSystem()
+		s, err := system.New(m, scheme)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +101,7 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 		}
 		o.CheckpointStore.Quarantine(key)
 	}
-	s, err := newSystem()
+	s, err := system.New(m, scheme)
 	if err != nil {
 		return nil, err
 	}

@@ -210,7 +210,7 @@ func TestNetworkMultiDomainTimingMatchesSingle(t *testing.T) {
 		host.ScheduleAt(10, func() {
 			n.CPUToGPU(1, 64, func() { b = gpuDom(1).Now() }, nil)
 		})
-		cl.Run(1)
+		cl.Run()
 		return a, b
 	}
 	a1, b1 := run(1)

@@ -46,38 +46,28 @@ type CellResult struct {
 // next batch boundary.
 func RunSpec(ctx context.Context, spec CanonicalSpec,
 	progress func(done, total int, cell string)) ([]byte, error) {
-	return runSpec(ctx, spec, progress, 0, nil)
+	return runSpec(ctx, spec, progress, nil)
 }
 
-// RunSpecPar returns a RunFunc that executes like RunSpec but on the
-// parallel event engine with par worker goroutines per simulation. Par is a
-// server-side execution knob (idylld -par): it never enters the spec, so
-// spec hashes — and with them the content-addressed cache — are unaffected,
-// which is sound because results are byte-identical at any worker count.
-func RunSpecPar(par int) RunFunc {
-	return RunSpecWith(par, nil)
-}
-
-// RunSpecWith returns the fully-configured production RunFunc: par as in
-// RunSpecPar, plus a warmup-checkpoint store shared by every job the server
-// runs. Specs whose options request a warmup phase
-// (warmup_accesses_per_cu > 0) fetch or compute their warmup checkpoint
-// through ckpt, so sweeps that share a warmup prefix simulate it once per
-// daemon lifetime (or once ever, with a disk-backed store). Like par, the
-// store is an execution knob: forking from a checkpoint is byte-identical to
-// running straight through, so spec hashes and cached results are unaffected.
-func RunSpecWith(par int, ckpt *store.Store) RunFunc {
+// RunSpecWith returns the fully-configured production RunFunc: RunSpec plus
+// a warmup-checkpoint store shared by every job the server runs. Specs whose
+// options request a warmup phase (warmup_accesses_per_cu > 0) fetch or
+// compute their warmup checkpoint through ckpt, so sweeps that share a
+// warmup prefix simulate it once per daemon lifetime (or once ever, with a
+// disk-backed store). The store is an execution knob: forking from a
+// checkpoint is byte-identical to running straight through, so spec hashes
+// and cached results are unaffected.
+func RunSpecWith(ckpt *store.Store) RunFunc {
 	return func(ctx context.Context, spec CanonicalSpec,
 		progress func(done, total int, cell string)) ([]byte, error) {
-		return runSpec(ctx, spec, progress, par, ckpt)
+		return runSpec(ctx, spec, progress, ckpt)
 	}
 }
 
 func runSpec(ctx context.Context, spec CanonicalSpec,
-	progress func(done, total int, cell string), par int, ckpt *store.Store) ([]byte, error) {
+	progress func(done, total int, cell string), ckpt *store.Store) ([]byte, error) {
 	o := spec.Options.WithContext(ctx)
 	o.Progress = progress
-	o.Par = par
 	o.CheckpointStore = ckpt
 
 	switch spec.Kind {

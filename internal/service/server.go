@@ -24,11 +24,6 @@ type Config struct {
 	// Workers bounds how many jobs run concurrently (default GOMAXPROCS).
 	// Each job may itself parallelize across cells via its options' Jobs.
 	Workers int
-	// Par runs every simulation on the parallel event engine with this many
-	// worker goroutines (values below 2 keep the serial engine). A pure
-	// execution knob: results, and therefore spec hashes and cache contents,
-	// are byte-identical at any setting. Ignored when Runner is injected.
-	Par int
 	// QueueDepth bounds the accepted-but-not-running backlog (default 64).
 	// A full queue sheds load: POST answers 429 with Retry-After.
 	QueueDepth int
@@ -165,7 +160,7 @@ func NewServer(cfg Config) (*Server, error) {
 		ckpt.SetRemoteFill(cfg.CkptFill)
 	}
 	if cfg.Runner == nil {
-		cfg.Runner = RunSpecWith(cfg.Par, ckpt)
+		cfg.Runner = RunSpecWith(ckpt)
 	}
 	queue := cfg.Queue
 	if queue == nil {

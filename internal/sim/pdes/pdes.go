@@ -1,13 +1,13 @@
-// Package pdes runs several sim.Engine instances as conservative parallel
-// discrete-event simulation domains while keeping results byte-identical to
-// a serial execution.
+// Package pdes runs several sim.Engine instances as synchronization domains
+// advancing in conservative windows, with a deterministic barrier merge.
 //
 // # Model
 //
 // A Cluster owns a fixed set of Domains. Each Domain wraps one ordinary
-// single-threaded sim.Engine plus per-destination outboxes; all concurrency
-// lives in this package — the engines, and every model component scheduled
-// on them, stay pure and single-threaded per domain.
+// single-threaded sim.Engine plus per-destination outboxes; the engines, and
+// every model component scheduled on them, stay pure and single-threaded.
+// The executor is serial: the coordinator runs the domains of each window
+// itself, in domain order.
 //
 // Execution proceeds in windows. At each barrier the coordinator computes
 // the globally earliest pending event time t (Engine.NextAt across domains)
@@ -19,28 +19,25 @@
 // interconnect — no cross-domain interaction is faster than the cheapest
 // link (propagation plus at least one serialization cycle).
 //
-// # Byte identity
+// # Event order
 //
-// Results are byte-identical between the serial executor (workers <= 1: the
-// coordinator runs the domains of each window itself, in domain order) and
-// the parallel executor (a worker pool runs them concurrently) because each
-// domain's engine observes the identical schedule sequence either way:
+// The windows and the barrier merge define the order of same-cycle events,
+// and with it the results; a single shared engine would interleave them
+// differently (see DESIGN.md "Synchronization domains"):
 //
-//   - Within a window a domain touches only its own engine and state, so
-//     its execution is independent of when sibling domains run.
+//   - Within a window a domain touches only its own engine and state.
 //   - Cross-domain sends go through Post, which stamps each message with
 //     (deliverAt, source domain, per-source sequence number) and stages it
 //     in the sender's outbox; nothing reaches another domain mid-window.
-//   - At the barrier the single-threaded coordinator drains all outboxes
-//     and injects each destination's batch in sorted (deliverAt, source,
-//     sequence) order — a total order independent of worker scheduling.
+//   - At the barrier the coordinator drains all outboxes and injects each
+//     destination's batch in sorted (deliverAt, source, sequence) order.
 //
 // Post panics if a message's delivery time lands inside the current window:
 // such a message could not have been exchanged at the previous barrier, so
-// the conservative premise would be broken (and results would depend on the
-// executor). Domain layouts with genuinely zero-lookahead interactions must
-// place the interacting components in one domain; a single-domain cluster
-// degenerates to the plain serial engine with no barriers at all.
+// the conservative premise would be broken. Domain layouts with genuinely
+// zero-lookahead interactions must place the interacting components in one
+// domain; a single-domain cluster degenerates to the plain serial engine
+// with no barriers at all.
 package pdes
 
 import (
@@ -100,7 +97,7 @@ func (d *Domain) ScheduleAt(t sim.VTime, fn func()) sim.EventID {
 
 // Post schedules fn to run at absolute time at on domain dst. The delivery
 // time must not land inside the current window (see the package comment);
-// violating that panics, because it would make results executor-dependent.
+// violating that panics, because it would break the window's independence.
 // In a single-domain cluster Post degenerates to ScheduleAt.
 func (d *Domain) Post(dst DomainID, at sim.VTime, fn func()) {
 	c := d.cl
@@ -149,9 +146,7 @@ type Cluster struct {
 	// reused across barriers so exchanges do not allocate.
 	stage []message
 	// windowEnd is the exclusive end of the window being executed. Written
-	// by the coordinator between windows; read by domains (possibly on
-	// worker goroutines) during the window — the barrier's release edge
-	// orders the write before every read.
+	// by the coordinator between windows; read by Post during the window.
 	windowEnd sim.VTime
 	running   bool
 	st        ClusterStats
@@ -222,11 +217,9 @@ func (c *Cluster) EngineStats() sim.EngineStats {
 	return t
 }
 
-// Run executes every domain to completion using the given number of worker
-// goroutines (values below 2 select the serial executor). Results do not
-// depend on workers; see the package comment.
-func (c *Cluster) Run(workers int) {
-	if err := c.RunCtx(context.Background(), workers); err != nil {
+// Run executes every domain to completion.
+func (c *Cluster) Run() {
+	if err := c.RunCtx(context.Background()); err != nil {
 		panic("pdes: background context cancelled: " + err.Error())
 	}
 }
@@ -239,7 +232,7 @@ const serialBatchEvents = 8192
 // barrier (or batch boundary, single-domain) once ctx is done, returning
 // ctx.Err(). Cancellation cannot perturb results — a run either completes
 // with output identical to an uncancelled run's, or returns an error.
-func (c *Cluster) RunCtx(ctx context.Context, workers int) error {
+func (c *Cluster) RunCtx(ctx context.Context) error {
 	if c.running {
 		panic("pdes: re-entrant cluster run")
 	}
@@ -257,14 +250,6 @@ func (c *Cluster) RunCtx(ctx context.Context, workers int) error {
 		}
 		return ctx.Err()
 	}
-	var pool *workerPool
-	if workers > len(c.domains) {
-		workers = len(c.domains)
-	}
-	if workers > 1 {
-		pool = newWorkerPool(c, workers)
-		defer pool.stop()
-	}
 	// Messages posted during model setup (before any window) are staged in
 	// outboxes; inject them now so they participate in window placement.
 	c.exchange()
@@ -281,12 +266,8 @@ func (c *Cluster) RunCtx(ctx context.Context, workers int) error {
 		end := next + c.lookahead
 		c.windowEnd = end
 		c.st.Windows++
-		if pool != nil {
-			pool.runWindow(end - 1)
-		} else {
-			for _, d := range c.domains {
-				d.eng.RunUntil(end - 1)
-			}
+		for _, d := range c.domains {
+			d.eng.RunUntil(end - 1)
 		}
 		c.exchange()
 	}
@@ -306,10 +287,10 @@ func (c *Cluster) nextEventTime() (sim.VTime, bool) {
 }
 
 // exchange drains every outbox and injects each destination's messages in
-// sorted (deliverAt, source, sequence) order. It runs single-threaded
-// between windows; iteration order over domains is fixed, so the injection
-// sequence — and with it each engine's internal event numbering — is a pure
-// function of the messages, not of the executor.
+// sorted (deliverAt, source, sequence) order. It runs between windows;
+// iteration order over domains is fixed, so the injection sequence — and
+// with it each engine's internal event numbering — is a pure function of
+// the messages.
 func (c *Cluster) exchange() {
 	for dstID, dst := range c.domains {
 		batch := c.stage[:0]

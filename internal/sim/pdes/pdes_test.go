@@ -3,101 +3,12 @@ package pdes
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"idyll/internal/sim"
 )
-
-// traceEntry is one observed event firing, the unit of the differential
-// tests: two runs are equivalent iff every domain logged the same sequence.
-type traceEntry struct {
-	At  sim.VTime
-	Tag string
-}
-
-// script builds a randomized cross-domain workload on a fresh cluster and
-// returns the per-domain logs (append-only, each written only by its own
-// domain, so logging is race-free under any worker count).
-//
-// Each domain gets its own seeded PRNG consumed only inside its events:
-// within a domain events fire in a deterministic order, so the stream of
-// draws — and with it the whole generated event tree — is a pure function of
-// (seed, domains, lookahead), independent of the executor.
-func script(seed int64, domains int, lookahead sim.VTime, events int) (*Cluster, [][]traceEntry) {
-	cl := NewCluster(domains, lookahead)
-	logs := make([][]traceEntry, domains)
-	rngs := make([]*rand.Rand, domains)
-	for i := range rngs {
-		rngs[i] = rand.New(rand.NewSource(seed + int64(i)))
-	}
-	var spawn func(d *Domain, depth int, tag string)
-	spawn = func(d *Domain, depth int, tag string) {
-		id := int(d.ID())
-		logs[id] = append(logs[id], traceEntry{At: d.Now(), Tag: tag})
-		if depth <= 0 {
-			return
-		}
-		rng := rngs[id]
-		n := 1 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			child := fmt.Sprintf("%s.%d", tag, i)
-			if domains > 1 && rng.Intn(3) == 0 {
-				// Cross-domain: the +rng skew lands deliveries exactly on,
-				// just after, and well past barrier cycles.
-				dst := DomainID(rng.Intn(domains))
-				if dst == d.ID() {
-					dst = (dst + 1) % DomainID(domains)
-				}
-				at := d.Now() + lookahead + sim.VTime(rng.Intn(3))
-				dd := cl.Domain(int(dst))
-				d.Post(dst, at, func() { spawn(dd, depth-1, child) })
-			} else {
-				delay := sim.VTime(rng.Intn(int(lookahead) + 5))
-				d.Schedule(delay, func() { spawn(d, depth-1, child) })
-			}
-		}
-	}
-	for i := 0; i < domains; i++ {
-		d := cl.Domain(i)
-		for j := 0; j < events; j++ {
-			tag := fmt.Sprintf("d%d/root%d", i, j)
-			at := sim.VTime(rngs[i].Intn(50))
-			d.ScheduleAt(at, func() { spawn(d, 4, tag) })
-		}
-	}
-	return cl, logs
-}
-
-// TestParallelMatchesSerial is the core differential test: the same
-// randomized script under the serial executor and under every worker count
-// must produce identical per-domain event sequences. Run with -race to also
-// exercise the pool's memory ordering.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, domains := range []int{2, 3, 5, 9} {
-		for _, lookahead := range []sim.VTime{1, 7, 101} {
-			for seed := int64(0); seed < 5; seed++ {
-				clRef, ref := script(seed, domains, lookahead, 3)
-				clRef.Run(1)
-				refWindows := clRef.Stats().Windows
-				for _, workers := range []int{2, 4, 8} {
-					cl, got := script(seed, domains, lookahead, 3)
-					cl.Run(workers)
-					if !reflect.DeepEqual(ref, got) {
-						t.Fatalf("domains=%d lookahead=%d seed=%d workers=%d: event sequences diverge from serial",
-							domains, lookahead, seed, workers)
-					}
-					if cl.Stats().Windows != refWindows {
-						t.Fatalf("domains=%d lookahead=%d seed=%d workers=%d: %d windows, serial ran %d",
-							domains, lookahead, seed, workers, cl.Stats().Windows, refWindows)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestBarrierMergeOrder pins the injection order at a barrier: messages for
 // one destination sort by (deliverAt, source domain, per-source sequence),
@@ -120,7 +31,7 @@ func TestBarrierMergeOrder(t *testing.T) {
 		cl.Domain(1).Post(0, L, note("src1@L"))
 	})
 	d0.ScheduleAt(0, func() {})
-	cl.Run(1)
+	cl.Run()
 	want := []string{"src1@L", "src2-seq1@L", "src2-seq2@L", "src1@L+1"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("merge order = %v, want %v", order, want)
@@ -141,7 +52,7 @@ func TestBarrierBoundaryDeliveries(t *testing.T) {
 		d0.Post(1, 5+L+1, func() { arrivals["after"] = d1.Now() })
 		d0.Post(1, 5+3*L, func() { arrivals["far"] = d1.Now() })
 	})
-	cl.Run(1)
+	cl.Run()
 	want := map[string]sim.VTime{"exact": 15, "after": 16, "far": 35}
 	if !reflect.DeepEqual(arrivals, want) {
 		t.Fatalf("arrivals = %v, want %v", arrivals, want)
@@ -161,7 +72,7 @@ func TestPostInsideWindowPanics(t *testing.T) {
 		// Window is [5, 15); delivery at 14 lands inside it.
 		d0.Post(1, 14, func() {})
 	})
-	cl.Run(1)
+	cl.Run()
 	if recovered == nil {
 		t.Fatal("sub-lookahead post did not panic")
 	}
@@ -180,7 +91,7 @@ func TestSameDomainPostBypassesBarrier(t *testing.T) {
 		d0.Post(0, 6, func() { at = d0.Now() })
 	})
 	cl.Domain(1).ScheduleAt(0, func() {})
-	cl.Run(1)
+	cl.Run()
 	if at != 6 {
 		t.Fatalf("same-domain post fired at %d, want 6", at)
 	}
@@ -206,7 +117,7 @@ func TestSingleDomainDegenerate(t *testing.T) {
 	var order []string
 	d.ScheduleAt(3, func() { order = append(order, "a") })
 	d.Post(0, 1, func() { order = append(order, "b") })
-	cl.Run(8) // worker count is irrelevant with one domain
+	cl.Run()
 	if !reflect.DeepEqual(order, []string{"b", "a"}) {
 		t.Fatalf("order = %v", order)
 	}
@@ -219,28 +130,6 @@ func TestSingleDomainDegenerate(t *testing.T) {
 		}
 	}()
 	d.Post(1, 5, func() {})
-}
-
-// TestWorkerPanicPropagates: a panic inside a domain event on a worker
-// goroutine must surface as a panic of the coordinator's Run, with the
-// domain worker identified — idylld's per-job recover depends on this.
-func TestWorkerPanicPropagates(t *testing.T) {
-	cl := NewCluster(4, 5)
-	for i := 0; i < 4; i++ {
-		d := cl.Domain(i)
-		d.ScheduleAt(1, func() {})
-	}
-	cl.Domain(2).ScheduleAt(2, func() { panic("boom in domain 2") })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("worker panic did not propagate")
-		}
-		if !strings.Contains(fmt.Sprint(r), "boom in domain 2") {
-			t.Fatalf("panic lost its payload: %v", r)
-		}
-	}()
-	cl.Run(4)
 }
 
 // TestRunCtxCancellation: cancellation between windows stops the run with
@@ -261,7 +150,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	}
 	d0.ScheduleAt(0, ping)
 	cl.Domain(1).ScheduleAt(0, func() {})
-	if err := cl.RunCtx(ctx, 2); err != context.Canceled {
+	if err := cl.RunCtx(ctx); err != context.Canceled {
 		t.Fatalf("RunCtx = %v, want context.Canceled", err)
 	}
 	if cl.Pending() == 0 {
@@ -276,7 +165,7 @@ func TestPreRunPostsDelivered(t *testing.T) {
 	d1 := cl.Domain(1)
 	var at sim.VTime = -1
 	cl.Domain(0).Post(1, 3, func() { at = d1.Now() })
-	cl.Run(1)
+	cl.Run()
 	if at != 3 {
 		t.Fatalf("pre-run post fired at %d, want 3", at)
 	}
@@ -310,10 +199,10 @@ func TestReentrantRunPanics(t *testing.T) {
 	var recovered any
 	d0.ScheduleAt(0, func() {
 		defer func() { recovered = recover() }()
-		cl.Run(1)
+		cl.Run()
 	})
 	cl.Domain(1).ScheduleAt(0, func() {})
-	cl.Run(1)
+	cl.Run()
 	if recovered == nil {
 		t.Fatal("re-entrant run did not panic")
 	}
@@ -328,7 +217,7 @@ func TestEngineStatsSum(t *testing.T) {
 			d.ScheduleAt(sim.VTime(j), func() {})
 		}
 	}
-	cl.Run(1)
+	cl.Run()
 	if got := cl.EngineStats().Fired; got != 12 {
 		t.Fatalf("EngineStats.Fired = %d, want 12", got)
 	}
@@ -357,6 +246,6 @@ func BenchmarkExchange(b *testing.B) {
 			}
 			dom.ScheduleAt(0, hop)
 		}
-		cl.Run(1)
+		cl.Run()
 	}
 }

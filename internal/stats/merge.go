@@ -1,13 +1,13 @@
 package stats
 
-// Shard merging. Under the parallel engine every GPU and the driver write
-// into their own Sim shard (one writer per synchronization domain); the
-// system merges the shards into one Sim after the run, always in the same
-// fixed order (GPU 0..N-1, then the host). Merging is pure integer and
-// bucket addition plus the Sharing maps — no floats — so the merged result
-// is exactly the Sim a shared single collector would have produced, and the
-// float reducers downstream (AccessDistribution, means) see identical
-// inputs regardless of domain count or worker count.
+// Shard merging. Every GPU and the driver write into their own Sim shard
+// (one writer per synchronization domain); the system merges the shards
+// into one Sim after the run, always in the same fixed order (GPU 0..N-1,
+// then the host). Merging is pure integer and bucket addition plus the
+// Sharing maps — no floats — so the merged result is exactly the Sim a
+// shared single collector would have produced, and the float reducers
+// downstream (AccessDistribution, means) see identical inputs regardless of
+// domain count.
 
 // Merge folds o's samples into l.
 func (l *Latency) Merge(o Latency) {

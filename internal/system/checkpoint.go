@@ -42,7 +42,7 @@ func (s *System) RunWarmupCtx(ctx context.Context, trace *workload.Trace, warmup
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := s.drain(ctx); err != nil {
+	if err := s.Cluster.RunCtx(ctx); err != nil {
 		return err
 	}
 	for i, g := range s.GPUs {
@@ -79,7 +79,7 @@ func (s *System) RunRemainderCtx(ctx context.Context, trace *workload.Trace, war
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.drain(ctx); err != nil {
+	if err := s.Cluster.RunCtx(ctx); err != nil {
 		return nil, err
 	}
 	return s.finalize()

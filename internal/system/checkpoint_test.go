@@ -93,26 +93,6 @@ func TestPhasedRunDeterministic(t *testing.T) {
 	}
 }
 
-// Parallel execution of the phased run stays byte-identical to serial.
-func TestForkedRunParallelIdentity(t *testing.T) {
-	const gpus, accesses, warmup = 4, 120, 40
-	m := smallMachine(gpus)
-	trace := workload.Generate(smallApp(), gpus, m.CUsPerGPU, accesses, 11)
-	serial := phasedRun(t, config.IDYLL(), trace, warmup)
-
-	par := MustNew(m, config.IDYLL())
-	par.ParWorkers = 4
-	if err := par.RunWarmupCtx(nil, trace, warmup); err != nil {
-		t.Fatalf("parallel warmup: %v", err)
-	}
-	if _, err := par.RunRemainderCtx(nil, trace, warmup); err != nil {
-		t.Fatalf("parallel remainder: %v", err)
-	}
-	if !reflect.DeepEqual(serial.Stats, par.Stats) {
-		t.Fatal("parallel phased run diverges from serial")
-	}
-}
-
 func TestResumeRejectsMismatchedSystem(t *testing.T) {
 	const gpus, accesses, warmup = 2, 80, 30
 	m := smallMachine(gpus)

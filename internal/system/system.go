@@ -34,18 +34,10 @@ type System struct {
 	// completes. Empty until then.
 	Stats *stats.Sim
 
-	// ParWorkers selects the parallel engine: the number of goroutines
-	// executing the cluster's domains (values below 2 run the serial
-	// executor). Results are byte-identical at any setting — it is an
-	// execution knob, never part of result identity (see internal/sim/pdes).
-	ParWorkers int
-
 	// CheckTranslations enables the online correctness probe: every
 	// translation handed to a data access is compared against the host page
 	// table. Mismatches outside a migration window are hard errors;
 	// mismatches while the page migrates (in-flight window) are counted.
-	// The probe reads driver state from GPU callbacks, so it forces the
-	// serial executor regardless of ParWorkers.
 	CheckTranslations bool
 	// ColdStart disables the default affinity pre-placement of pages, so
 	// every page begins in CPU memory and first-touch-migrates on demand.
@@ -157,7 +149,7 @@ func (s *System) RunCtx(ctx context.Context, trace *workload.Trace) (*stats.Sim,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.drain(ctx); err != nil {
+	if err := s.Cluster.RunCtx(ctx); err != nil {
 		return nil, err
 	}
 	return s.finalize()
@@ -193,18 +185,6 @@ func (s *System) setShape(trace *workload.Trace) {
 			g.SetCounterThreshold(s.Machine.AccessCounterThreshold * f)
 		}
 	}
-}
-
-// drain runs the cluster until every scheduled event has fired.
-func (s *System) drain(ctx context.Context) error {
-	workers := s.ParWorkers
-	if s.CheckTranslations {
-		// The probe reads driver state from GPU-domain callbacks; keep all
-		// execution on the coordinator goroutine so those reads stay
-		// race-free and deterministic.
-		workers = 1
-	}
-	return s.Cluster.RunCtx(ctx, workers)
 }
 
 // finalize checks for deadlock and coherence violations, folds the
@@ -301,7 +281,6 @@ func (s *System) preplace(trace *workload.Trace) {
 // installChecker wires the per-access coherence probe into each GPU.
 func (s *System) installChecker() {
 	for _, g := range s.GPUs {
-		gg := g
 		g.OnTranslated = func(gpuID int, vpn memdef.VPN, pfn memdef.PFN) {
 			if s.Driver.Migrating(vpn) {
 				// Page mid-migration: accesses may legitimately use the
@@ -328,7 +307,6 @@ func (s *System) installChecker() {
 			// exists in real systems too. Count them; the caller asserts
 			// the fraction stays negligible via StaleWindowFraction.
 			s.staleWindow++
-			_ = gg
 		}
 	}
 }

@@ -18,17 +18,15 @@
 #
 # The tracked set is the micro-benchmarks (event engine, IRMB, Zipf, the
 # page-migration data-cache flush, one fig11 cell's machine assembly) plus
-# the end-to-end throughput benchmarks on both event engines
-# (BenchmarkSuiteFig11Serial vs BenchmarkSuiteFig11PDES8 is the parallel
-# core's single-simulation speedup) and on the warmup-checkpoint path
-# (BenchmarkSuiteFig11Warmup vs BenchmarkSuiteFig11Checkpointed is the
+# the end-to-end throughput benchmarks (BenchmarkSuiteFig11Serial) and on
+# the warmup-checkpoint path (BenchmarkSuiteFig11Warmup vs BenchmarkSuiteFig11Checkpointed is the
 # warmup-sharing speedup); see BENCH_PR12.json for the committed baseline and
 # DESIGN.md "Engine internals & profiling" / "Checkpoint format & forking"
 # for how these numbers are used.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11PDES8|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
+PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
 BASELINE=BENCH_PR12.json
 OUT=${BENCH_OUT:-/tmp/idyll_bench.txt}
 PROFILE=${BENCH_PROFILE:-/tmp/idyll_cpu.pprof}
@@ -54,10 +52,8 @@ check)
     ;;
 record)
     # A baseline must come from repeated runs: a single sample can freeze a
-    # scheduling hiccup into the committed numbers. The PR6 baseline recorded
-    # BenchmarkSuiteFig11PDES8 "slower" than Serial exactly this way — noise
-    # from a low-core shared runner, not a PDES regression. Collapsing >= 3
-    # runs to the per-benchmark minimum keeps that regime out of baselines:
+    # scheduling hiccup into the committed numbers. Collapsing >= 3 runs to
+    # the per-benchmark minimum keeps that noise out of baselines:
     # interference only ever adds time, so the minimum is the cleanest
     # estimate a shared machine can give.
     count=${2:-5}
@@ -67,7 +63,7 @@ record)
     fi
     run_bench "$count"
     go run ./cmd/benchdiff -min \
-        -note "recorded by scripts/bench.sh record: per-benchmark minimum of $count runs. Allocation counts are deterministic and CI-gated; ns/op is machine-specific context only — judge wall-clock with same-machine back-to-back runs (benchdiff -fail-over), never against this file. Caveat carried from BENCH_PR6.json: it showed SuiteFig11PDES8 slower than Serial, an artifact of single-sample recording on a low-core runner (PDES worker overhead with no spare cores), which the minimum-of-N collapse now prevents." \
+        -note "recorded by scripts/bench.sh record: per-benchmark minimum of $count runs. Allocation counts are deterministic and CI-gated; ns/op is machine-specific context only — judge wall-clock with same-machine back-to-back runs (benchdiff -fail-over), never against this file." \
         -emit "$BASELINE" "$OUT"
     ;;
 compare)

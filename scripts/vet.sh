@@ -26,11 +26,9 @@ go vet ./...
 echo "== go vet ./cmd/... ./internal/profiling (explicit, anti-skip) =="
 go vet ./cmd/... ./internal/profiling
 
-# idyllvet covers internal/sim/pdes like the rest of the deterministic
-# core; only the straygoroutine check exempts it (analysis.ConcurrencyBoundary
-# — the one package allowed to own goroutines, with golden-file tests in the
-# analyzer suite pinning the boundary). -counts prints the per-check finding
-# tally so a clean run still shows what was actually checked.
+# idyllvet covers every package of the deterministic core, internal/sim/pdes
+# included, with no exemptions. -counts prints the per-check finding tally
+# so a clean run still shows what was actually checked.
 echo "== idyllvet (determinism + service-layer contracts) =="
 go run ./cmd/idyllvet -counts ./...
 
