@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"idyll"
-	"idyll/internal/checkpoint/store"
+	"idyll/internal/blobstore"
 	"idyll/internal/core"
 	"idyll/internal/datapath"
 	"idyll/internal/experiment"
@@ -182,11 +182,14 @@ func BenchmarkSuiteFig11Warmup(b *testing.B) {
 }
 
 func BenchmarkSuiteFig11Checkpointed(b *testing.B) {
-	st := store.New(128, "")
+	st, err := blobstore.New("ckpt", 128, "")
+	if err != nil {
+		b.Fatal(err)
+	}
 	benchSuiteFig11Warmup(b, st)
 }
 
-func benchSuiteFig11Warmup(b *testing.B, st *store.Store) {
+func benchSuiteFig11Warmup(b *testing.B, st *blobstore.Store) {
 	o := benchOptions()
 	o.WarmupAccessesPerCU = o.AccessesPerCU * 4 / 5
 	o.CheckpointStore = st

@@ -27,7 +27,7 @@ import (
 	"syscall"
 	"time"
 
-	"idyll/internal/checkpoint/store"
+	"idyll/internal/blobstore"
 	"idyll/internal/experiment"
 	"idyll/internal/profiling"
 )
@@ -98,7 +98,12 @@ func main() {
 	// an empty -ckpt-dir keeps; CI diffs the two).
 	o.WarmupAccessesPerCU = *warmup
 	if *warmup > 0 && *ckptDir != "" {
-		o.CheckpointStore = store.New(64, *ckptDir)
+		st, err := blobstore.New("ckpt", 64, *ckptDir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "idyllbench:", err)
+			os.Exit(1)
+		}
+		o.CheckpointStore = st
 	}
 
 	// Ctrl-C / SIGTERM cancels the suite cooperatively: workers stop at

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -35,5 +36,31 @@ func TestUnknownFormatRejected(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("an experiment ran before the format was rejected: %q", stdout.String())
+	}
+}
+
+// TestUnusableCkptDirRejected: a -ckpt-dir that cannot be a directory (here
+// a regular file) exits 1 naming the path, instead of running with nothing
+// persisted.
+func TestUnusableCkptDirRejected(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-fig", "fig11", "-cus", "2", "-accesses", "40",
+		"-warmup", "20", "-quiet", "-ckpt-dir", file)
+	cmd.Env = append(os.Environ(), "IDYLLBENCH_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1 (stderr: %s)", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), file) {
+		t.Fatalf("stderr does not name the path: %q", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("an experiment ran despite the unusable -ckpt-dir: %q", stdout.String())
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"os"
 	"strings"
 
-	"idyll/internal/checkpoint/store"
+	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/experiment"
 	"idyll/internal/memdef"
@@ -149,7 +149,9 @@ func cmdRun(args []string) {
 		// Fork-from-checkpoint replays byte-identically to the two-phase
 		// straight-line run (CI diffs the two), so the store only changes
 		// wall-clock: a repeated sweep reloads its warmup state from disk.
-		o.CheckpointStore = store.New(64, *ckptDir)
+		st, err := blobstore.New("ckpt", 64, *ckptDir)
+		fatal(err)
+		o.CheckpointStore = st
 	}
 	if !*quiet {
 		o.Progress = experiment.ProgressPrinter(os.Stderr, t.Params.Abbr)

@@ -31,10 +31,10 @@ import (
 //
 // Deliberately absent: config (a configuration surface — it may carry
 // time.Duration knobs for the service layer), experiment and service (the
-// concurrency layers: worker pools, caches, HTTP), checkpoint/store (the
-// concurrent warmup-checkpoint cache: mutex, singleflight, disk I/O — the
-// pure codec in internal/checkpoint IS core), profiling (wraps
-// runtime/pprof), and the cmd/ binaries.
+// concurrency layers: worker pools, caches, HTTP), blobstore (the
+// concurrent result and warmup-checkpoint store: mutex, singleflight, disk
+// I/O — the pure checkpoint codec in internal/checkpoint IS core),
+// profiling (wraps runtime/pprof), and the cmd/ binaries.
 var CorePackages = []string{
 	"internal/cache",
 	"internal/checkpoint",

@@ -8,9 +8,10 @@ import (
 )
 
 // Envelopewrite enforces the at-rest integrity contract the chaos gate
-// relies on: every blob the result cache or the checkpoint store writes to
-// disk must carry the IDYLLSUM checksum envelope, because the read path
-// treats anything unverifiable as damage (quarantine + recompute). A write
+// relies on: every blob the blob store (results and checkpoints) or the
+// service layer writes to disk must carry the IDYLLSUM checksum envelope,
+// because the read path treats anything unverifiable as damage
+// (quarantine + recompute). A write
 // path that skips integrity.Wrap would make its own output look corrupt to
 // the next process — or worse, ride on the legacy-blob tolerance and skip
 // verification entirely. The check is function-granular: a function that
@@ -22,10 +23,10 @@ var Envelopewrite = &analysis.Analyzer{
 	Name: "envelopewrite",
 	Packages: []string{
 		"internal/service",
-		"internal/checkpoint/store",
+		"internal/blobstore",
 	},
-	Doc: "require every disk write in the result cache and the checkpoint " +
-		"store to flow through integrity.Wrap: the read side quarantines " +
+	Doc: "require every disk write in the blob store and the service " +
+		"layer to flow through integrity.Wrap: the read side quarantines " +
 		"anything that fails envelope verification, so an unwrapped blob is " +
 		"either self-inflicted corruption or a silent hole in the " +
 		"end-to-end integrity story",

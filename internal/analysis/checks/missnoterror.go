@@ -8,7 +8,7 @@ import (
 )
 
 // Missnoterror enforces the degrade-to-miss contract on the disk tiers: a
-// result-cache or checkpoint-store read that fails — file absent, envelope
+// blob-store read (results or checkpoints) that fails — file absent, envelope
 // unverifiable, decode broken — must be reported as a cache miss, never
 // surfaced as an error. The caller's recovery path is always the same
 // (recompute and re-store), so propagating the error upward only converts a
@@ -22,10 +22,10 @@ var Missnoterror = &analysis.Analyzer{
 	Name: "missnoterror",
 	Packages: []string{
 		"internal/service",
-		"internal/checkpoint/store",
+		"internal/blobstore",
 	},
-	Doc: "forbid returning disk-read errors from the result cache and the " +
-		"checkpoint store: a failed read (missing file, bad envelope, decode " +
+	Doc: "forbid returning disk-read errors from the blob store and the " +
+		"service layer: a failed read (missing file, bad envelope, decode " +
 		"error) must degrade to a cache miss so the caller recomputes; " +
 		"surfacing it turns a self-healing condition into a request failure",
 	Run: runMissnoterror,

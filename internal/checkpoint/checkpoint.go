@@ -19,8 +19,8 @@
 //
 // The package is part of the deterministic core (idyllvet CorePackages):
 // encoding must not consult wall time, global rand, goroutines, or unordered
-// map iteration. The concurrent content-addressed store built on top of this
-// codec lives in the checkpoint/store subpackage, outside the core contract.
+// map iteration. The concurrent content-addressed store that caches encoded
+// checkpoints is internal/blobstore, outside the core contract.
 package checkpoint
 
 import (

@@ -16,7 +16,7 @@ import (
 	"sort"
 	"strings"
 
-	"idyll/internal/checkpoint/store"
+	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/stats"
 	"idyll/internal/workload"
@@ -62,7 +62,7 @@ type Options struct {
 	// from the store is byte-identical to running straight through
 	// (CI-enforced), so like Jobs it is an execution knob, never part of
 	// result identity.
-	CheckpointStore *store.Store
+	CheckpointStore *blobstore.Store
 	// Progress, when non-nil, is called after each cell a runner pass
 	// completes, with the finished count, the pass total, and a
 	// "figure app/scheme" label. Calls are serialized, never concurrent.

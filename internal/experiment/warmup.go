@@ -88,7 +88,7 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 	// retry because the bad entry is gone). If even freshly computed bytes
 	// fail to resume, fall through to the straight two-phase run.
 	for attempt := 0; attempt < 2; attempt++ {
-		blob, _, err := o.CheckpointStore.GetOrCompute(key, compute)
+		blob, _, err := o.CheckpointStore.GetOrCompute(o.Context(), key, compute)
 		if err != nil {
 			return nil, err
 		}

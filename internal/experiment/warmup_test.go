@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"idyll/internal/checkpoint/store"
+	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/workload"
 )
@@ -22,7 +22,7 @@ func TestWarmupStoreMatchesStraightLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.New(8, "")
+	st := newCkptStore(t)
 	o.CheckpointStore = st
 	forked, err := Run(m, config.IDYLL(), "PR", o)
 	if err != nil {
@@ -31,9 +31,8 @@ func TestWarmupStoreMatchesStraightLine(t *testing.T) {
 	if !reflect.DeepEqual(straight, forked) {
 		t.Fatalf("forked run diverges:\nstraight: %+v\nforked:   %+v", straight, forked)
 	}
-	hits, misses, _, _ := st.Stats()
-	if hits != 0 || misses != 1 {
-		t.Fatalf("first run: %d hits, %d misses; want 0/1", hits, misses)
+	if s := st.Stats(); s.Hits != 0 || s.Misses != 1 {
+		t.Fatalf("first run: %d hits, %d misses; want 0/1", s.Hits, s.Misses)
 	}
 	// A second identical run reuses the warmup checkpoint.
 	again, err := Run(m, config.IDYLL(), "PR", o)
@@ -43,9 +42,8 @@ func TestWarmupStoreMatchesStraightLine(t *testing.T) {
 	if !reflect.DeepEqual(straight, again) {
 		t.Fatal("cached-warmup run diverges")
 	}
-	hits, misses, _, _ = st.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("second run: %d hits, %d misses; want 1/1", hits, misses)
+	if s := st.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("second run: %d hits, %d misses; want 1/1", s.Hits, s.Misses)
 	}
 }
 
@@ -120,7 +118,7 @@ func TestCorruptCheckpointRecoversAndMatches(t *testing.T) {
 	o.Apps = []string{"PR"}
 	m := config.Default()
 
-	st := store.New(8, "")
+	st := newCkptStore(t)
 	o.CheckpointStore = st
 	clean, err := Run(m, config.IDYLL(), "PR", o)
 	if err != nil {
@@ -151,13 +149,22 @@ func TestCorruptCheckpointRecoversAndMatches(t *testing.T) {
 	if !reflect.DeepEqual(clean, again) {
 		t.Fatal("recovered run diverges from the clean run")
 	}
-	if _, q := st.IntegrityStats(); q < 1 {
+	if q := st.Stats().Quarantined; q < 1 {
 		t.Fatalf("quarantined = %d, want >= 1", q)
 	}
 	// The recompute repaired the store in place.
 	if blob, ok := st.Get(key); !ok || len(blob) <= len("not a checkpoint") {
 		t.Fatalf("store not repaired: ok=%v len=%d", ok, len(blob))
 	}
+}
+
+func newCkptStore(t *testing.T) *blobstore.Store {
+	t.Helper()
+	st, err := blobstore.New("ckpt", 8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func mustApp(t *testing.T, abbr string) workload.Params {

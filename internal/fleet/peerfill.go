@@ -112,41 +112,37 @@ func (f *Filler) client(url string) *service.Client {
 // ResultFill is the service.Config.PeerFill hook: fetch the result bytes
 // for hash from the hinted peers (copyset hint), first hit wins.
 func (f *Filler) ResultFill(ctx context.Context, hash string, hints []string) ([]byte, bool) {
-	for _, url := range hints {
-		if url == "" || url == f.self {
-			continue
-		}
-		pctx, cancel := context.WithTimeout(ctx, f.timeout)
-		data, ok, err := f.client(url).CacheGet(pctx, hash)
-		cancel()
-		if err == nil && ok {
-			return data, true
-		}
-		// A fill whose bytes fail checksum verification is dropped like a
-		// miss — the next candidate (or a recompute) supplies good bytes.
-		var ce *service.ChecksumError
-		if errors.As(err, &ce) {
-			f.inc("peer_verify_failures")
-		}
-	}
-	return nil, false
+	return f.fill(ctx, hints, hash, (*service.Client).CacheGet, "peer_verify_failures")
 }
 
 // CkptFill is the service.Config.CkptFill hook: fetch a warmup checkpoint
 // from any current peer. Unlike results, checkpoints carry no copyset
 // hints (they are produced as a side effect of jobs, invisible to the
 // coordinator), so the filler asks every peer in order.
-func (f *Filler) CkptFill(key string) ([]byte, bool) {
-	for _, url := range f.Peers() {
-		ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
-		data, ok, err := f.client(url).CkptGet(ctx, key)
+func (f *Filler) CkptFill(ctx context.Context, key string, _ []string) ([]byte, bool) {
+	return f.fill(ctx, f.Peers(), key, (*service.Client).CkptGet, "ckpt_peer_verify_failures")
+}
+
+// fill probes urls in order under ctx, each with the per-peer timeout, and
+// returns the first verified hit. A payload that fails checksum
+// verification is dropped like a miss and counted under verifyFailures —
+// the next candidate (or a recompute) supplies good bytes.
+func (f *Filler) fill(ctx context.Context, urls []string, key string,
+	get func(*service.Client, context.Context, string) ([]byte, bool, error),
+	verifyFailures string) ([]byte, bool) {
+	for _, url := range urls {
+		if url == "" || url == f.self {
+			continue
+		}
+		pctx, cancel := context.WithTimeout(ctx, f.timeout)
+		data, ok, err := get(f.client(url), pctx, key)
 		cancel()
 		if err == nil && ok {
 			return data, true
 		}
 		var ce *service.ChecksumError
 		if errors.As(err, &ce) {
-			f.inc("ckpt_peer_verify_failures")
+			f.inc(verifyFailures)
 		}
 	}
 	return nil, false

@@ -6,17 +6,29 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"idyll/internal/blobstore"
 )
 
 func hashOf(i int) string {
 	return fmt.Sprintf("%064x", i)
 }
 
+// resultCache returns the result store of a server configured with the
+// given memory bound and disk directory — the store jobs are cached in.
+func resultCache(t *testing.T, entries int, dir string) *blobstore.Store {
+	t.Helper()
+	srv, _ := newTestServer(t, Config{
+		Workers:      1,
+		CacheEntries: entries,
+		CacheDir:     dir,
+		Runner:       stubRunner(0),
+	})
+	return srv.cache
+}
+
 func TestResultCacheLRU(t *testing.T) {
-	c, err := NewResultCache(2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := resultCache(t, 2, "")
 	c.Put(hashOf(1), []byte("one"))
 	c.Put(hashOf(2), []byte("two"))
 	if _, ok := c.Get(hashOf(1)); !ok { // 1 becomes most recent
@@ -36,34 +48,24 @@ func TestResultCacheLRU(t *testing.T) {
 
 func TestResultCacheDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewResultCache(4, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := resultCache(t, 4, dir)
 	want := []byte(`{"result":42}`)
 	if err := c1.Put(hashOf(7), want); err != nil {
 		t.Fatal(err)
 	}
 
-	// A fresh cache over the same dir (a daemon restart) serves the result.
-	c2, err := NewResultCache(4, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A fresh server over the same dir (a daemon restart) serves the result.
+	c2 := resultCache(t, 4, dir)
 	got, ok := c2.Get(hashOf(7))
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("after restart: got %q, %v", got, ok)
 	}
-	_, _, diskHits := c2.Stats()
-	if diskHits != 1 {
+	if diskHits := c2.Stats().DiskHits; diskHits != 1 {
 		t.Errorf("diskHits = %d, want 1", diskHits)
 	}
 
 	// Memory eviction falls back to disk transparently.
-	small, err := NewResultCache(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := resultCache(t, 1, dir)
 	small.Put(hashOf(8), []byte("evictor-a"))
 	small.Put(hashOf(9), []byte("evictor-b")) // evicts 8 from memory
 	if raw, ok := small.Get(hashOf(8)); !ok || string(raw) != "evictor-a" {
@@ -73,16 +75,15 @@ func TestResultCacheDiskRoundTrip(t *testing.T) {
 
 func TestResultCacheRejectsBadHashPaths(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(4, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := resultCache(t, 4, dir)
 	// A non-hex key must never touch the filesystem (path traversal guard);
 	// it still works as a memory-only key.
 	key := "../escape"
 	c.Put(key, []byte("x"))
-	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), "escape.json")); err == nil {
-		t.Fatal("non-hash key escaped the cache directory")
+	for _, name := range []string{"escape", "escape.json"} {
+		if _, err := os.Stat(filepath.Join(filepath.Dir(dir), name)); err == nil {
+			t.Fatalf("non-hash key escaped the cache directory as %s", name)
+		}
 	}
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 0 {
@@ -95,10 +96,7 @@ func TestResultCacheRejectsBadHashPaths(t *testing.T) {
 
 func TestResultCacheAtomicWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewResultCache(4, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := resultCache(t, 4, dir)
 	for i := 0; i < 10; i++ {
 		if err := c.Put(hashOf(i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatal(err)
@@ -109,7 +107,7 @@ func TestResultCacheAtomicWriteLeavesNoTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".json" {
+		if !blobstore.ValidKey(e.Name()) {
 			t.Errorf("leftover non-result file %q in cache dir", e.Name())
 		}
 	}

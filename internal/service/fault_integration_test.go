@@ -105,9 +105,8 @@ func TestDiskCorruptionQuarantineAndRecompute(t *testing.T) {
 	if runs.Load() != 3 {
 		t.Fatalf("runs = %d, want 3 (corrupt entry recomputed)", runs.Load())
 	}
-	vf, q := srv.cache.IntegrityStats()
-	if vf != 1 || q != 1 {
-		t.Fatalf("verify failures = %d, quarantined = %d, want 1/1", vf, q)
+	if cs := srv.cache.Stats(); cs.VerifyFailures != 1 || cs.Quarantined != 1 {
+		t.Fatalf("verify failures = %d, quarantined = %d, want 1/1", cs.VerifyFailures, cs.Quarantined)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "*.corrupt"))
 	if err != nil || len(matches) != 1 {
@@ -115,7 +114,7 @@ func TestDiskCorruptionQuarantineAndRecompute(t *testing.T) {
 	}
 	// The recompute repaired the disk tier: the entry decodes again.
 	hash := st.Hash
-	blob, err := os.ReadFile(filepath.Join(dir, hash+".json"))
+	blob, err := os.ReadFile(filepath.Join(dir, hash))
 	if err != nil {
 		t.Fatalf("repaired entry missing: %v", err)
 	}
@@ -125,24 +124,36 @@ func TestDiskCorruptionQuarantineAndRecompute(t *testing.T) {
 	}
 }
 
-// A pre-envelope (legacy) disk entry is treated as a miss and rewritten in
-// envelope form, not surfaced as an error.
+// Disk entries older daemons left behind are misses, never answers and never
+// errors: a pre-envelope blob under the key is quarantined, and a result
+// under the old <hash>.json name is not read at all. Each job recomputes
+// once and its rewritten entry verifies.
 func TestLegacyDiskEntryTreatedAsMiss(t *testing.T) {
 	dir := t.TempDir()
-	hash := strings.Repeat("ab", 32)
-	if err := os.WriteFile(filepath.Join(dir, hash+".json"), []byte(`{"old":"format"}`), 0o644); err != nil {
+	h1, h2 := mustHash(t, cellSpec(1)), mustHash(t, cellSpec(2))
+	stale := []byte(`{"old":"format"}`)
+	if err := os.WriteFile(filepath.Join(dir, h1), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache, err := NewResultCache(2, dir)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, h2+".json"), integrity.Wrap(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Get(hash); ok {
-		t.Fatal("legacy entry served without verification")
+	srv, c := newTestServer(t, Config{Workers: 1, CacheDir: dir, Runner: stubRunner(1)})
+	for _, seed := range []uint64{1, 2} {
+		st, err := c.SubmitAndWait(context.Background(), cellSpec(seed), nil)
+		if err != nil || st.Status != StatusDone || st.Cached {
+			t.Fatalf("seed %d: %v %+v, want a fresh run", seed, err, st)
+		}
+		if string(st.Result) == string(stale) {
+			t.Fatalf("seed %d: legacy entry served", seed)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, st.Hash))
+		if _, uerr := integrity.Unwrap(blob); err != nil || uerr != nil {
+			t.Fatalf("seed %d: rewritten entry does not verify: %v %v", seed, err, uerr)
+		}
 	}
-	vf, q := cache.IntegrityStats()
-	if vf != 1 || q != 1 {
-		t.Fatalf("verify failures = %d, quarantined = %d, want 1/1", vf, q)
+	if cs := srv.cache.Stats(); cs.VerifyFailures != 1 || cs.Quarantined != 1 {
+		t.Fatalf("verify failures = %d, quarantined = %d, want 1/1", cs.VerifyFailures, cs.Quarantined)
 	}
 }
 

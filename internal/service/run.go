@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"idyll/internal/checkpoint/store"
+	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/experiment"
 	"idyll/internal/stats"
@@ -57,7 +57,7 @@ func RunSpec(ctx context.Context, spec CanonicalSpec,
 // disk-backed store). The store is an execution knob: forking from a
 // checkpoint is byte-identical to running straight through, so spec hashes
 // and cached results are unaffected.
-func RunSpecWith(ckpt *store.Store) RunFunc {
+func RunSpecWith(ckpt *blobstore.Store) RunFunc {
 	return func(ctx context.Context, spec CanonicalSpec,
 		progress func(done, total int, cell string)) ([]byte, error) {
 		return runSpec(ctx, spec, progress, ckpt)
@@ -65,7 +65,7 @@ func RunSpecWith(ckpt *store.Store) RunFunc {
 }
 
 func runSpec(ctx context.Context, spec CanonicalSpec,
-	progress func(done, total int, cell string), ckpt *store.Store) ([]byte, error) {
+	progress func(done, total int, cell string), ckpt *blobstore.Store) ([]byte, error) {
 	o := spec.Options.WithContext(ctx)
 	o.Progress = progress
 	o.CheckpointStore = ckpt

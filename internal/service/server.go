@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"idyll/internal/checkpoint/store"
+	"idyll/internal/blobstore"
 	"idyll/internal/experiment"
 	"idyll/internal/fault"
 	"idyll/internal/integrity"
@@ -44,8 +44,9 @@ type Config struct {
 	PeerFill func(ctx context.Context, hash string, hints []string) ([]byte, bool)
 	// CkptFill, when non-nil, is installed as the warmup-checkpoint store's
 	// remote-fill hook: consulted after a memory and disk miss, before the
-	// warmup is recomputed. Ignored when Runner is injected.
-	CkptFill func(key string) ([]byte, bool)
+	// warmup is recomputed, under the job's context (no hints are passed).
+	// Ignored when Runner is injected.
+	CkptFill func(ctx context.Context, key string, hints []string) ([]byte, bool)
 	// OnPeers, when non-nil, receives the peer list that rode in on
 	// X-Idyll-Peers with a dispatch — the coordinator's way of teaching
 	// workers who their current peers are without static configuration.
@@ -80,9 +81,11 @@ type Config struct {
 	// Runner executes specs (default RunSpec). Tests inject stubs.
 	Runner RunFunc
 	// Faults, when non-nil, arms deterministic fault injection (idylld
-	// -fault-spec). Sites this server exercises: cache.disk.read,
-	// cache.disk.write, ckpt.disk.read, ckpt.disk.write (storage) and
-	// worker.run (delay/panic around job execution). nil = zero overhead.
+	// -fault-spec). Sites this server exercises: <name>.disk.read and
+	// <name>.disk.write of its two blob stores, "cache" (results) and
+	// "ckpt" (warmup checkpoints) — cache.disk.read, cache.disk.write,
+	// ckpt.disk.read, ckpt.disk.write — and worker.run (delay/panic around
+	// job execution). nil = zero overhead.
 	Faults *fault.Injector
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -123,8 +126,8 @@ func (c Config) withDefaults() Config {
 // Drain.
 type Server struct {
 	cfg     Config
-	cache   *ResultCache
-	ckpt    *store.Store // warmup checkpoints, shared by every job
+	cache   *blobstore.Store // job results, keyed by spec hash
+	ckpt    *blobstore.Store // warmup checkpoints, shared by every job
 	metrics *Metrics
 	mux     *http.ServeMux
 
@@ -149,15 +152,20 @@ type Server struct {
 // until Drain.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	cache, err := NewResultCache(cfg.CacheEntries, cfg.CacheDir)
+	cache, err := blobstore.New("cache", cfg.CacheEntries, cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
 	cache.SetFaults(cfg.Faults)
-	ckpt := store.New(cfg.CkptEntries, cfg.CkptDir)
+	ckpt, err := blobstore.New("ckpt", cfg.CkptEntries, cfg.CkptDir)
+	if err != nil {
+		return nil, err
+	}
 	ckpt.SetFaults(cfg.Faults)
-	if cfg.CkptFill != nil {
-		ckpt.SetRemoteFill(cfg.CkptFill)
+	if fill := cfg.CkptFill; fill != nil {
+		ckpt.SetRemoteFill(func(ctx context.Context, key string) ([]byte, bool) {
+			return fill(ctx, key, nil)
+		})
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = RunSpecWith(ckpt)
@@ -451,9 +459,11 @@ func (s *Server) routes() *http.ServeMux {
 	// peer cache fill. They never trigger computation, and they keep
 	// serving during drain — a draining worker's caches are exactly what
 	// its peers need to pick up its work.
-	mux.HandleFunc("GET /v1/cache/{hash}", s.handleCacheGet)
+	mux.HandleFunc("GET /v1/cache/{hash}", s.handleBlobGet(s.cache, "hash",
+		"application/json", "peer_serves", "peer_serve_misses"))
 	mux.HandleFunc("POST /v1/cache/fill", s.handleCacheFill)
-	mux.HandleFunc("GET /v1/ckpt/{key}", s.handleCkptGet)
+	mux.HandleFunc("GET /v1/ckpt/{key}", s.handleBlobGet(s.ckpt, "key",
+		"application/octet-stream", "ckpt_peer_serves", "ckpt_peer_serve_misses"))
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -634,48 +644,31 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 
 // ---- peer endpoints (fleet) ----
 
-// handleCacheGet serves raw result bytes straight from the local result
-// cache (memory or disk), 404 on miss. Never computes; never blocks on the
-// queue. This is the supply side of peer cache fill.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	if !hashPattern.MatchString(hash) {
-		writeJSON(w, http.StatusBadRequest, apiError{"hash must be 64 hex chars"})
-		return
+// handleBlobGet returns the peer-serve handler for one blob store: the
+// bytes under the path wildcard (memory or disk) with their checksum
+// header, 404 on miss. It never computes, never blocks on the queue, and
+// never recurses into the store's own remote-fill hook (Get is local-only).
+// This is the supply side of peer fill, for results and checkpoints alike.
+func (s *Server) handleBlobGet(st *blobstore.Store, wildcard, contentType,
+	served, missed string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		key := r.PathValue(wildcard)
+		if !blobstore.ValidKey(key) {
+			writeJSON(w, http.StatusBadRequest, apiError{wildcard + " must be 64 hex chars"})
+			return
+		}
+		data, ok := st.Get(key)
+		if !ok {
+			s.metrics.Inc(missed, 1)
+			writeJSON(w, http.StatusNotFound, apiError{"nothing stored under " + wildcard})
+			return
+		}
+		s.metrics.Inc(served, 1)
+		w.Header().Set("Content-Type", contentType)
+		w.Header().Set(HeaderChecksum, integrity.SumHex(data))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(data)
 	}
-	raw, ok := s.cache.Get(hash)
-	if !ok {
-		s.metrics.Inc("peer_serve_misses", 1)
-		writeJSON(w, http.StatusNotFound, apiError{"no cached result for hash"})
-		return
-	}
-	s.metrics.Inc("peer_serves", 1)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderChecksum, integrity.SumHex(raw))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
-}
-
-// handleCkptGet serves a warmup checkpoint blob from the local store
-// (memory or disk), 404 on miss. Lookups here never recurse into this
-// worker's own remote-fill hook — Store.Get is local-only by contract.
-func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !hashPattern.MatchString(key) {
-		writeJSON(w, http.StatusBadRequest, apiError{"key must be 64 hex chars"})
-		return
-	}
-	data, ok := s.ckpt.Get(key)
-	if !ok {
-		s.metrics.Inc("ckpt_peer_serve_misses", 1)
-		writeJSON(w, http.StatusNotFound, apiError{"no checkpoint for key"})
-		return
-	}
-	s.metrics.Inc("ckpt_peer_serves", 1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderChecksum, integrity.SumHex(data))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
 }
 
 // fillRequest is the body of POST /v1/cache/fill: the coordinator's
@@ -705,7 +698,7 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
 		return
 	}
-	if !hashPattern.MatchString(req.Hash) {
+	if !blobstore.ValidKey(req.Hash) {
 		writeJSON(w, http.StatusBadRequest, apiError{"hash must be 64 hex chars"})
 		return
 	}
@@ -805,21 +798,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, diskHits := s.cache.Stats()
-	s.metrics.Set("cache_hits", hits)
-	s.metrics.Set("cache_misses", misses)
-	s.metrics.Set("cache_disk_hits", diskHits)
-	ckptHits, ckptMisses, ckptDiskHits, ckptRemoteHits := s.ckpt.Stats()
-	s.metrics.Set("ckpt_hits", ckptHits)
-	s.metrics.Set("ckpt_misses", ckptMisses)
-	s.metrics.Set("ckpt_disk_hits", ckptDiskHits)
-	s.metrics.Set("ckpt_remote_hits", ckptRemoteHits)
-	cacheVF, cacheQ := s.cache.IntegrityStats()
-	s.metrics.Set("cache_verify_failures", cacheVF)
-	s.metrics.Set("cache_corrupt_quarantined", cacheQ)
-	ckptVF, ckptQ := s.ckpt.IntegrityStats()
-	s.metrics.Set("ckpt_verify_failures", ckptVF)
-	s.metrics.Set("ckpt_corrupt_quarantined", ckptQ)
+	s.setStoreMetrics(s.cache.Stats(), "cache_hits", "cache_misses",
+		"cache_disk_hits", "cache_verify_failures", "cache_corrupt_quarantined")
+	ckpt := s.ckpt.Stats()
+	s.setStoreMetrics(ckpt, "ckpt_hits", "ckpt_misses",
+		"ckpt_disk_hits", "ckpt_verify_failures", "ckpt_corrupt_quarantined")
+	// Only checkpoints have a remote-fill hook; results are peer-filled per
+	// job (peer_fills) and never count remote hits.
+	s.metrics.Set("ckpt_remote_hits", ckpt.RemoteHits)
 	if s.cfg.Faults != nil {
 		s.metrics.Set("faults_injected", s.cfg.Faults.TotalFired())
 		for site, n := range s.cfg.Faults.FiredBySite() {
@@ -838,4 +824,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.WriteString(w, s.metrics.Render(gauges))
+}
+
+// setStoreMetrics publishes one blob store's counters under the literal keys
+// its caller names (registered in MetricKeys).
+func (s *Server) setStoreMetrics(st blobstore.Stats, hits, misses, diskHits,
+	verifyFailures, quarantined string) {
+	s.metrics.Set(hits, st.Hits)
+	s.metrics.Set(misses, st.Misses)
+	s.metrics.Set(diskHits, st.DiskHits)
+	s.metrics.Set(verifyFailures, st.VerifyFailures)
+	s.metrics.Set(quarantined, st.Quarantined)
 }
