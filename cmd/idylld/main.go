@@ -19,8 +19,9 @@
 //
 // A worker pulls results and warmup checkpoints from its peers before
 // recomputing (peer cache fill); the coordinator routes jobs by rendezvous
-// hashing over the spec's content address, replicates results, schedules
-// tenants by weighted fair share, and serves a fleet-wide /metrics rollup.
+// hashing over the spec's content address, replicates results, and serves a
+// fleet-wide /metrics rollup. Every role schedules its backlog by weighted
+// fair share across tenants (-tenant-weights, -tenant-quota).
 //
 // SIGTERM/SIGINT drains gracefully: submissions answer 503, queued and
 // in-flight jobs finish (or are cancelled after -drain-timeout), the HTTP
@@ -67,22 +68,22 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress operational logging")
 		faultSpec    = flag.String("fault-spec", "", "deterministic fault-injection schedule, e.g. 'seed=7;cache.disk.read:bitflip:count=1' (empty = disabled)")
 
+		// Tenancy: every role schedules its backlog by weighted fair share.
+		tenantWeights = flag.String("tenant-weights", "", "comma-separated tenant=weight fair-share weights")
+		tenantQuota   = flag.Int("tenant-quota", 0, "per-tenant queued-job cap (0 = no cap)")
+
 		// Fleet: worker side.
 		workerMode = flag.Bool("worker", false, "run as a fleet worker (peer cache fill enabled)")
 		fleetID    = flag.String("fleet-id", "", "stable fleet member name (required with -worker)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs to seed peer cache fill")
 		selfURL    = flag.String("self-url", "", "this worker's externally reachable base URL (default http://<bound addr>)")
 		joinURL    = flag.String("join", "", "coordinator base URL to announce this worker to at startup")
-		tenantMax  = flag.Int("tenant-queue-max", 0, "per-tenant queued-job cap (0 = no cap)")
 
 		// Fleet: coordinator side.
 		coordMode     = flag.Bool("coordinator", false, "run as the fleet coordinator (routes jobs to workers)")
 		fleetWorkers  = flag.String("fleet-workers", "", "comma-separated id=url worker list for -coordinator")
-		tenantWeights = flag.String("tenant-weights", "", "comma-separated tenant=weight fair-share weights")
-		tenantQuota   = flag.Int("tenant-quota", 0, "per-tenant queued-job cap at the coordinator (0 = no cap)")
 		replicas      = flag.Int("replicas", 2, "result copyset size the coordinator replicates toward")
 		probeEvery    = flag.Duration("probe-interval", time.Second, "worker heartbeat cadence")
-		brThreshold   = flag.Int("breaker-threshold", 1, "consecutive dispatch failures that trip a worker's circuit breaker")
 		brCooldown    = flag.Duration("breaker-cooldown", 15*time.Second, "how long a tripped breaker stays open before one half-open trial dispatch")
 		degradedLocal = flag.Bool("degraded-local", true, "run jobs on the coordinator itself when zero workers are routable")
 	)
@@ -97,6 +98,12 @@ func main() {
 	}
 	if *workerMode && *fleetID == "" {
 		fmt.Fprintln(os.Stderr, "idylld: -worker requires -fleet-id")
+		os.Exit(2)
+	}
+
+	weights, err := parseTenantWeights(*tenantWeights)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "idylld:", err)
 		os.Exit(2)
 	}
 
@@ -138,24 +145,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "idylld:", err)
 			os.Exit(2)
 		}
-		weights, err := parseTenantWeights(*tenantWeights)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "idylld:", err)
-			os.Exit(2)
-		}
 		fcfg := fleet.Config{
-			Workers:          addrs,
-			TenantWeights:    weights,
-			TenantQuota:      *tenantQuota,
-			QueueDepth:       *queueDepth,
-			Replicas:         *replicas,
-			ProbeInterval:    *probeEvery,
-			CacheEntries:     *cacheEntries,
-			CacheDir:         *cacheDir,
-			BreakerThreshold: *brThreshold,
-			BreakerCooldown:  *brCooldown,
-			Faults:           faults,
-			Logf:             logf,
+			Workers:         addrs,
+			TenantWeights:   weights,
+			TenantQuota:     *tenantQuota,
+			QueueDepth:      *queueDepth,
+			Replicas:        *replicas,
+			ProbeInterval:   *probeEvery,
+			CacheEntries:    *cacheEntries,
+			CacheDir:        *cacheDir,
+			BreakerCooldown: *brCooldown,
+			Faults:          faults,
+			Logf:            logf,
 		}
 		if *degradedLocal {
 			fcfg.LocalRunner = service.RunSpec
@@ -172,18 +173,19 @@ func main() {
 
 	default:
 		cfg := service.Config{
-			Workers:        *workers,
-			QueueDepth:     *queueDepth,
-			TenantQueueMax: *tenantMax,
-			CacheEntries:   *cacheEntries,
-			CacheDir:       *cacheDir,
-			CkptEntries:    *ckptEntries,
-			CkptDir:        *ckptDir,
-			TTL:            *ttl,
-			MaxBodyBytes:   *maxBody,
-			JobTimeout:     *jobTimeout,
-			Faults:         faults,
-			Logf:           logf,
+			Workers:       *workers,
+			QueueDepth:    *queueDepth,
+			TenantWeights: weights,
+			TenantQuota:   *tenantQuota,
+			CacheEntries:  *cacheEntries,
+			CacheDir:      *cacheDir,
+			CkptEntries:   *ckptEntries,
+			CkptDir:       *ckptDir,
+			TTL:           *ttl,
+			MaxBodyBytes:  *maxBody,
+			JobTimeout:    *jobTimeout,
+			Faults:        faults,
+			Logf:          logf,
 		}
 		var filler *fleet.Filler
 		if *workerMode {

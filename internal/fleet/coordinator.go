@@ -24,12 +24,12 @@ type WorkerAddr struct {
 type Config struct {
 	// Workers is the static member list (idylld -coordinator -workers ...).
 	Workers []WorkerAddr
-	// TenantWeights maps tenant name → fair-share weight (default 1 each).
+	// TenantWeights, TenantQuota and QueueDepth configure the coordinator's
+	// fair-share backlog, as the service.Config fields of the same names
+	// (QueueDepth defaults to 256 here).
 	TenantWeights map[string]float64
-	// TenantQuota caps one tenant's queued jobs (0 = no cap).
-	TenantQuota int
-	// QueueDepth bounds the fair-share backlog (default 256).
-	QueueDepth int
+	TenantQuota   int
+	QueueDepth    int
 	// Concurrency bounds simultaneous dispatches to workers (default
 	// 4·workers, minimum 4): the coordinator's own "worker pool" is a set
 	// of relay loops, so it should oversubscribe the fleet slightly to
@@ -56,12 +56,8 @@ type Config struct {
 	CacheDir     string
 	// CopysetEntries bounds the copyset tracker (default 4096).
 	CopysetEntries int
-	// BreakerThreshold is how many consecutive infrastructure failures trip
-	// a worker's circuit breaker open (default 1: the first failure both
-	// trips the breaker and marks the worker suspect).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before a
-	// single half-open trial dispatch is allowed (default 15s).
+	// BreakerCooldown is how long a suspect worker's breaker stays open
+	// before a single half-open trial dispatch is allowed (default 15s).
 	BreakerCooldown time.Duration
 	// LocalRunner, when non-nil, is the degraded-mode fallback: if zero
 	// workers are routable, the coordinator runs the job itself instead of
@@ -116,12 +112,10 @@ func (c Config) withDefaults() Config {
 // hashing over its content address, re-routing on worker failure. It is
 // built ON a service.Server — the server's cache, singleflight, SSE
 // streaming, drain sequence, and load shedding all apply unchanged; only
-// the Runner (a dispatch relay instead of a simulation) and the queue (a
-// weighted fair-share scheduler) differ.
+// the Runner (a dispatch relay instead of a simulation) differs.
 type Coordinator struct {
 	cfg      Config
 	srv      *service.Server
-	queue    *FairQueue
 	members  *Membership
 	copysets *Copysets
 
@@ -134,20 +128,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:       cfg,
-		queue:     NewFairQueue(cfg.QueueDepth, cfg.TenantQuota, cfg.TenantWeights),
 		copysets:  NewCopysets(cfg.CopysetEntries),
 		probeDone: make(chan struct{}),
 	}
-	c.members = NewMembership(cfg.FailLimit, cfg.ProbeTimeout,
-		func(id string) { c.copysets.DropWorker(id) }, cfg.Logf)
-	c.members.SetBreakerConfig(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	c.members.SetFaults(cfg.Faults)
-	// The closure runs only from MarkFailed, which nothing calls before
+	// The trip hook runs only from MarkFailed, which nothing calls before
 	// NewServer below assigns c.srv.
-	c.members.OnTrip(func(id string) {
-		c.srv.Metrics().Inc("fleet_breaker_trips", 1)
-		c.srv.Metrics().IncLabeled("fleet_breaker_trips_worker", "worker", id, 1)
-	})
+	c.members = NewMembership(cfg.FailLimit, cfg.ProbeTimeout, cfg.BreakerCooldown,
+		func(id string) {
+			c.srv.Metrics().Inc("fleet_breaker_trips", 1)
+			c.srv.Metrics().IncLabeled("fleet_breaker_trips_worker", "worker", id, 1)
+		},
+		func(id string) { c.copysets.DropWorker(id) }, cfg.Logf)
+	c.members.SetFaults(cfg.Faults)
 	for _, w := range cfg.Workers {
 		if w.ID == "" || w.URL == "" {
 			return nil, fmt.Errorf("fleet: worker needs both id and url, got %+v", w)
@@ -156,15 +148,17 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 
 	srv, err := service.NewServer(service.Config{
-		Workers:      cfg.Concurrency,
-		Queue:        c.queue,
-		Runner:       c.dispatch,
-		CacheEntries: cfg.CacheEntries,
-		CacheDir:     cfg.CacheDir,
-		FleetID:      "coordinator",
-		FleetVersion: VersionString,
-		Faults:       cfg.Faults,
-		Logf:         cfg.Logf,
+		Workers:       cfg.Concurrency,
+		QueueDepth:    cfg.QueueDepth,
+		TenantWeights: cfg.TenantWeights,
+		TenantQuota:   cfg.TenantQuota,
+		Runner:        c.dispatch,
+		CacheEntries:  cfg.CacheEntries,
+		CacheDir:      cfg.CacheDir,
+		FleetID:       "coordinator",
+		FleetVersion:  VersionString,
+		Faults:        cfg.Faults,
+		Logf:          cfg.Logf,
 	})
 	if err != nil {
 		return nil, err
@@ -252,19 +246,24 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 	tried := make(map[string]bool)
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.RouteAttempts; attempt++ {
-		target := c.nextTarget(hash, tried)
+		target, trial := c.nextTarget(hash, tried)
 		if target == nil {
 			break
 		}
 		tried[target.ID] = true
 
 		opts := service.SubmitOpts{
-			Hints: c.hintURLs(hash, target.ID),
-			Peers: c.peerURLs(),
+			Tenant: spec.Tenant,
+			Hints:  c.hintURLs(hash, target.ID),
+			Peers:  c.peerURLs(),
 		}
 		st, err := target.Dispatch.SubmitAndWaitWith(ctx, wire, opts, onEvent)
 		if err != nil {
 			if ctx.Err() != nil {
+				// Our own cancellation says nothing about the worker.
+				if trial {
+					c.members.ReleaseTrial(target.ID)
+				}
 				return nil, ctx.Err()
 			}
 			lastErr = fmt.Errorf("worker %s: %w", target.ID, err)
@@ -313,8 +312,9 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 	return nil, fmt.Errorf("fleet: job %s exhausted routing: %w", hash[:12], lastErr)
 }
 
-// nextTarget picks the highest-ranked routable worker not yet tried.
-func (c *Coordinator) nextTarget(hash string, tried map[string]bool) *Member {
+// nextTarget picks the highest-ranked routable worker not yet tried, or
+// failing that a suspect worker's half-open trial (trial=true).
+func (c *Coordinator) nextTarget(hash string, tried map[string]bool) (target *Member, trial bool) {
 	routable := c.members.Routable()
 	ids := make([]string, len(routable))
 	byID := make(map[string]*Member, len(routable))
@@ -324,20 +324,18 @@ func (c *Coordinator) nextTarget(hash string, tried map[string]bool) *Member {
 	}
 	for _, id := range Rank(hash, ids) {
 		if !tried[id] {
-			return byID[id]
+			return byID[id], false
 		}
 	}
 	// No alive member can take the job: offer it to a suspect member whose
-	// breaker cooldown has elapsed, as that breaker's single half-open
-	// trial. The dispatch outcome lands in MarkSucceeded/MarkFailed, which
-	// close or re-open the breaker.
-	for _, mb := range c.members.HalfOpenCandidates() {
-		if !tried[mb.ID] && mb.Breaker.TryProbe() {
-			c.cfg.Logf("fleet: half-open trial dispatch to %s for %s", mb.ID, hash[:12])
-			return mb
-		}
+	// cooldown has elapsed, as its single half-open trial. The dispatch
+	// outcome lands in MarkSucceeded/MarkFailed (close or re-open the
+	// breaker) or, if the job itself is cancelled, ReleaseTrial.
+	if mb := c.members.TryTrial(tried); mb != nil {
+		c.cfg.Logf("fleet: half-open trial dispatch to %s for %s", mb.ID, hash[:12])
+		return mb, true
 	}
-	return nil
+	return nil, false
 }
 
 // replicate pushes the freshly computed result down the rendezvous ranking
@@ -404,7 +402,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Version:    VersionString,
 		Workers:    c.members.Snapshot(),
 		Copysets:   c.copysets.Len(),
-		QueueDepth: c.queue.Len(),
+		QueueDepth: c.srv.QueueLen(),
 	})
 }
 
@@ -492,7 +490,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	var b strings.Builder
 	b.WriteString(c.srv.Metrics().Render(map[string]int{
-		"queue_depth": c.queue.Len(),
+		"queue_depth": c.srv.QueueLen(),
 	}))
 	b.WriteString(service.RenderMetricLines("fleet_", fleetVals))
 	b.WriteString(service.RenderMetricLines("worker_", workerVals))

@@ -418,7 +418,7 @@ func TestCoordinatorTenantQuotaSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for coord.queue.Len() != 0 {
+	for coord.Server().QueueLen() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("dispatcher never picked up the first job")
 		}
@@ -505,6 +505,13 @@ func TestCoordinatorNoWorkersNoLocalRunnerFails(t *testing.T) {
 	}
 }
 
+// setClock replaces the membership's cooldown clock.
+func setClock(m *Membership, now func() time.Time) {
+	m.mu.Lock()
+	m.now = now
+	m.mu.Unlock()
+}
+
 // An open breaker keeps a suspect worker out of routing until the cooldown
 // elapses, then nextTarget releases exactly one half-open trial dispatch,
 // and a success returns the worker to the routable pool.
@@ -526,27 +533,115 @@ func TestCoordinatorHalfOpenTrialDispatch(t *testing.T) {
 
 	coord.Members().MarkFailed("w1") // suspect, breaker open
 	hash := mustHash(t, cellSpec(7))
-	if tgt := coord.nextTarget(hash, map[string]bool{}); tgt != nil {
+	if tgt, _ := coord.nextTarget(hash, map[string]bool{}); tgt != nil {
 		t.Fatalf("open breaker received traffic: %s", tgt.ID)
 	}
 	if got := coord.Server().Metrics().Counter("fleet_breaker_trips"); got != 1 {
 		t.Fatalf("fleet_breaker_trips = %d, want 1", got)
 	}
 
-	// Let the cooldown elapse via the breaker's clock seam.
-	mb, _ := coord.Members().Get("w1")
-	mb.Breaker.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
-	tgt := coord.nextTarget(hash, map[string]bool{})
-	if tgt == nil || tgt.ID != "w1" {
-		t.Fatalf("half-open trial not released: %v", tgt)
+	// Let the cooldown elapse via the membership's clock seam.
+	setClock(coord.Members(), func() time.Time { return time.Now().Add(2 * time.Hour) })
+	tgt, trial := coord.nextTarget(hash, map[string]bool{})
+	if tgt == nil || tgt.ID != "w1" || !trial {
+		t.Fatalf("half-open trial not released: %v (trial=%v)", tgt, trial)
 	}
 	// The single trial is reserved; a second concurrent job gets nothing.
-	if coord.nextTarget(hash, map[string]bool{}) != nil {
+	if tgt, _ := coord.nextTarget(hash, map[string]bool{}); tgt != nil {
 		t.Fatal("second concurrent half-open trial released")
 	}
 	coord.Members().MarkSucceeded("w1")
 	if len(coord.Members().Routable()) != 1 {
 		t.Fatal("worker not routable after successful trial")
+	}
+}
+
+// Regression: a half-open trial whose dispatch is cancelled by the job's
+// own context is neither a failure nor a success. It must release the
+// trial — before the fix the member stayed half-open and no later job got
+// a trial until a healthy probe.
+func TestCoordinatorCancelledTrialIsReleased(t *testing.T) {
+	gate := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // a worker that never answers
+		case <-gate:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(func() { close(gate); hs.Close() })
+	coord, err := NewCoordinator(Config{
+		Workers:         []WorkerAddr{{ID: "w1", URL: hs.URL}},
+		ProbeInterval:   time.Hour,
+		BreakerCooldown: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		coord.Drain(ctx)
+	})
+
+	coord.Members().MarkFailed("w1")
+	setClock(coord.Members(), func() time.Time { return time.Now().Add(2 * time.Hour) })
+	canon, err := cellSpec(7).Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := coord.dispatch(ctx, canon, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("dispatch err = %v, want context deadline exceeded", err)
+	}
+	if got := coord.Members().Snapshot()[0]; got.State != "suspect" || got.Breaker != "open" || got.Fails != 1 {
+		t.Fatalf("after cancelled trial: %+v, want suspect/open with 1 fail", got)
+	}
+	if tgt, trial := coord.nextTarget(mustHash(t, cellSpec(8)), map[string]bool{}); tgt == nil || !trial {
+		t.Fatal("cancelled trial was not released: no later job gets a trial")
+	}
+}
+
+// The coordinator relays each job under the tenant it was submitted by
+// (X-Idyll-Tenant), so the worker's own fair queue and per-tenant counters
+// see the real tenant rather than the default.
+func TestCoordinatorDispatchCarriesTenant(t *testing.T) {
+	w := newTestWorker(t, "w1")
+	var tenant atomic.Value
+	stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			tenant.Store(r.Header.Get(service.HeaderTenant))
+		}
+		w.srv.Handler().ServeHTTP(rw, r)
+	}))
+	t.Cleanup(stub.Close)
+	coord, err := NewCoordinator(Config{
+		Workers:       []WorkerAddr{{ID: "w1", URL: stub.URL}},
+		Replicas:      1,
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		coord.Drain(ctx)
+		hs.Close()
+	})
+
+	alice := service.NewClient(hs.URL, service.WithTenant("alice"))
+	st, err := alice.SubmitAndWait(context.Background(), cellSpec(3), nil)
+	if err != nil || st.Status != service.StatusDone {
+		t.Fatalf("job failed: %v %+v", err, st)
+	}
+	if got, _ := tenant.Load().(string); got != "alice" {
+		t.Fatalf("worker saw X-Idyll-Tenant %q, want alice", got)
+	}
+	key := service.LabelKey("tenant_jobs_accepted", "tenant", "alice")
+	if got := w.srv.Metrics().Counter(key); got != 1 {
+		t.Fatalf("worker %s = %d, want 1", key, got)
 	}
 }
 

@@ -8,11 +8,11 @@
 // availability optimization, never a correctness question.
 //
 // The layering keeps internal/service fleet-agnostic: service exposes
-// generic extension points (JobQueue, PeerFill/CkptFill hooks, the
+// generic extension points (the Runner, PeerFill/CkptFill hooks, the
 // X-Idyll-* headers) and fleet plugs into them. The coordinator itself IS a
-// service.Server — it reuses the cache, singleflight, SSE streaming, drain,
-// and shedding machinery, with a dispatching Runner and a weighted
-// fair-share queue injected.
+// service.Server — it reuses the cache, weighted fair-share queue,
+// singleflight, SSE streaming, drain, and shedding machinery, with a
+// dispatching Runner injected.
 package fleet
 
 import (

@@ -16,18 +16,19 @@ type State int
 const (
 	// StateAlive workers receive new dispatches.
 	StateAlive State = iota
-	// StateSuspect workers missed at least one probe but are not yet
-	// declared dead; they receive no new dispatches, but their caches are
-	// still listed in copyset hints — the common case is a worker busy
-	// enough to miss a probe deadline, not a dead one.
+	// StateSuspect workers failed at least one probe or dispatch but are
+	// not yet declared dead; they receive no new dispatches beyond one
+	// half-open trial per cooldown, but their caches are still listed in
+	// copyset hints — the common case is a worker busy enough to miss a
+	// probe deadline, not a dead one.
 	StateSuspect
 	// StateDraining workers answered a probe but report drain in progress
 	// (SIGTERM received): no new dispatches, but their peer endpoints keep
 	// serving, which is exactly what lets the rest of the fleet absorb
 	// their cached results before the process exits.
 	StateDraining
-	// StateDead workers failed FailLimit consecutive probes: removed from
-	// routing and from every copyset.
+	// StateDead workers failed FailLimit consecutive probes or dispatches:
+	// removed from routing and from every copyset.
 	StateDead
 )
 
@@ -46,7 +47,7 @@ func (s State) String() string {
 }
 
 // Member is one worker as tracked by Membership. The exported fields are
-// immutable after Add; liveness lives behind the Membership lock.
+// immutable after Add; health lives behind the Membership lock.
 type Member struct {
 	ID  string
 	URL string
@@ -55,12 +56,38 @@ type Member struct {
 	// Probe is the non-retrying client used for health checks and metric
 	// scrapes — a prober supplies its own cadence and failure accounting.
 	Probe *service.Client
-	// Breaker is this worker's circuit breaker over infrastructure
-	// failures; it has its own lock and may be used without Membership's.
-	Breaker *Breaker
 
-	state State
-	fails int
+	// Health is one state machine over infrastructure failures (connection
+	// refused, relay errors, probe timeouts — never deterministic job
+	// failures, which re-routing would only duplicate). It doubles as the
+	// member's circuit breaker: closed while fails is 0, open from the
+	// first failure (the trip, which also makes an alive member suspect),
+	// half-open while the single trial dispatch released after the
+	// cooldown is in flight.
+	state    State
+	fails    int       // consecutive failures; 0 = breaker closed
+	openedAt time.Time // breaker opened: the trip, or the last failed trial
+	trial    bool      // a half-open trial dispatch is in flight
+}
+
+// breaker names the member's circuit-breaker position for
+// /v1/fleet/status: "closed", "open" or "half-open".
+func (mb *Member) breaker() string {
+	switch {
+	case mb.fails == 0:
+		return "closed"
+	case mb.trial:
+		return "half-open"
+	}
+	return "open"
+}
+
+// reset records a liveness signal: the failure streak ends, the breaker
+// closes, and any reserved trial is settled.
+func (mb *Member) reset(s State) {
+	mb.state = s
+	mb.fails = 0
+	mb.trial = false
 }
 
 // Membership tracks the worker set: static members given at construction
@@ -71,57 +98,44 @@ type Membership struct {
 	members   map[string]*Member
 	failLimit int
 	timeout   time.Duration
-	onDeath   func(id string) // called outside the lock
-	onTrip    func(id string) // called outside the lock when a breaker trips
+	cooldown  time.Duration    // suspect → half-open trial delay
+	now       func() time.Time // test seam for the cooldown clock
+	onTrip    func(id string)  // called outside the lock
+	onDeath   func(id string)  // called outside the lock
 	logf      func(format string, args ...any)
-
-	brThreshold int             // breaker trip threshold for new members
-	brCooldown  time.Duration   // breaker cooldown for new members
-	faults      *fault.Injector // armed on each member's dispatch client
+	faults    *fault.Injector // armed on each member's dispatch client
 }
 
-// NewMembership returns an empty member set. failLimit consecutive probe
-// failures declare a worker dead (minimum 1); onDeath, when non-nil, fires
-// once per death (and is how the coordinator scrubs copysets). probeTimeout
-// bounds one health check.
-func NewMembership(failLimit int, probeTimeout time.Duration, onDeath func(id string), logf func(string, ...any)) *Membership {
+// NewMembership returns an empty member set. failLimit consecutive
+// failures declare a worker dead (minimum 1); probeTimeout bounds one
+// health check (default 2s); cooldown is how long a suspect worker waits
+// before its half-open trial dispatch (default 15s). onTrip, when non-nil,
+// fires once per breaker trip (a worker's first failure after a success);
+// onDeath once per death (and is how the coordinator scrubs copysets).
+func NewMembership(failLimit int, probeTimeout, cooldown time.Duration,
+	onTrip, onDeath func(id string), logf func(string, ...any)) *Membership {
 	if failLimit < 1 {
 		failLimit = 3
 	}
 	if probeTimeout <= 0 {
 		probeTimeout = 2 * time.Second
 	}
+	if cooldown <= 0 {
+		cooldown = 15 * time.Second
+	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &Membership{
-		members:     make(map[string]*Member),
-		failLimit:   failLimit,
-		timeout:     probeTimeout,
-		onDeath:     onDeath,
-		logf:        logf,
-		brThreshold: 1,
+		members:   make(map[string]*Member),
+		failLimit: failLimit,
+		timeout:   probeTimeout,
+		cooldown:  cooldown,
+		now:       time.Now,
+		onTrip:    onTrip,
+		onDeath:   onDeath,
+		logf:      logf,
 	}
-}
-
-// SetBreakerConfig tunes the circuit breakers given to members added after
-// the call (threshold minimum 1; cooldown default 15s). The default
-// threshold of 1 matches the membership escalation — the first dispatch
-// failure both trips the breaker and marks the worker suspect. Thresholds
-// above 1 tolerate that many consecutive failures before either happens.
-func (m *Membership) SetBreakerConfig(threshold int, cooldown time.Duration) {
-	m.mu.Lock()
-	m.brThreshold = threshold
-	m.brCooldown = cooldown
-	m.mu.Unlock()
-}
-
-// OnTrip installs the hook fired (outside the lock) each time a member's
-// breaker trips open — the coordinator's breaker-trip metric feed.
-func (m *Membership) OnTrip(fn func(id string)) {
-	m.mu.Lock()
-	m.onTrip = fn
-	m.mu.Unlock()
 }
 
 // SetFaults arms deterministic fault injection (site "fleet.dispatch") on
@@ -140,9 +154,7 @@ func (m *Membership) Add(id, url string) *Member {
 	defer m.mu.Unlock()
 	if mb, ok := m.members[id]; ok && mb.URL == url {
 		// Re-join of a known member: treat as a liveness signal.
-		mb.state = StateAlive
-		mb.fails = 0
-		mb.Breaker.Success()
+		mb.reset(StateAlive)
 		return mb
 	}
 	dispatchOpts := []service.ClientOption{}
@@ -154,7 +166,6 @@ func (m *Membership) Add(id, url string) *Member {
 		URL:      url,
 		Dispatch: service.NewClient(url, dispatchOpts...),
 		Probe:    service.NewClient(url, service.WithRetry(service.NoRetry())),
-		Breaker:  NewBreaker(m.brThreshold, m.brCooldown),
 	}
 	m.members[id] = mb
 	m.logf("fleet: member %s joined at %s", id, url)
@@ -201,29 +212,32 @@ func (m *Membership) Snapshot() []WorkerInfo {
 	defer m.mu.Unlock()
 	out := make([]WorkerInfo, 0, len(m.members))
 	for _, mb := range m.members {
-		out = append(out, WorkerInfo{ID: mb.ID, URL: mb.URL, State: mb.state.String(), Fails: mb.fails, Breaker: mb.Breaker.State().String()})
+		out = append(out, WorkerInfo{ID: mb.ID, URL: mb.URL, State: mb.state.String(), Fails: mb.fails, Breaker: mb.breaker()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// MarkFailed records a dispatch-side failure (connection refused, relay
-// error) as a probe failure would be — the fast path to Suspect/Dead when
-// a worker dies between probes. The member's circuit breaker accumulates
-// the same failure; with the default threshold of 1 the breaker trips the
-// moment the member leaves Alive, and higher thresholds delay both (a
-// member stays routable until its breaker trips).
+// MarkFailed records an infrastructure failure (a failed probe, or a
+// dispatch-side connection refusal or relay error) — the fast path to
+// Suspect/Dead when a worker dies between probes. The first failure trips
+// the breaker and makes an alive member suspect; a failure while a trial
+// is in flight fails the trial, restarting the cooldown without counting a
+// new trip; FailLimit failures declare the member dead.
 func (m *Membership) MarkFailed(id string) {
 	m.mu.Lock()
 	mb, ok := m.members[id]
 	var died, tripped bool
 	if ok && mb.state != StateDead {
 		mb.fails++
-		tripped = mb.Breaker.Fail()
+		if tripped = mb.fails == 1; tripped || mb.trial {
+			mb.trial = false
+			mb.openedAt = m.now()
+		}
 		if mb.fails >= m.failLimit {
 			mb.state = StateDead
 			died = true
-		} else if mb.state == StateAlive && (tripped || mb.Breaker.State() != BreakerClosed) {
+		} else if mb.state == StateAlive {
 			mb.state = StateSuspect
 		}
 	}
@@ -248,22 +262,48 @@ func (m *Membership) MarkFailed(id string) {
 func (m *Membership) MarkSucceeded(id string) {
 	m.mu.Lock()
 	if mb, ok := m.members[id]; ok {
-		mb.fails = 0
-		mb.Breaker.Success()
-		if mb.state == StateSuspect {
-			mb.state = StateAlive
+		s := mb.state
+		if s == StateSuspect {
+			s = StateAlive
 		}
+		mb.reset(s)
 	}
 	m.mu.Unlock()
 }
 
-// HalfOpenCandidates returns the suspect members, sorted by ID — the pool a
-// dispatcher may draw half-open trial dispatches from (via each member's
-// Breaker.TryProbe) when no alive member can take a job. Draining and dead
-// members are excluded: draining asked not to receive work, dead comes back
-// only through a successful probe.
-func (m *Membership) HalfOpenCandidates() []*Member {
-	return m.selectByState(func(s State) bool { return s == StateSuspect })
+// TryTrial reserves a half-open trial dispatch: the first suspect member
+// by ID, not in skip, whose cooldown has elapsed and that has no trial in
+// flight. It is the dispatcher's last resort when no alive member can take
+// a job; draining and dead members never qualify (draining asked not to
+// receive work, dead comes back only through a successful probe). The
+// caller must settle the trial with MarkSucceeded, MarkFailed or
+// ReleaseTrial.
+func (m *Membership) TryTrial(skip map[string]bool) *Member {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var pick *Member
+	for _, mb := range m.members {
+		if mb.state == StateSuspect && !mb.trial && !skip[mb.ID] &&
+			m.now().Sub(mb.openedAt) >= m.cooldown &&
+			(pick == nil || mb.ID < pick.ID) {
+			pick = mb
+		}
+	}
+	if pick != nil {
+		pick.trial = true
+	}
+	return pick
+}
+
+// ReleaseTrial gives back a trial whose dispatch was cancelled by its own
+// context: neither a failure nor a success, so the member stays suspect
+// with its cooldown already spent, and the next job may try it at once.
+func (m *Membership) ReleaseTrial(id string) {
+	m.mu.Lock()
+	if mb, ok := m.members[id]; ok {
+		mb.trial = false
+	}
+	m.mu.Unlock()
 }
 
 // ProbeOnce health-checks every member once, sequentially (fleet sizes
@@ -300,12 +340,10 @@ func (m *Membership) ProbeOnce(ctx context.Context) {
 			if mb.state != StateDraining {
 				m.logf("fleet: member %s draining", id)
 			}
-			mb.state = StateDraining
+			mb.reset(StateDraining)
 		} else {
-			mb.state = StateAlive
+			mb.reset(StateAlive)
 		}
-		mb.fails = 0
-		mb.Breaker.Success()
 		m.mu.Unlock()
 	}
 }

@@ -163,6 +163,10 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 // SubmitOpts carries per-call fleet metadata attached as headers; the
 // zero value submits plainly.
 type SubmitOpts struct {
+	// Tenant, when non-empty, overrides the client's tenant
+	// (X-Idyll-Tenant) for this call: the coordinator relays each job under
+	// the tenant it was submitted by.
+	Tenant string
 	// Hints lists peer base URLs believed to hold this job's result
 	// (copyset hints, X-Idyll-Copyset): the worker tries a peer cache
 	// fill before recomputing.
@@ -174,6 +178,7 @@ type SubmitOpts struct {
 
 func (o SubmitOpts) headers() map[string]string {
 	return map[string]string{
+		HeaderTenant:  o.Tenant,
 		HeaderCopyset: strings.Join(o.Hints, ","),
 		HeaderPeers:   strings.Join(o.Peers, ","),
 	}

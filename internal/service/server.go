@@ -27,14 +27,16 @@ type Config struct {
 	// QueueDepth bounds the accepted-but-not-running backlog (default 64).
 	// A full queue sheds load: POST answers 429 with Retry-After.
 	QueueDepth int
-	// Queue, when non-nil, replaces the default bounded FIFO backlog with a
-	// custom JobQueue — the fleet coordinator injects a weighted fair-share
-	// scheduler here. QueueDepth and TenantQueueMax are ignored when set.
-	Queue JobQueue
-	// TenantQueueMax, when positive, caps how many queued jobs any single
-	// tenant (X-Idyll-Tenant) may hold in the default FIFO backlog; the
-	// excess sheds with 429 before the global queue fills. 0 = no cap.
-	TenantQueueMax int
+	// TenantWeights maps tenant name (X-Idyll-Tenant) → fair-share weight;
+	// missing or non-positive entries weigh 1. The backlog is a weighted
+	// fair-share scheduler: while several tenants have jobs queued, each
+	// gets dispatch slots in proportion to its weight. With one tenant it
+	// is plain FIFO.
+	TenantWeights map[string]float64
+	// TenantQuota, when positive, caps how many queued jobs any single
+	// tenant may hold; the excess sheds with 429 (TenantQuotaError) before
+	// the global queue fills. 0 = no cap.
+	TenantQuota int
 	// PeerFill, when non-nil, is consulted when a job is about to run after
 	// missing the result cache: given the spec hash and the copyset hint
 	// that rode in on X-Idyll-Copyset (base URLs of peers believed to hold
@@ -134,7 +136,7 @@ type Server struct {
 	baseCtx    context.Context // cancelled to force-stop in-flight jobs
 	baseCancel context.CancelFunc
 
-	queue JobQueue
+	queue *fairQueue
 
 	mu       sync.Mutex
 	draining bool
@@ -170,10 +172,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
 		cfg.Runner = RunSpecWith(ckpt)
 	}
-	queue := cfg.Queue
-	if queue == nil {
-		queue = NewFIFOQueue(cfg.QueueDepth, cfg.TenantQueueMax)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -182,7 +180,7 @@ func NewServer(cfg Config) (*Server, error) {
 		metrics:    NewMetrics(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      queue,
+		queue:      newFairQueue(cfg.QueueDepth, cfg.TenantQuota, cfg.TenantWeights),
 		jobs:       make(map[string]*job),
 		inflight:   make(map[string]*job),
 		gcStop:     make(chan struct{}),
@@ -202,6 +200,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics exposes the server's counters (for embedding and tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
+
+// QueueLen reports how many accepted jobs are waiting for a worker.
+func (s *Server) QueueLen() int { return s.queue.Len() }
 
 // Drain performs the graceful-shutdown sequence: stop accepting new jobs
 // (submissions answer 503), let queued and in-flight jobs finish, and
@@ -333,11 +334,11 @@ func (s *Server) lookup(id string) (*job, bool) {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
-		item, ok := s.queue.Pop(context.Background())
+		j, ok := s.queue.Pop(context.Background())
 		if !ok {
 			return
 		}
-		s.runJob(item.(*job))
+		s.runJob(j)
 	}
 }
 
