@@ -3,7 +3,7 @@
 // simulator state at a quiescent point — the engine clocks, every TLB and
 // page-walk-cache line in recency order, the page tables with their in-PTE
 // directory bits, the IRMB, the driver's residency and frame-allocation
-// state, per-link interconnect state, and the per-domain stats shards — so a
+// state, per-link interconnect state, and the run's one stats collector — so a
 // run restored from it and a run that never checkpointed are byte-identical
 // from that point on.
 //
@@ -36,7 +36,7 @@ const magic = "IDYLLCKP"
 // version: the format has no compatibility machinery, because checkpoints
 // are content-addressed cache entries — a version bump simply misses the
 // cache and regenerates, it never needs to migrate old bytes.
-const Version = 1
+const Version = 2
 
 // Writer appends values to a checkpoint byte stream. The zero Writer is not
 // usable; NewWriter stamps the magic/version header.

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,10 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 	}
 	if _, err := NewReader([]byte("IDYLLCKP\xff\x00\x00\x00")); err == nil {
 		t.Fatal("future version accepted")
+	}
+	stale := binary.LittleEndian.AppendUint32([]byte(magic), Version-1)
+	if _, err := NewReader(stale); err == nil {
+		t.Fatal("previous version accepted")
 	}
 }
 
@@ -172,8 +177,8 @@ func FuzzReader(f *testing.F) {
 	w.U64(7)
 	w.U64(8)
 	f.Add(w.Finish())
-	f.Add([]byte("IDYLLCKP\x01\x00\x00\x00")) // header only
-	f.Add([]byte("IDYLLCKP"))                 // truncated header
+	f.Add(NewWriter().Finish()) // header only
+	f.Add([]byte("IDYLLCKP"))   // truncated header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)

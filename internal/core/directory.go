@@ -229,3 +229,6 @@ func (d *VMDirectory) HitRate() float64 {
 
 // Lookups reports total VM-Cache lookups.
 func (d *VMDirectory) Lookups() uint64 { return d.lookups }
+
+// Hits reports VM-Cache lookups that hit.
+func (d *VMDirectory) Hits() uint64 { return d.hits }

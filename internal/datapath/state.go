@@ -4,7 +4,8 @@ import "idyll/internal/checkpoint"
 
 // Checkpoint support: the per-CU L1 caches and the shared L2 carry their
 // line contents (with dirty bits) in recency order. Hit/miss statistics
-// accumulate in the shared stats.Sim shard, serialized at the system level.
+// accumulate in the run's one stats.Sim collector, serialized at the system
+// level.
 
 func encLine(w *checkpoint.Writer, ln uint64, st lineState) {
 	w.U64(ln)

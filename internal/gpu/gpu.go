@@ -40,10 +40,11 @@ type waiter struct {
 	done      func()
 }
 
-// GPU is one device. Every piece of its state — TLBs, GMMU, IRMB, counters,
-// the stats shard — belongs to its synchronization domain and is touched
-// only by events on that domain's engine; peers and the driver reach it
-// exclusively through network deliveries.
+// GPU is one device. Every piece of its state — TLBs, GMMU, IRMB, counters —
+// belongs to its synchronization domain and is touched only by events on
+// that domain's engine; peers and the driver reach it exclusively through
+// network deliveries. The stats collector is the run's one shared stats.Sim,
+// safe to share because the executor is serial and every write commutes.
 type GPU struct {
 	ID      int
 	dom     *pdes.Domain

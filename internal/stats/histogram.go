@@ -96,18 +96,6 @@ func (h *Histogram) String() string {
 	return b.String()
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, n := range other.buckets {
-		h.buckets[i] += n
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // BucketCounts returns the non-empty buckets as (lowerBound, count) pairs
 // in ascending order.
 func (h *Histogram) BucketCounts() []BucketCount {

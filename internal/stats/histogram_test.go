@@ -58,16 +58,6 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Add(10)
-	b.Add(1000)
-	a.Merge(b)
-	if a.Count() != 2 || a.Max() != 1000 {
-		t.Fatalf("merge lost samples: count=%d max=%d", a.Count(), a.Max())
-	}
-}
-
 func TestHistogramBucketCounts(t *testing.T) {
 	h := NewHistogram()
 	h.Add(3) // bucket [2,4)

@@ -6,11 +6,10 @@ import (
 	"idyll/internal/sim"
 )
 
-// Checkpoint support. Shards are serialized field-by-field in declaration
-// order, mirroring Merge. TestSaveRestoreCoversAllFields fills every Sim
-// field reflectively and round-trips it, so a counter added to Sim but
-// forgotten here fails loudly — the same guard TestMergeCoversAllFields
-// provides for Merge.
+// Checkpoint support. The collector is serialized field-by-field in
+// declaration order. TestSaveRestoreCoversAllFields fills every Sim field
+// reflectively and round-trips it, so a counter added to Sim but forgotten
+// here fails loudly.
 
 // SaveState writes one latency accumulator.
 func (l *Latency) SaveState(w *checkpoint.Writer) {

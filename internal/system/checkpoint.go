@@ -134,9 +134,7 @@ func (s *System) Checkpoint() ([]byte, error) {
 	for _, g := range s.GPUs {
 		g.SaveState(w)
 	}
-	for _, sh := range s.shards {
-		sh.SaveState(w)
-	}
+	s.Stats.SaveState(w)
 	w.U64(s.staleWindow)
 	return w.Finish(), nil
 }
@@ -164,9 +162,7 @@ func (s *System) Resume(data []byte) error {
 	for _, g := range s.GPUs {
 		g.RestoreState(r)
 	}
-	for _, sh := range s.shards {
-		sh.RestoreState(r)
-	}
+	s.Stats.RestoreState(r)
 	s.staleWindow = r.U64()
 	return r.Finish()
 }

@@ -3,6 +3,7 @@ package system
 import (
 	"testing"
 
+	"idyll/internal/checkpoint"
 	"idyll/internal/config"
 	"idyll/internal/workload"
 )
@@ -29,7 +30,8 @@ func FuzzResume(f *testing.F) {
 	}
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte("IDYLLCKP\x01\x00\x00\x00"))
+	f.Add(checkpoint.NewWriter().Finish())    // valid header, no state
+	f.Add([]byte("IDYLLCKP\x01\x00\x00\x00")) // stale format version 1
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := MustNew(m, scheme)

@@ -47,7 +47,7 @@ func forkedRun(t *testing.T, scheme config.Scheme, trace *workload.Trace, warmup
 
 // Forking a run from a warmup checkpoint must be indistinguishable from
 // running it straight through — for every scheme. The comparison is the
-// strongest available: the final merged stats deep-equal, and a post-run
+// strongest available: the final stats deep-equal, and a post-run
 // checkpoint of the entire machine state is byte-identical.
 func TestForkFromCheckpointMatchesStraightLine(t *testing.T) {
 	const gpus, accesses, warmup = 4, 150, 60
@@ -78,6 +78,21 @@ func TestForkFromCheckpointMatchesStraightLine(t *testing.T) {
 				t.Fatalf("post-run machine state diverges: %d vs %d bytes", len(sb), len(fb))
 			}
 		})
+	}
+}
+
+// The collector is live state: after the warmup alone it already counts
+// every access the warmup issued.
+func TestStatsLiveAfterWarmup(t *testing.T) {
+	const gpus, accesses, warmup = 2, 80, 30
+	m := smallMachine(gpus)
+	trace := workload.Generate(smallApp(), gpus, m.CUsPerGPU, accesses, 3)
+	s := MustNew(m, config.IDYLL())
+	if err := s.RunWarmupCtx(nil, trace, warmup); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(gpus * m.CUsPerGPU * warmup); s.Stats.Accesses != want {
+		t.Fatalf("Accesses after warmup = %d, want %d", s.Stats.Accesses, want)
 	}
 }
 

@@ -28,10 +28,11 @@ type System struct {
 	Net     *interconnect.Network
 	Driver  *driver.Driver
 	GPUs    []*gpu.GPU
-	// Stats is the run's merged measurement set: per-component shards (one
-	// per GPU, one for the driver — each written only by its own
-	// synchronization domain) fold into it in fixed order when the run
-	// completes. Empty until then.
+	// Stats is the run's single measurement collector. The driver and every
+	// GPU write into it as events fire (the executor is serial, and every
+	// write is an add, a max or a bitmask OR, so the order of writes cannot
+	// change the result); a checkpoint carries it, and the end of the run
+	// fills the run-level fields derived from post-run component state.
 	Stats *stats.Sim
 
 	// CheckTranslations enables the online correctness probe: every
@@ -42,7 +43,6 @@ type System struct {
 	// ColdStart disables the default affinity pre-placement of pages, so
 	// every page begins in CPU memory and first-touch-migrates on demand.
 	ColdStart      bool
-	shards         []*stats.Sim
 	staleWindow    uint64
 	hardViolations []string
 }
@@ -77,12 +77,7 @@ func New(machine config.Machine, scheme config.Scheme) (*System, error) {
 		}
 		return cl.Domain(i)
 	}
-	// Stats shard per component, not per domain, so the merge — and with it
-	// every output byte — is independent of the domain layout.
-	shards := make([]*stats.Sim, machine.NumGPUs+1)
-	for i := range shards {
-		shards[i] = stats.NewSim()
-	}
+	st := stats.NewSim()
 	net := interconnect.NewNetwork(cl, interconnect.Config{
 		NumGPUs:             machine.NumGPUs,
 		NVLinkBytesPerCycle: machine.NVLinkBytesPerCycle,
@@ -90,20 +85,19 @@ func New(machine config.Machine, scheme config.Scheme) (*System, error) {
 		PCIeBytesPerCycle:   machine.PCIeBytesPerCycle,
 		PCIeLatency:         machine.PCIeLatency,
 	})
-	drv := driver.New(hostDom, machine, scheme, net, shards[machine.NumGPUs])
+	drv := driver.New(hostDom, machine, scheme, net, st)
 	s := &System{
 		Cluster: cl,
 		Machine: machine,
 		Scheme:  scheme,
 		Net:     net,
 		Driver:  drv,
-		Stats:   stats.NewSim(),
-		shards:  shards,
+		Stats:   st,
 	}
 	gpus := make([]*gpu.GPU, machine.NumGPUs)
 	ports := make([]driver.GPUPort, machine.NumGPUs)
 	for i := range gpus {
-		gpus[i] = gpu.New(gpuDom(i), i, machine, scheme, net, shards[i])
+		gpus[i] = gpu.New(gpuDom(i), i, machine, scheme, net, st)
 		gpus[i].SetHost(drv)
 		gpus[i].SetHostDomain(hostDom)
 		ports[i] = gpus[i]
@@ -187,8 +181,10 @@ func (s *System) setShape(trace *workload.Trace) {
 	}
 }
 
-// finalize checks for deadlock and coherence violations, folds the
-// per-component stats shards, and fills the run-level fields.
+// finalize checks for deadlock and coherence violations and fills the
+// run-level fields. It assigns every field it derives and never adds to one:
+// the collector is live, checkpointed state, so an accumulation here would
+// count whatever the collector already held a second time.
 func (s *System) finalize() (*stats.Sim, error) {
 	remaining := 0
 	var execEnd, drainedAt sim.VTime
@@ -212,11 +208,6 @@ func (s *System) finalize() (*stats.Sim, error) {
 		return nil, fmt.Errorf("system: %d translation-coherence violations, first: %s",
 			len(s.hardViolations), s.hardViolations[0])
 	}
-	// Fold the per-component shards in fixed order (GPU 0..N-1, host), then
-	// fill the run-level fields computed from post-run component state.
-	for _, sh := range s.shards {
-		s.Stats.Merge(sh)
-	}
 	s.Stats.ExecCycles = execEnd
 	s.Stats.NVLinkBytes, s.Stats.PCIeBytes = s.Net.TotalBytes()
 	es := s.Cluster.EngineStats()
@@ -226,15 +217,17 @@ func (s *System) finalize() (*stats.Sim, error) {
 	s.Stats.EngineMigrated = es.Migrated
 	s.Stats.EngineCancelled = es.Cancelled
 	s.Stats.EnginePoolHits = es.PoolHits
+	var irmbMerges uint64
 	for _, g := range s.GPUs {
 		if irmb := g.IRMB(); irmb != nil {
 			_, merges, _, _, _, _ := irmb.Stats()
-			s.Stats.IRMBMergeHits += merges
+			irmbMerges += merges
 		}
 	}
+	s.Stats.IRMBMergeHits = irmbMerges
 	if vm := s.Driver.VMDirectory(); vm != nil {
 		s.Stats.VMCacheLookups = vm.Lookups()
-		s.Stats.VMCacheHits = uint64(float64(vm.Lookups()) * vm.HitRate())
+		s.Stats.VMCacheHits = vm.Hits()
 	}
 	return s.Stats, nil
 }

@@ -198,6 +198,24 @@ func TestVMDirectoryServesIDYLLInMem(t *testing.T) {
 	}
 }
 
+// VMCacheHits is the directory's exact hit count over every fig11 app, not a
+// value rebuilt from the hit rate (a float round trip truncates one low for
+// some (lookups, hits) pairs).
+func TestVMCacheHitsExact(t *testing.T) {
+	m := smallMachine(4)
+	for _, app := range workload.Apps() {
+		s := MustNew(m, config.IDYLLInMem())
+		st, err := s.Run(workload.Generate(app, m.NumGPUs, m.CUsPerGPU, 300, 1))
+		if err != nil {
+			t.Fatalf("%s: %v", app.Abbr, err)
+		}
+		if want := s.Driver.VMDirectory().Hits(); st.VMCacheHits != want {
+			t.Errorf("%s: VMCacheHits = %d, want %d (of %d lookups)",
+				app.Abbr, st.VMCacheHits, want, st.VMCacheLookups)
+		}
+	}
+}
+
 func TestSingleGPUHasNoMigrations(t *testing.T) {
 	m := smallMachine(1)
 	s := MustNew(m, config.Baseline())
