@@ -15,8 +15,10 @@ import (
 	"idyll/internal/datapath"
 	"idyll/internal/experiment"
 	"idyll/internal/memdef"
+	"idyll/internal/pagetable"
 	"idyll/internal/sim"
 	"idyll/internal/stats"
+	"idyll/internal/tlb"
 )
 
 // benchOptions is the reduced scale for benchmark runs. Jobs is pinned to 1
@@ -299,6 +301,97 @@ func BenchmarkDataPageFlush(b *testing.B) {
 			h.InvalidatePage(page)
 		}
 	})
+}
+
+// BenchmarkTLBShootdown measures the TLB side of one received invalidation:
+// a shootdown of the page in the L2 TLB and all 16 L1 TLBs of a GPU, every
+// TLB warm. "absent" shoots down pages no TLB holds, as most of fig11's
+// shootdowns are; "resident" first fills the page into the L2 and one L1,
+// so it includes those two fills.
+func BenchmarkTLBShootdown(b *testing.B) {
+	const l1s = 16
+	warm := func() (*tlb.TLB, []*tlb.TLB) {
+		l2 := tlb.New(tlb.Config{Entries: 512, Ways: 16, Latency: 10})
+		l1 := make([]*tlb.TLB, l1s)
+		for i := range l1 {
+			l1[i] = tlb.New(tlb.Config{Entries: 32, Ways: 32, Latency: 1})
+			for v := 0; v < 32; v++ {
+				l1[i].Fill(memdef.VPN(1<<20+i*32+v), tlb.Entry{})
+			}
+		}
+		for v := 0; v < 512; v++ {
+			l2.Fill(memdef.VPN(1<<20+v), tlb.Entry{})
+		}
+		return l2, l1
+	}
+	shootdown := func(l2 *tlb.TLB, l1 []*tlb.TLB, vpn memdef.VPN) {
+		l2.Shootdown(vpn)
+		for _, t := range l1 {
+			t.Shootdown(vpn)
+		}
+	}
+	b.Run("absent", func(b *testing.B) {
+		l2, l1 := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			shootdown(l2, l1, memdef.VPN(i%4096))
+		}
+	})
+	b.Run("resident", func(b *testing.B) {
+		l2, l1 := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vpn := memdef.VPN(i % 4096)
+			l2.Fill(vpn, tlb.Entry{})
+			l1[i%l1s].Fill(vpn, tlb.Entry{})
+			shootdown(l2, l1, vpn)
+		}
+	})
+}
+
+// BenchmarkPageTableWalk measures one walk of a 4 KB page table holding 4096
+// PTEs in 64-page runs spread over a 2^24-page span. "hit" walks mapped
+// pages (four levels to a PTE). "miss" walks unmapped pages in the mix a
+// fig11 regeneration's missing walks show: three in four find an empty
+// leaf slot beside a mapped run, one in four stops at an absent level-2
+// entry.
+func BenchmarkPageTableWalk(b *testing.B) {
+	pt := pagetable.New(memdef.Page4K)
+	r := sim.NewRand(5)
+	var mapped []memdef.VPN
+	for run := 0; run < 64; run++ {
+		base := memdef.VPN(r.Intn(1<<24)) &^ 63
+		for v := base; v < base+64; v++ {
+			pt.Map(v, pagetable.PTE{Valid: true})
+			mapped = append(mapped, v)
+		}
+	}
+	var missing []memdef.VPN
+	for len(missing) < 4096 {
+		near := mapped[r.Intn(len(mapped))]
+		v, levels := near&^511|memdef.VPN(r.Intn(512)), 4 // same leaf node
+		if len(missing)%4 == 3 {
+			v, levels = near&^(1<<18-1)|memdef.VPN(r.Intn(1<<18)), 3 // same level-3 node
+		}
+		if visits, _, ok := pt.Walk(v); !ok && len(visits) == levels {
+			missing = append(missing, v)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		vpns []memdef.VPN
+	}{{"hit", mapped}, {"miss", missing}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]pagetable.Visit, 0, pt.Levels())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _, _ = pt.WalkInto(buf, c.vpns[i%len(c.vpns)])
+			}
+		})
+	}
 }
 
 // BenchmarkNewSystem measures assembling one fig11 cell's machine at bench

@@ -8,6 +8,8 @@
 package datapath
 
 import (
+	"math/bits"
+
 	"idyll/internal/cache"
 	"idyll/internal/memdef"
 	"idyll/internal/sim"
@@ -44,6 +46,16 @@ type lineState struct {
 	dirty bool
 }
 
+// pageLines is a page's residency record: how many of its lines the L2 and
+// every L1 hold together, which of them the L2 holds (exact), and which any
+// L1 has held since the record was created (a superset of what the L1s hold
+// now, since L1 evictions leave it alone). Bit i stands for the page's i'th
+// line; the masks are used only when a page has at most 64 lines.
+type pageLines struct {
+	n      int32
+	l2, l1 uint64
+}
+
 // Hierarchy is one GPU's local data-cache hierarchy.
 type Hierarchy struct {
 	engine *sim.Engine
@@ -52,16 +64,17 @@ type Hierarchy struct {
 	l2     *cache.SetAssoc[uint64, lineState]
 	st     *stats.Sim
 
-	// resident counts, per page number, the page's lines held in the L2
-	// and every L1 together. It is kept on fill and eviction, so
-	// InvalidatePage can skip a page with nothing cached in O(1) and stop
-	// sweeping once every resident line is gone. Pages with no resident
-	// line have no entry. Derived from the caches' contents, it is rebuilt
+	// resident holds, per page number, the page's pageLines record. It is
+	// kept on fill and eviction, so InvalidatePage can skip a page with
+	// nothing cached in O(1), invalidate only the lines the masks mark, and
+	// stop once every resident line is gone. Pages with no resident line
+	// have no entry. Derived from the caches' contents, it is rebuilt
 	// rather than serialized on RestoreState.
-	resident map[uint64]int32
+	resident map[uint64]pageLines
 
 	lineShift     uint
 	pageLineShift uint // log2(lines per page)
+	masks         bool // pages have at most 64 lines: pageLines masks are kept
 }
 
 // log2 returns the exponent of a power of two.
@@ -90,10 +103,11 @@ func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
 	}
 	h := &Hierarchy{
 		engine: engine, cfg: cfg, st: st,
-		resident:      make(map[uint64]int32),
+		resident:      make(map[uint64]pageLines),
 		lineShift:     shift,
 		pageLineShift: log2(cfg.PageBytes) - shift,
 	}
+	h.masks = h.pageLineShift <= 6
 	h.l1 = make([]*cache.SetAssoc[uint64, lineState], numCUs)
 	for i := range h.l1 {
 		h.l1[i] = cache.New[uint64, lineState](l1Sets, cfg.L1Ways, idx)
@@ -105,16 +119,28 @@ func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
 // line returns the cacheline key of a physical address.
 func (h *Hierarchy) line(pa memdef.PAddr) uint64 { return uint64(pa) >> h.lineShift }
 
+// bit is ln's bit in its page's pageLines masks, or 0 when masks are off.
+func (h *Hierarchy) bit(ln uint64) uint64 {
+	if !h.masks {
+		return 0
+	}
+	return 1 << (ln & (1<<h.pageLineShift - 1))
+}
+
 // fill inserts a line known to be absent from c and uncounts the line it
 // evicts, if any. The caller counts the new line, once per cache it fills.
 func (h *Hierarchy) fill(c *cache.SetAssoc[uint64, lineState], ln uint64, st lineState) {
 	if victim, _, evicted := c.Insert(ln, st); evicted {
 		page := victim >> h.pageLineShift
-		if n := h.resident[page] - 1; n > 0 {
-			h.resident[page] = n
-		} else {
+		r := h.resident[page]
+		if r.n--; r.n == 0 {
 			delete(h.resident, page)
+			return
 		}
+		if c == h.l2 {
+			r.l2 &^= h.bit(victim)
+		}
+		h.resident[page] = r
 	}
 }
 
@@ -133,17 +159,24 @@ func (h *Hierarchy) Access(cu int, pa memdef.PAddr, write bool, done func()) {
 		h.engine.Schedule(h.cfg.L1HitLatency, done)
 		return
 	}
+	page, bit := ln>>h.pageLineShift, h.bit(ln)
+	r := h.resident[page]
 	h.st.L2DLookups++
 	if _, ok := h.l2.Lookup(ln); ok {
 		h.st.L2DHits++
-		h.resident[ln>>h.pageLineShift]++
+		r.n++
+		r.l1 |= bit
+		h.resident[page] = r
 		h.fill(l1, ln, lineState{dirty: write})
 		h.engine.Schedule(h.cfg.L1HitLatency+h.cfg.L2HitLatency, done)
 		return
 	}
 	// Miss everywhere: DRAM fill. Write-back traffic of dirty victims is
 	// absorbed in DRAMLatency; the experiments are translation-bound.
-	h.resident[ln>>h.pageLineShift] += 2
+	r.n += 2
+	r.l2 |= bit
+	r.l1 |= bit
+	h.resident[page] = r
 	h.fill(h.l2, ln, lineState{})
 	h.fill(l1, ln, lineState{dirty: write})
 	h.engine.Schedule(h.cfg.L1HitLatency+h.cfg.L2HitLatency+h.cfg.DRAMLatency, done)
@@ -152,23 +185,48 @@ func (h *Hierarchy) Access(cu int, pa memdef.PAddr, write bool, done func()) {
 // InvalidatePage drops every cached line of the page containing pa, called
 // when a page migrates away so stale data cannot be read locally, and
 // reports how many lines it removed. A page with no resident line costs one
-// map lookup; otherwise each cache is swept over only the sets the page
-// indexes to, L2 first, stopping once the page's last resident line is gone.
+// map lookup. Otherwise the L2 drops exactly the lines its mask marks, then
+// each L1 the lines any L1 has held, stopping once the page's last resident
+// line is gone. Pages of more than 64 lines keep no masks and sweep the sets
+// the page indexes to instead.
 func (h *Hierarchy) InvalidatePage(pa memdef.PAddr) int {
 	page := h.line(pa) >> h.pageLineShift
-	want := int(h.resident[page])
-	if want == 0 {
+	r, ok := h.resident[page]
+	if !ok {
 		return 0
 	}
 	delete(h.resident, page)
+	want := int(r.n)
 	lo := page << h.pageLineShift
-	hi := lo | (1<<h.pageLineShift - 1)
-	n := cache.InvalidateRange(h.l2, lo, hi)
+	if !h.masks {
+		hi := lo | (1<<h.pageLineShift - 1)
+		n := cache.InvalidateRange(h.l2, lo, hi)
+		for _, l1 := range h.l1 {
+			if n == want {
+				break
+			}
+			n += cache.InvalidateRange(l1, lo, hi)
+		}
+		return n
+	}
+	n := invalidateMasked(h.l2, lo, r.l2, want)
 	for _, l1 := range h.l1 {
 		if n == want {
 			break
 		}
-		n += cache.InvalidateRange(l1, lo, hi)
+		n += invalidateMasked(l1, lo, r.l1, want-n)
+	}
+	return n
+}
+
+// invalidateMasked removes from c the lines lo+i for each bit i set in mask,
+// stopping once limit lines are gone, and reports how many it removed.
+func invalidateMasked(c *cache.SetAssoc[uint64, lineState], lo, mask uint64, limit int) int {
+	n := 0
+	for ; mask != 0 && n < limit; mask &= mask - 1 {
+		if c.Invalidate(lo + uint64(bits.TrailingZeros64(mask))) {
+			n++
+		}
 	}
 	return n
 }

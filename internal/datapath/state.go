@@ -1,6 +1,9 @@
 package datapath
 
-import "idyll/internal/checkpoint"
+import (
+	"idyll/internal/cache"
+	"idyll/internal/checkpoint"
+)
 
 // Checkpoint support: the per-CU L1 caches and the shared L2 carry their
 // line contents (with dirty bits) in recency order. Hit/miss statistics
@@ -40,15 +43,27 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader) {
 	h.recount()
 }
 
-// recount rebuilds the per-page residency counts from the caches' contents.
+// recount rebuilds the per-page residency records from the caches'
+// contents. The rebuilt L1 mask is exact, a subset of the superset the
+// saved run carried; flushes remove the same lines either way.
 func (h *Hierarchy) recount() {
 	clear(h.resident)
-	count := func(ln uint64, _ lineState) bool {
-		h.resident[ln>>h.pageLineShift]++
-		return true
+	count := func(c *cache.SetAssoc[uint64, lineState]) {
+		c.Range(func(ln uint64, _ lineState) bool {
+			page := ln >> h.pageLineShift
+			r := h.resident[page]
+			r.n++
+			if c == h.l2 {
+				r.l2 |= h.bit(ln)
+			} else {
+				r.l1 |= h.bit(ln)
+			}
+			h.resident[page] = r
+			return true
+		})
 	}
-	h.l2.Range(count)
+	count(h.l2)
 	for _, c := range h.l1 {
-		c.Range(count)
+		count(c)
 	}
 }

@@ -89,6 +89,22 @@ type Driver struct {
 	// va_block locks.
 	repliesInFlight map[memdef.VPN]int
 	queuedMigration map[memdef.VPN]queuedMig
+	// invalFree holds finished invalidation messages for reuse.
+	invalFree []*invalMsg
+}
+
+// invalMsg is one invalidation of a migrating page sent to one GPU, from
+// delivery to the ack landing back at the host. Its continuations are bound
+// once, when the record is first made, and the host domain recycles it, so
+// the invalidation broadcast allocates no closures. The GPU's domain only
+// runs deliver and ack, which read the record.
+type invalMsg struct {
+	d   *Driver
+	m   *migration
+	gpu int
+	// deliver runs at the GPU, ack is the GPU's acknowledgement, and acked
+	// runs when the ack lands at the host.
+	deliver, ack, acked func()
 }
 
 // queuedMig is a migration held back by in-flight replies.
@@ -442,20 +458,39 @@ func (d *Driver) sendInvalidations(m *migration, targets []int) {
 		return
 	}
 	for _, g := range targets {
-		g := g
-		d.net.CPUToGPU(g, memdef.ControlMsgBytes, func() {
-			d.gpus[g].ReceiveInvalidation(m.vpn, func() {
-				// The GPU acks over PCIe once its scheme says so; both the
-				// ReceiveInvalidation handler and this ack send run in GPU
-				// g's domain, while the ack's delivery advances the
-				// migration FSM back in the host domain.
-				d.net.GPUToCPU(g, memdef.ControlMsgBytes, func() {
-					m.pendingAcks--
-					d.maybeTransfer(m)
-				}, nil)
-			})
-		}, nil)
+		d.net.CPUToGPU(g, memdef.ControlMsgBytes, d.newInvalMsg(m, g).deliver, nil)
 	}
+}
+
+// newInvalMsg takes an invalidation message from the free list, or makes
+// one.
+func (d *Driver) newInvalMsg(m *migration, gpu int) *invalMsg {
+	var x *invalMsg
+	if n := len(d.invalFree); n > 0 {
+		x = d.invalFree[n-1]
+		d.invalFree = d.invalFree[:n-1]
+	} else {
+		x = &invalMsg{d: d}
+		x.deliver = func() { x.d.gpus[x.gpu].ReceiveInvalidation(x.m.vpn, x.ack) }
+		// The GPU acks over PCIe once its scheme says so; both the
+		// ReceiveInvalidation handler and this ack send run in the GPU's
+		// domain, while the ack's delivery advances the migration FSM back
+		// in the host domain.
+		x.ack = func() { x.d.net.GPUToCPU(x.gpu, memdef.ControlMsgBytes, x.acked, nil) }
+		x.acked = x.landed
+	}
+	x.m, x.gpu = m, gpu
+	return x
+}
+
+// landed runs in the host domain when the GPU's ack arrives: the record
+// goes back to the free list and the migration advances.
+func (x *invalMsg) landed() {
+	d, m := x.d, x.m
+	x.m = nil
+	d.invalFree = append(d.invalFree, x)
+	m.pendingAcks--
+	d.maybeTransfer(m)
 }
 
 // maybeTransfer begins the data transfer once the host walk is done and all

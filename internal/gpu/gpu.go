@@ -31,13 +31,86 @@ type Host interface {
 	RecordResidency(gpu int, vpn memdef.VPN)
 }
 
-// waiter is one access blocked on an outstanding translation.
+// slot is one outstanding-access slot of a CU: the access it is carrying
+// through the translation and data paths and the continuations that step
+// it along. The continuations are bound once, so issuing, translating,
+// reading and retiring an access schedules them without allocating a
+// closure per access.
+type slot struct {
+	g   *GPU
+	cu  int
+	acc workload.Access
+	vpn memdef.VPN
+	// owner and peer name the GPU serving a remote data access.
+	owner int
+	peer  *GPU
+	// issue pulls the CU's next access into the slot; retire schedules
+	// issue after the compute gap; afterL1 and afterL2 run once the L1 and
+	// L2 TLB lookup latencies have elapsed.
+	issue, retire, afterL1, afterL2 func()
+	// The remote data path: remoteRead runs on delivery of the request at
+	// the owner GPU, remoteServe holds one of its remote-access engines,
+	// and the reply ends in retire.
+	remoteRead, remoteReply func()
+	remoteServe             func(release func())
+}
+
+// newSlot binds a slot's continuations.
+func (g *GPU) newSlot(s *slot, cu int) {
+	*s = slot{g: g, cu: cu}
+	s.issue = s.issueNext
+	s.retire = func() { g.engine.Schedule(sim.VTime(g.traceComputeGap()), s.issue) }
+	s.afterL1 = s.probeL1
+	s.afterL2 = s.probeL2
+	s.remoteRead = s.readRemote
+	s.remoteServe = s.serveRemote
+	s.remoteReply = func() { g.net.GPUToGPU(s.owner, g.ID, 2*memdef.CachelineBytes, s.retire, nil) }
+}
+
+// walkReq is what the callback of one GMMU walk needs to finish the GPU's
+// side: the page, plus the fact its kind of walk reports against. Records
+// are pooled per GPU with their callbacks bound once; each callback returns
+// its record to the pool as it runs, since the GMMU calls it exactly once.
+type walkReq struct {
+	g       *GPU
+	vpn     memdef.VPN
+	write   bool      // demand walk: whether the access that missed writes
+	epoch   uint32    // update walk: the invalidation epoch it was issued under
+	receipt sim.VTime // invalidation walk: when the request arrived
+	ack     func()    // invalidation walk: the driver's acknowledgement
+
+	demandDone func(pagetable.PTE, bool)
+	stale      func() bool
+	invalDone  func(bool)
+}
+
+// newWalkReq takes a record for vpn from the free list, or makes one.
+func (g *GPU) newWalkReq(vpn memdef.VPN) *walkReq {
+	var r *walkReq
+	if n := len(g.reqFree); n > 0 {
+		r = g.reqFree[n-1]
+		g.reqFree = g.reqFree[:n-1]
+	} else {
+		r = &walkReq{g: g}
+		r.demandDone = r.demandWalked
+		r.stale = r.overtaken
+		r.invalDone = r.invalidated
+	}
+	r.vpn = vpn
+	return r
+}
+
+// free returns r to its GPU's free list.
+func (r *walkReq) free() {
+	r.ack = nil
+	r.g.reqFree = append(r.g.reqFree, r)
+}
+
+// waiter is one access blocked on an outstanding translation: the slot
+// carrying it and the cycle it missed the L2 TLB.
 type waiter struct {
-	cu        int
-	write     bool
-	va        memdef.VAddr
+	s         *slot
 	missStart sim.VTime
-	done      func()
 }
 
 // GPU is one device. Every piece of its state — TLBs, GMMU, IRMB, counters —
@@ -75,6 +148,9 @@ type GPU struct {
 	// write-back walk that has not yet reached them: the local PTE is still
 	// stale, so demand misses must keep treating them as IRMB hits.
 	pendingWB map[memdef.VPN]bool
+	// wbCancelled and wbLanded are the write-back batch hooks, bound once.
+	wbCancelled func(memdef.VPN) bool
+	wbLanded    func(memdef.VPN, bool)
 	// shotDown is the shootdown fence: VPNs whose TLB shootdown has been
 	// performed but whose PTE invalidation has not yet retired. In-flight
 	// demand walks must not refill the TLBs for these pages — real
@@ -93,11 +169,10 @@ type GPU struct {
 	onDone         func()
 	computeGap     int
 	instrPerAccess int
-	// issueFns / retireFns are per-CU continuations, built once in Run so the
-	// issue→access→retire cycle schedules them without a fresh closure per
-	// access.
-	issueFns  []func()
-	retireFns []func()
+	// slots holds one record per outstanding-access slot, built in Run.
+	slots []slot
+	// reqFree holds finished walk requests for reuse.
+	reqFree []*walkReq
 
 	// OnTranslated, if set, is called whenever a translation is handed to a
 	// data access — the hook for the system-level correctness checker.
@@ -158,6 +233,7 @@ func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 			geom = core.DefaultGeometry
 		}
 		g.irmb = core.NewIRMB(geom)
+		g.wbCancelled, g.wbLanded = g.writebackCancelled, g.writebackLanded
 		if !scheme.NoIdleDrain {
 			g.gmmu.SetOnIdle(g.drainIRMB)
 		}
@@ -212,21 +288,14 @@ func (g *GPU) Run(trace [][]workload.Access, onDone func()) {
 	g.trace = trace
 	g.cuNext = make([]int, len(trace))
 	g.onDone = onDone
-	g.issueFns = make([]func(), len(trace))
-	g.retireFns = make([]func(), len(trace))
-	for cu := range trace {
-		cu := cu
-		g.issueFns[cu] = func() { g.issueNext(cu) }
-		g.retireFns[cu] = func() {
-			g.engine.Schedule(sim.VTime(g.traceComputeGap()), g.issueFns[cu])
-		}
+	perCU := g.machine.OutstandingPerCU
+	g.slots = make([]slot, len(trace)*perCU)
+	for i := range g.slots {
+		g.newSlot(&g.slots[i], i/perCU)
 	}
-	slots := g.machine.OutstandingPerCU
-	for cu := range trace {
-		for s := 0; s < slots; s++ {
-			g.running++
-			g.issueNext(cu)
-		}
+	for i := range g.slots {
+		g.running++
+		g.slots[i].issueNext()
 	}
 	if g.running == 0 {
 		g.finishSlot()
@@ -243,18 +312,19 @@ func (g *GPU) Finished() bool { return g.finished }
 
 // issueNext pulls the CU's next trace entry into this slot, or retires the
 // slot when the stream is exhausted.
-func (g *GPU) issueNext(cu int) {
-	idx := g.cuNext[cu]
-	if idx >= len(g.trace[cu]) {
+func (s *slot) issueNext() {
+	g := s.g
+	idx := g.cuNext[s.cu]
+	if idx >= len(g.trace[s.cu]) {
 		g.finishSlot()
 		return
 	}
-	g.cuNext[cu] = idx + 1
-	acc := g.trace[cu][idx]
+	g.cuNext[s.cu] = idx + 1
+	s.acc = g.trace[s.cu][idx]
 	g.st.Accesses++
 	g.st.Instructions += uint64(maxInt(1, g.traceInstrPerAccess()))
-	g.st.Sharing().Record(memdef.PageNum(acc.VA, g.machine.PageSize), g.ID)
-	g.access(cu, acc, g.retireFns[cu])
+	g.st.Sharing().Record(memdef.PageNum(s.acc.VA, g.machine.PageSize), g.ID)
+	g.access(s)
 }
 
 func (g *GPU) finishSlot() {
@@ -290,41 +360,50 @@ func (g *GPU) SetCounterThreshold(t int) {
 // Translation path (§3.2, Figure 3 ❶→❻; Figure 9 Ⓐ Ⓑ Ⓒ).
 // ---------------------------------------------------------------------------
 
-// access translates and performs one memory access, then calls done.
-func (g *GPU) access(cu int, acc workload.Access, done func()) {
-	vpn := memdef.PageNum(acc.VA, g.machine.PageSize)
+// access translates and performs the slot's memory access, then calls its
+// retire continuation.
+func (g *GPU) access(s *slot) {
+	s.vpn = memdef.PageNum(s.acc.VA, g.machine.PageSize)
 	g.st.L1TLBLookups++
-	g.engine.Schedule(g.l1tlbs[cu].Latency(), func() {
-		if e, ok := g.l1tlbs[cu].Lookup(vpn); ok && (!acc.Write || e.Writable) {
-			g.st.L1TLBHits++
-			g.dataAccess(cu, vpn, acc, e, done)
-			return
-		}
-		g.lookupL2(cu, vpn, acc, done)
-	})
+	g.engine.Schedule(g.l1tlbs[s.cu].Latency(), s.afterL1)
 }
 
-// lookupL2 probes the shared L2 TLB; on a miss the IRMB is probed in
+// probeL1 probes the CU's L1 TLB once its latency has elapsed.
+func (s *slot) probeL1() {
+	g := s.g
+	if e, ok := g.l1tlbs[s.cu].Lookup(s.vpn); ok && (!s.acc.Write || e.Writable) {
+		g.st.L1TLBHits++
+		g.dataAccess(s, e)
+		return
+	}
+	g.lookupL2(s)
+}
+
+// lookupL2 schedules the shared L2 TLB probe.
+func (g *GPU) lookupL2(s *slot) {
+	g.engine.Schedule(g.l2tlb.Latency(), s.afterL2)
+}
+
+// probeL2 probes the shared L2 TLB; on a miss the IRMB is probed in
 // parallel (Figure 9 Ⓐ/Ⓑ) and the demand miss enters the MSHR.
-func (g *GPU) lookupL2(cu int, vpn memdef.VPN, acc workload.Access, done func()) {
-	g.engine.Schedule(g.l2tlb.Latency(), func() {
-		g.st.L2TLBLookups++
-		if e, ok := g.l2tlb.Lookup(vpn); ok && (!acc.Write || e.Writable) {
-			g.st.L2TLBHits++
-			g.l1tlbs[cu].Fill(vpn, e)
-			g.dataAccess(cu, vpn, acc, e, done)
-			return
-		}
-		w := waiter{cu: cu, write: acc.Write, va: acc.VA, missStart: g.engine.Now(), done: done}
-		switch g.mshr.Add(vpn, w) {
-		case tlb.Merged:
-			g.st.MSHRMerges++
-		case tlb.Full:
-			g.engine.Schedule(8, func() { g.lookupL2(cu, vpn, acc, done) })
-		case tlb.Allocated:
-			g.launchTranslation(vpn, acc.Write)
-		}
-	})
+func (s *slot) probeL2() {
+	g, vpn, acc := s.g, s.vpn, s.acc
+	g.st.L2TLBLookups++
+	if e, ok := g.l2tlb.Lookup(vpn); ok && (!acc.Write || e.Writable) {
+		g.st.L2TLBHits++
+		g.l1tlbs[s.cu].Fill(vpn, e)
+		g.dataAccess(s, e)
+		return
+	}
+	w := waiter{s: s, missStart: g.engine.Now()}
+	switch g.mshr.Add(vpn, w) {
+	case tlb.Merged:
+		g.st.MSHRMerges++
+	case tlb.Full:
+		g.engine.Schedule(8, func() { g.lookupL2(s) })
+	case tlb.Allocated:
+		g.launchTranslation(vpn, acc.Write)
+	}
 }
 
 // launchTranslation resolves a demand miss: IRMB hit bypasses the local
@@ -342,24 +421,47 @@ func (g *GPU) launchTranslation(vpn memdef.VPN, write bool) {
 			return
 		}
 	}
-	g.gmmu.Demand(vpn, func(pagetable.PTE, bool) {
-		// Use the PTE as of walk *completion*: an invalidation walk may
-		// have retired while this walk was in flight.
-		pte, ok := g.gmmu.PageTable().Lookup(vpn)
-		if ok && pte.Valid {
-			// Shootdown fence and IRMB staleness: a pending invalidation
-			// for this page means the walked translation must not be used
-			// or refilled into the TLBs.
-			if g.shotDown[vpn] ||
-				(g.irmb != nil && (g.irmb.Lookup(vpn) || g.pendingWB[vpn])) {
-				g.farFault(vpn, write)
-				return
-			}
-			g.translationReady(vpn, tlb.Entry{PFN: pte.PFN, Writable: pte.Writable})
+	r := g.newWalkReq(vpn)
+	r.write = write
+	g.gmmu.Demand(vpn, r.demandDone)
+}
+
+// demandWalked finishes a demand miss once its walk completes.
+func (r *walkReq) demandWalked(pagetable.PTE, bool) {
+	g, vpn, write := r.g, r.vpn, r.write
+	r.free()
+	// Use the PTE as of walk *completion*: an invalidation walk may have
+	// retired while this walk was in flight.
+	pte, ok := g.gmmu.PageTable().Lookup(vpn)
+	if ok && pte.Valid {
+		// Shootdown fence and IRMB staleness: a pending invalidation for
+		// this page means the walked translation must not be used or
+		// refilled into the TLBs.
+		if g.shotDown[vpn] ||
+			(g.irmb != nil && (g.irmb.Lookup(vpn) || g.pendingWB[vpn])) {
+			g.farFault(vpn, write)
 			return
 		}
-		g.farFault(vpn, write)
-	})
+		g.translationReady(vpn, tlb.Entry{PFN: pte.PFN, Writable: pte.Writable})
+		return
+	}
+	g.farFault(vpn, write)
+}
+
+// overtaken is an update walk's staleness guard: an invalidation arrived
+// after the update was issued.
+func (r *walkReq) overtaken() bool {
+	stale := r.g.invalEpoch[r.vpn] != r.epoch
+	r.free()
+	return stale
+}
+
+// updateUnlessOvertaken queues the PTE update for vpn, guarded against
+// invalidations that arrive while it waits.
+func (g *GPU) updateUnlessOvertaken(vpn memdef.VPN, pte pagetable.PTE) {
+	r := g.newWalkReq(vpn)
+	r.epoch = g.invalEpoch[vpn]
+	g.gmmu.UpdateUnless(vpn, pte, r.stale, nil)
 }
 
 // farFault notifies the UVM driver (Figure 3 ❻). With Trans-FW, the fault
@@ -406,8 +508,7 @@ func (g *GPU) forwardToPeer(vpn memdef.VPN, holder int) {
 				}
 				// Install the forwarded translation and tell the driver so
 				// the directory stays a superset of holders.
-				epoch := g.invalEpoch[vpn]
-				g.gmmu.UpdateUnless(vpn, pte, func() bool { return g.invalEpoch[vpn] != epoch }, nil)
+				g.updateUnlessOvertaken(vpn, pte)
 				g.net.GPUToCPU(g.ID, memdef.ControlMsgBytes, func() {
 					g.host.RecordResidency(g.ID, vpn)
 				}, nil)
@@ -424,7 +525,7 @@ func (g *GPU) translationReady(vpn memdef.VPN, e tlb.Entry) {
 	for _, w := range waiters {
 		g.st.DemandMiss.Add(g.engine.Now() - w.missStart)
 		g.st.DemandMissHist.Add(g.engine.Now() - w.missStart)
-		if w.write && !e.Writable {
+		if w.s.acc.Write && !e.Writable {
 			// Write to a read-only mapping (a replica): permission fault.
 			w := w
 			if g.mshr.Add(vpn, w) == tlb.Allocated {
@@ -432,8 +533,8 @@ func (g *GPU) translationReady(vpn memdef.VPN, e tlb.Entry) {
 			}
 			continue
 		}
-		g.l1tlbs[w.cu].Fill(vpn, e)
-		g.dataAccess(w.cu, vpn, workload.Access{VA: w.va, Write: w.write}, e, w.done)
+		g.l1tlbs[w.s.cu].Fill(vpn, e)
+		g.dataAccess(w.s, e)
 	}
 	// All waiters are dispatched (by value); the slice can go back to the
 	// MSHR's free list. A permission-fault re-Add above draws a fresh slice,
@@ -445,57 +546,63 @@ func (g *GPU) translationReady(vpn memdef.VPN, e tlb.Entry) {
 // Data path: local hierarchy or remote mapping over NVLink (§3.2).
 // ---------------------------------------------------------------------------
 
-// dataAccess performs the memory access once translated.
-func (g *GPU) dataAccess(cu int, vpn memdef.VPN, acc workload.Access, e tlb.Entry, done func()) {
+// dataAccess performs the slot's memory access once translated.
+func (g *GPU) dataAccess(s *slot, e tlb.Entry) {
 	if g.OnTranslated != nil {
-		g.OnTranslated(g.ID, vpn, e.PFN)
+		g.OnTranslated(g.ID, s.vpn, e.PFN)
 	}
 	dev := e.PFN.Device()
 	pa := memdef.PAddr(uint64(e.PFN)<<g.machine.PageSize.OffsetBits() |
-		memdef.PageOffset(acc.VA, g.machine.PageSize))
+		memdef.PageOffset(s.acc.VA, g.machine.PageSize))
 	if dev == g.device() {
 		g.st.LocalAccesses++
-		g.data.Access(cu, pa, acc.Write, done)
+		g.data.Access(s.cu, pa, s.acc.Write, s.retire)
 		return
 	}
 	g.st.RemoteAccesses++
-	g.countRemote(vpn)
+	g.countRemote(s.vpn)
 	if dev.IsCPU() {
+		// Pages rarely live on the host; this path keeps its closures.
 		g.net.GPUToCPU(g.ID, memdef.ControlMsgBytes, func() {
 			// Host domain: the CPU's DRAM read and the reply send run there.
 			g.hostDom.Schedule(g.machine.DRAMLatency, func() {
-				g.net.CPUToGPU(g.ID, 2*memdef.CachelineBytes, done, nil)
+				g.net.CPUToGPU(g.ID, 2*memdef.CachelineBytes, s.retire, nil)
 			})
 		}, nil)
 		return
 	}
-	owner := dev.GPUIndex()
 	// Request goes out on NVLink; the owner's remote-access engine serves
 	// it from DRAM (remote data is not cached locally, §3.2). The engine
 	// pool serializes fine-grained remote reads — the NUMA throughput
 	// penalty that makes page migration worthwhile.
-	peer := g
-	if g.peers != nil && owner < len(g.peers) && g.peers[owner] != nil {
-		peer = g.peers[owner]
+	s.owner, s.peer = dev.GPUIndex(), g
+	if g.peers != nil && s.owner < len(g.peers) && g.peers[s.owner] != nil {
+		s.peer = g.peers[s.owner]
 	}
-	occupancy := g.machine.RemoteEngineOccupancy
-	g.net.GPUToGPU(g.ID, owner, memdef.ControlMsgBytes, func() {
-		// Executing in the owner's domain: its DRAM timing, its remote-access
-		// engine pool, and the reply send all belong to the owner's engine.
-		respond := func() {
-			peer.engine.Schedule(g.machine.DRAMLatency+g.machine.RemoteDRAMExtra, func() {
-				g.net.GPUToGPU(owner, g.ID, 2*memdef.CachelineBytes, done, nil)
-			})
-		}
-		if peer.remoteService == nil {
-			respond()
-			return
-		}
-		peer.remoteService.Acquire(func(release func()) {
-			peer.engine.Schedule(occupancy, release)
-			respond()
-		})
-	}, nil)
+	g.net.GPUToGPU(g.ID, s.owner, memdef.ControlMsgBytes, s.remoteRead, nil)
+}
+
+// readRemote runs in the owner's domain: its DRAM timing, its remote-access
+// engine pool, and the reply send all belong to the owner's engine.
+func (s *slot) readRemote() {
+	if s.peer.remoteService == nil {
+		s.respondRemote()
+		return
+	}
+	s.peer.remoteService.Acquire(s.remoteServe)
+}
+
+// serveRemote holds one of the owner's remote-access engines for the
+// configured occupancy while the read proceeds.
+func (s *slot) serveRemote(release func()) {
+	s.peer.engine.Schedule(s.g.machine.RemoteEngineOccupancy, release)
+	s.respondRemote()
+}
+
+// respondRemote reads the owner's DRAM and then sends the reply.
+func (s *slot) respondRemote() {
+	m := s.g.machine
+	s.peer.engine.Schedule(m.DRAMLatency+m.RemoteDRAMExtra, s.remoteReply)
 }
 
 // countRemote advances the access counter and fires a migration request at
@@ -573,13 +680,21 @@ func (g *GPU) ReceiveInvalidation(vpn memdef.VPN, ack func()) {
 		// Buffered: the invalidation is out of the walker's way. Ack now.
 		g.engine.Schedule(1, ack)
 	default:
-		g.gmmu.Invalidate(vpn, func(bool) {
-			delete(g.shotDown, vpn) // invalidation retired; fence drops
-			g.st.Inval.Add(g.engine.Now() - receipt)
-			g.st.InvalHist.Add(g.engine.Now() - receipt)
-			ack()
-		})
+		r := g.newWalkReq(vpn)
+		r.receipt, r.ack = receipt, ack
+		g.gmmu.Invalidate(vpn, r.invalDone)
 	}
+}
+
+// invalidated retires an invalidation walk: the fence drops, the latency
+// is recorded and the driver is acked.
+func (r *walkReq) invalidated(bool) {
+	g, vpn, receipt, ack := r.g, r.vpn, r.receipt, r.ack
+	r.free()
+	delete(g.shotDown, vpn)
+	g.st.Inval.Add(g.engine.Now() - receipt)
+	g.st.InvalHist.Add(g.engine.Now() - receipt)
+	ack()
 }
 
 // shootdown removes vpn from every TLB level.
@@ -609,17 +724,21 @@ func (g *GPU) writebackBatch(vpns []memdef.VPN) {
 	for _, v := range vpns {
 		g.pendingWB[v] = true
 	}
-	g.gmmu.InvalidateBatchFiltered(vpns,
-		func(v memdef.VPN) bool { return !g.pendingWB[v] },
-		func(v memdef.VPN, _ bool) {
-			delete(g.pendingWB, v)
-			if t, ok := g.irmbReceipt[v]; ok {
-				g.st.Inval.Add(g.engine.Now() - t)
-				g.st.InvalHist.Add(g.engine.Now() - t)
-				delete(g.irmbReceipt, v)
-			}
-		},
-		nil)
+	g.gmmu.InvalidateBatchFiltered(vpns, g.wbCancelled, g.wbLanded, nil)
+}
+
+// writebackCancelled reports whether a fresh mapping cancelled v's
+// write-back while the batch waited.
+func (g *GPU) writebackCancelled(v memdef.VPN) bool { return !g.pendingWB[v] }
+
+// writebackLanded retires v's stale marker once its invalidation lands.
+func (g *GPU) writebackLanded(v memdef.VPN, _ bool) {
+	delete(g.pendingWB, v)
+	if t, ok := g.irmbReceipt[v]; ok {
+		g.st.Inval.Add(g.engine.Now() - t)
+		g.st.InvalHist.Add(g.engine.Now() - t)
+		delete(g.irmbReceipt, v)
+	}
 }
 
 // drainIRMB is the GMMU idle hook: push the LRU merged entry to the page
@@ -659,8 +778,7 @@ func (g *GPU) ReceiveMapping(vpn memdef.VPN, pte pagetable.PTE) {
 	g.shootdown(vpn) // replace any stale cached translation (e.g. downgrades)
 	delete(g.shotDown, vpn)
 	delete(g.counters, g.region(vpn))
-	epoch := g.invalEpoch[vpn]
-	g.gmmu.UpdateUnless(vpn, pte, func() bool { return g.invalEpoch[vpn] != epoch }, nil)
+	g.updateUnlessOvertaken(vpn, pte)
 	if g.mshr.Pending(vpn) {
 		g.translationReady(vpn, tlb.Entry{PFN: pte.PFN, Writable: pte.Writable})
 	}

@@ -203,6 +203,15 @@ func TestZeroLatencyInvalidationIsFree(t *testing.T) {
 	_ = e
 }
 
+// accessOnce issues one access by cu outside any trace on a slot of its own,
+// calling done when the access retires.
+func accessOnce(g *GPU, cu int, acc workload.Access, done func()) {
+	s := &slot{}
+	g.newSlot(s, cu)
+	s.acc, s.retire = acc, done
+	g.access(s)
+}
+
 func TestInvalidationShootsDownTLBs(t *testing.T) {
 	e, g, h, _ := rig(t, config.Baseline())
 	g.Preinstall(5, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(0), 1), Valid: true, Writable: true})
@@ -212,8 +221,7 @@ func TestInvalidationShootsDownTLBs(t *testing.T) {
 	e.Run()
 	// Next access to the page must miss the TLBs and walk → the PTE is now
 	// invalid → far fault.
-	g2 := g // continue on same GPU with a fresh access
-	g2.access(0, workload.Access{VA: memdef.VPN(5).Addr(memdef.Page4K)}, func() {})
+	accessOnce(g, 0, workload.Access{VA: memdef.VPN(5).Addr(memdef.Page4K)}, func() {})
 	e.RunUntil(e.Now() + 5000)
 	if len(h.faults) == 0 {
 		t.Fatal("post-shootdown access did not fault")
@@ -231,7 +239,7 @@ func TestIRMBHitBypassesWalk(t *testing.T) {
 	}
 	g.ReceiveInvalidation(13, func() {})
 	walksBefore := st.WalkerDemand
-	g.access(0, workload.Access{VA: memdef.VPN(13).Addr(memdef.Page4K)}, func() {})
+	accessOnce(g, 0, workload.Access{VA: memdef.VPN(13).Addr(memdef.Page4K)}, func() {})
 	e.RunUntil(e.Now() + 1500) // covers the PCIe delivery of the fault
 	if st.IRMBLookupHits == 0 {
 		t.Fatal("demand miss did not hit the IRMB")

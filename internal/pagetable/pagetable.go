@@ -8,6 +8,12 @@
 // level entries a hardware walker would touch, and the GMMU (internal/
 // walker) charges per-level latency and consults its page-walk cache using
 // those visits.
+//
+// The radix structure is implicit. PTEs are never removed, so an interior
+// entry exists exactly when some PTE lies below it: a Table stores its PTEs
+// in one map, and per interior level the set of entry prefixes present,
+// which a walk reads only when the leaf lookup misses, to stop at the level
+// where a hardware walker would find an absent entry.
 package pagetable
 
 import (
@@ -42,28 +48,32 @@ type Visit struct {
 	Prefix uint64
 }
 
-// node is an internal radix node. Non-leaf levels hold children; the leaf
-// level holds PTEs.
-type node struct {
-	children map[uint64]*node
-	ptes     map[uint64]*PTE
-}
-
-// Table is one radix page table.
+// Table is one radix page table: its PTEs keyed by the VPN masked to the
+// 9×levels bits the radix levels index, plus the interior entries' prefix
+// sets (see the package comment).
 type Table struct {
 	pageSize memdef.PageSize
 	levels   int
-	root     *node
-	resident int // number of PTEs present (valid or stale-invalid)
-	valid    int // number of valid PTEs
+	mask     uint64 // the VPN bits the radix levels index
+	ptes     map[memdef.VPN]*PTE
+	// prefixes[level-2] holds LevelPrefix(key, level) of every entry
+	// present at interior level 2..levels.
+	prefixes [3]map[uint64]struct{}
+	slab     []PTE // PTE storage, carved 256 at a time
+	valid    int   // number of valid PTEs
 }
 
-// New creates an empty page table for the given page size.
+// slabPTEs is how many PTEs one slab allocation holds.
+const slabPTEs = 256
+
+// New creates an empty page table for the given page size. Its maps are
+// created on the first insert.
 func New(pageSize memdef.PageSize) *Table {
+	levels := pageSize.Levels()
 	return &Table{
 		pageSize: pageSize,
-		levels:   pageSize.Levels(),
-		root:     &node{},
+		levels:   levels,
+		mask:     1<<(9*uint(levels)) - 1, // 9 index bits per level
 	}
 }
 
@@ -77,14 +87,20 @@ func (t *Table) Levels() int { return t.levels }
 // have been invalidated in place, which still occupy a leaf slot and still
 // cost a full walk to inspect — the "even if it were invalid to begin with"
 // case of §2).
-func (t *Table) Resident() int { return t.resident }
+func (t *Table) Resident() int { return len(t.ptes) }
 
 // ValidCount reports how many PTEs are currently valid.
 func (t *Table) ValidCount() int { return t.valid }
 
-// leafIndex returns the radix index of vpn at the leaf, and walkLevel maps a
-// walk step i (0-based from the top) to its level number.
-func (t *Table) walkLevel(step int) int { return t.levels - step }
+// key is vpn's leaf key: the bits the radix levels index. Higher VPN bits
+// alias, as they do in a radix table that indexes each level by 9 bits.
+func (t *Table) key(vpn memdef.VPN) memdef.VPN { return memdef.VPN(uint64(vpn) & t.mask) }
+
+// interior reports whether the entry key selects at an interior level exists.
+func (t *Table) interior(key memdef.VPN, level int) bool {
+	_, ok := t.prefixes[level-2][memdef.LevelPrefix(key, level)]
+	return ok
+}
 
 // Walk simulates a hardware page-table walk for vpn. It returns the ordered
 // level visits a walker performs and the PTE found, if any. The walk
@@ -99,40 +115,30 @@ func (t *Table) Walk(vpn memdef.VPN) (visits []Visit, pte PTE, ok bool) {
 
 // WalkInto is Walk appending into a caller-provided buffer (resliced to
 // empty), letting hot callers reuse one scratch slice across walks.
+//
+// Level numbering is table-relative: the leaf is always level 1 and the top
+// level is t.levels, so a 2 MB table walks levels 3,2,1 over its VPN.
 func (t *Table) WalkInto(buf []Visit, vpn memdef.VPN) (visits []Visit, pte PTE, ok bool) {
 	visits = buf[:0]
-	n := t.root
-	for step := 0; step < t.levels; step++ {
-		level := t.walkLevel(step)
+	key := t.key(vpn)
+	p := t.ptes[key]
+	last := 1 // the level the walk ends at
+	if p == nil {
+		// The walk stops at the highest absent interior entry. An entry
+		// implies every entry above it, so search upward from level 2,
+		// where most misses find their entry present (an empty leaf slot
+		// next to mapped pages).
+		for level := 2; level <= t.levels && !t.interior(key, level); level++ {
+			last = level
+		}
+	}
+	for level := t.levels; level >= last; level-- {
 		visits = append(visits, Visit{Level: level, Prefix: memdef.LevelPrefix(vpn, level)})
-		idx := memdef.LevelIndex(vpn, level)
-		if level == 1 {
-			// Leaf level. Level numbering is table-relative: the leaf is
-			// always level 1 and the top level is t.levels, so a 2 MB table
-			// walks levels 3,2,1 over its 24-bit VPN.
-			if n.ptes == nil {
-				return visits, PTE{}, false
-			}
-			p, exists := n.ptes[idx]
-			if !exists {
-				return visits, PTE{}, false
-			}
-			return visits, *p, true
-		}
-		child, exists := nilSafeChildren(n)[idx]
-		if !exists {
-			return visits, PTE{}, false
-		}
-		n = child
 	}
-	return visits, PTE{}, false
-}
-
-func nilSafeChildren(n *node) map[uint64]*node {
-	if n.children == nil {
-		return nil
+	if p == nil {
+		return visits, PTE{}, false
 	}
-	return n.children
+	return visits, *p, true
 }
 
 // Lookup returns the PTE for vpn without simulating walk structure.
@@ -144,38 +150,28 @@ func (t *Table) Lookup(vpn memdef.VPN) (PTE, bool) {
 	return *p, true
 }
 
-// entry returns the *PTE for vpn, creating the radix path if create is set.
+// entry returns the *PTE for vpn, creating it (and the interior entries
+// above it) if create is set.
 func (t *Table) entry(vpn memdef.VPN, create bool) *PTE {
-	n := t.root
-	for step := 0; step < t.levels-1; step++ {
-		level := t.walkLevel(step)
-		idx := memdef.LevelIndex(vpn, level)
-		child := n.children[idx]
-		if child == nil {
-			if !create {
-				return nil
-			}
-			if n.children == nil {
-				n.children = make(map[uint64]*node)
-			}
-			child = &node{}
-			n.children[idx] = child
-		}
-		n = child
+	key := t.key(vpn)
+	if p := t.ptes[key]; p != nil || !create {
+		return p
 	}
-	leafLevel := t.walkLevel(t.levels - 1)
-	idx := memdef.LevelIndex(vpn, leafLevel)
-	p := n.ptes[idx]
-	if p == nil {
-		if !create {
-			return nil
+	if t.ptes == nil {
+		t.ptes = make(map[memdef.VPN]*PTE)
+		for i := 0; i < t.levels-1; i++ {
+			t.prefixes[i] = make(map[uint64]struct{})
 		}
-		if n.ptes == nil {
-			n.ptes = make(map[uint64]*PTE)
-		}
-		p = &PTE{}
-		n.ptes[idx] = p
-		t.resident++
+	}
+	if len(t.slab) == cap(t.slab) {
+		t.slab = make([]PTE, 0, slabPTEs)
+	}
+	t.slab = t.slab[:len(t.slab)+1]
+	p := &t.slab[len(t.slab)-1]
+	t.ptes[key] = p
+	// An existing interior entry implies every entry above it.
+	for level := 2; level <= t.levels && !t.interior(key, level); level++ {
+		t.prefixes[level-2][memdef.LevelPrefix(key, level)] = struct{}{}
 	}
 	return p
 }
@@ -224,45 +220,17 @@ func (t *Table) UpdateValid(delta int) { t.valid += delta }
 // Range iterates all resident PTEs in ascending VPN order until fn returns
 // false. The order is part of the contract: callbacks escape iteration
 // order to callers, so handing them raw map order would let the map hash
-// seed leak into anything built on top of Range.
+// seed leak into anything built on top of Range. VPNs are reported masked
+// to the radix index bits, as a radix traversal reconstructs them.
 func (t *Table) Range(fn func(memdef.VPN, PTE) bool) {
-	t.rangeNode(t.root, 0, 0, fn)
-}
-
-func (t *Table) rangeNode(n *node, step int, prefix uint64, fn func(memdef.VPN, PTE) bool) bool {
-	if step == t.levels-1 {
-		for _, idx := range sortedPTEIndices(n) {
-			if !fn(memdef.VPN(prefix<<9|idx), *n.ptes[idx]) {
-				return false
-			}
-		}
-		return true
+	keys := make([]memdef.VPN, 0, len(t.ptes))
+	for k := range t.ptes {
+		keys = append(keys, k)
 	}
-	for _, idx := range sortedChildIndices(n) {
-		if !t.rangeNode(n.children[idx], step+1, prefix<<9|idx, fn) {
-			return false
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, k := range keys {
+		if !fn(k, *t.ptes[k]) {
+			return
 		}
 	}
-	return true
-}
-
-// sortedPTEIndices fixes the traversal order of one leaf node (at most 512
-// entries).
-func sortedPTEIndices(n *node) []uint64 {
-	idxs := make([]uint64, 0, len(n.ptes))
-	for idx := range n.ptes {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs
-}
-
-// sortedChildIndices fixes the traversal order of one interior node.
-func sortedChildIndices(n *node) []uint64 {
-	idxs := make([]uint64, 0, len(n.children))
-	for idx := range n.children {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs
 }

@@ -1,10 +1,12 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"idyll/internal/memdef"
+	"idyll/internal/sim"
 )
 
 func TestMapLookupRoundTrip(t *testing.T) {
@@ -199,5 +201,195 @@ func TestMapWalkAgreementProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refTable is the node-by-node radix page table this package used to be: a
+// map per interior node keyed by the level index, PTEs in leaf maps. It is
+// the oracle TestTableMatchesRadixReference checks the flat table against.
+type refTable struct {
+	levels          int
+	root            *refNode
+	resident, valid int
+}
+
+type refNode struct {
+	children map[uint64]*refNode
+	ptes     map[uint64]*PTE
+}
+
+func newRef(size memdef.PageSize) *refTable {
+	return &refTable{levels: size.Levels(), root: &refNode{}}
+}
+
+func (t *refTable) walk(vpn memdef.VPN) (visits []Visit, pte PTE, ok bool) {
+	n := t.root
+	for level := t.levels; level >= 1; level-- {
+		visits = append(visits, Visit{Level: level, Prefix: memdef.LevelPrefix(vpn, level)})
+		idx := memdef.LevelIndex(vpn, level)
+		if level == 1 {
+			p, exists := n.ptes[idx]
+			if !exists {
+				return visits, PTE{}, false
+			}
+			return visits, *p, true
+		}
+		child, exists := n.children[idx]
+		if !exists {
+			return visits, PTE{}, false
+		}
+		n = child
+	}
+	return visits, PTE{}, false
+}
+
+func (t *refTable) entry(vpn memdef.VPN, create bool) *PTE {
+	n := t.root
+	for level := t.levels; level > 1; level-- {
+		idx := memdef.LevelIndex(vpn, level)
+		child := n.children[idx]
+		if child == nil {
+			if !create {
+				return nil
+			}
+			if n.children == nil {
+				n.children = make(map[uint64]*refNode)
+			}
+			child = &refNode{}
+			n.children[idx] = child
+		}
+		n = child
+	}
+	idx := memdef.LevelIndex(vpn, 1)
+	p := n.ptes[idx]
+	if p == nil && create {
+		if n.ptes == nil {
+			n.ptes = make(map[uint64]*PTE)
+		}
+		p = &PTE{}
+		n.ptes[idx] = p
+		t.resident++
+	}
+	return p
+}
+
+func (t *refTable) mapPTE(vpn memdef.VPN, pte PTE) {
+	p := t.entry(vpn, true)
+	if p.Valid && !pte.Valid {
+		t.valid--
+	} else if !p.Valid && pte.Valid {
+		t.valid++
+	}
+	*p = pte
+}
+
+func (t *refTable) invalidate(vpn memdef.VPN) bool {
+	p := t.entry(vpn, false)
+	if p == nil || !p.Valid {
+		return false
+	}
+	p.Valid = false
+	t.valid--
+	return true
+}
+
+// rangeAll lists every PTE in radix traversal order: child indices
+// ascending at every level.
+func (t *refTable) rangeAll() (vpns []memdef.VPN, ptes []PTE) {
+	var visit func(n *refNode, level int, prefix uint64)
+	visit = func(n *refNode, level int, prefix uint64) {
+		if level == 1 {
+			for _, idx := range sortedKeys(n.ptes) {
+				vpns = append(vpns, memdef.VPN(prefix<<9|idx))
+				ptes = append(ptes, *n.ptes[idx])
+			}
+			return
+		}
+		for _, idx := range sortedKeys(n.children) {
+			visit(n.children[idx], level-1, prefix<<9|idx)
+		}
+	}
+	visit(t.root, t.levels, 0)
+	return vpns, ptes
+}
+
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// Property: over random Map / Invalidate / Entry sequences, the flat table
+// answers every question exactly as the radix reference does — Walk's
+// visits, PTE and ok (early stops included), Lookup, the resident and valid
+// counts, and Range's order. VPNs come from a few dense clusters, a sparse
+// spread, and aliases that differ only above the radix index bits (≥ 2^36
+// for 4 KB pages), which both tables must map to the same slot.
+func TestTableMatchesRadixReference(t *testing.T) {
+	for _, size := range []memdef.PageSize{memdef.Page4K, memdef.Page2M} {
+		indexBits := uint(9 * size.Levels())
+		prop := func(seed uint64) bool {
+			rng := sim.NewRand(seed)
+			vpn := func() memdef.VPN {
+				var v uint64
+				switch rng.Intn(4) {
+				case 0: // dense cluster: shares every interior level
+					v = 0x12345<<9 | uint64(rng.Intn(600))
+				case 1: // neighbouring subtrees
+					v = uint64(rng.Intn(4))<<18 | uint64(rng.Intn(4))<<9 | uint64(rng.Intn(512))
+				case 2: // anywhere in the indexed space
+					v = rng.Uint64() & (1<<indexBits - 1)
+				default: // an alias above the index bits
+					v = uint64(rng.Intn(3)+1)<<indexBits | uint64(rng.Intn(2048))
+				}
+				return memdef.VPN(v)
+			}
+			pt, ref := New(size), newRef(size)
+			for i := 0; i < 400; i++ {
+				v := vpn()
+				switch op := rng.Intn(10); {
+				case op < 4:
+					pte := PTE{PFN: memdef.PFN(rng.Intn(1 << 20)), Valid: rng.Intn(3) != 0, Writable: rng.Intn(2) == 0}
+					pt.Map(v, pte)
+					ref.mapPTE(v, pte)
+				case op < 6:
+					if pt.Invalidate(v) != ref.invalidate(v) {
+						return false
+					}
+				case op < 7:
+					aux := uint16(rng.Intn(1 << 11))
+					pt.Entry(v).Aux ^= aux
+					ref.entry(v, true).Aux ^= aux
+				default:
+					gv, gp, gok := pt.Walk(v)
+					wv, wp, wok := ref.walk(v)
+					if !slices.Equal(gv, wv) || gp != wp || gok != wok {
+						return false
+					}
+					gl, lok := pt.Lookup(v)
+					wl := ref.entry(v, false)
+					if lok != (wl != nil) || (wl != nil && gl != *wl) {
+						return false
+					}
+				}
+				if pt.Resident() != ref.resident || pt.ValidCount() != ref.valid {
+					return false
+				}
+			}
+			var gotV []memdef.VPN
+			var gotP []PTE
+			pt.Range(func(v memdef.VPN, p PTE) bool {
+				gotV, gotP = append(gotV, v), append(gotP, p)
+				return true
+			})
+			wantV, wantP := ref.rangeAll()
+			return slices.Equal(gotV, wantV) && slices.Equal(gotP, wantP)
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("%s pages: %v", size, err)
+		}
 	}
 }

@@ -6,16 +6,16 @@ import (
 )
 
 // Checkpoint support. The radix structure is not serialized — only the leaf
-// PTEs, in ascending VPN order via Range; restore rebuilds the paths through
-// Map, which also reconstructs the resident/valid counters for both valid
-// and invalidated-in-place entries. Aux (the in-PTE directory access bits)
-// travels with each PTE, so the directory's state rides the host table's
-// checkpoint for free.
+// PTEs, in ascending VPN order via Range; restore rebuilds the interior
+// prefix sets through Map, which also reconstructs the resident/valid
+// counters for both valid and invalidated-in-place entries. Aux (the in-PTE
+// directory access bits) travels with each PTE, so the directory's state
+// rides the host table's checkpoint for free.
 
 // SaveState writes every resident PTE to w.
 func (t *Table) SaveState(w *checkpoint.Writer) {
 	w.Int(t.levels)
-	w.U32(uint32(t.resident))
+	w.U32(uint32(len(t.ptes)))
 	t.Range(func(vpn memdef.VPN, pte PTE) bool {
 		w.U64(uint64(vpn))
 		w.U64(uint64(pte.PFN))
@@ -33,8 +33,8 @@ func (t *Table) RestoreState(r *checkpoint.Reader) {
 		r.Failf("pagetable: %d levels in checkpoint, %d configured", levels, t.levels)
 		return
 	}
-	if t.resident != 0 {
-		r.Failf("pagetable: RestoreState into a non-empty table (%d resident)", t.resident)
+	if len(t.ptes) != 0 {
+		r.Failf("pagetable: RestoreState into a non-empty table (%d resident)", len(t.ptes))
 		return
 	}
 	n := int(r.U32())

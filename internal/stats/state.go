@@ -50,15 +50,16 @@ func (h *Histogram) RestoreState(r *checkpoint.Reader) {
 	h.max = sim.VTime(r.I64())
 }
 
-// SaveState writes the sharing tracker's per-page maps in ascending VPN
-// order (both maps share a key set: Record always writes both).
+// SaveState writes the sharing tracker's per-page records in ascending VPN
+// order: each page's VPN, accessor mask and access count.
 func (sh *Sharing) SaveState(w *checkpoint.Writer) {
 	vpns := sh.sortedVPNs()
 	w.U32(uint32(len(vpns)))
 	for _, vpn := range vpns {
 		w.U64(uint64(vpn))
-		w.U64(sh.accessors[vpn])
-		w.U64(sh.accesses[vpn])
+		p := sh.pages[vpn]
+		w.U64(p.accessors)
+		w.U64(p.accesses)
 	}
 }
 
@@ -66,12 +67,10 @@ func (sh *Sharing) SaveState(w *checkpoint.Writer) {
 // contents.
 func (sh *Sharing) RestoreState(r *checkpoint.Reader) {
 	n := r.Count(24)
-	clear(sh.accessors)
-	clear(sh.accesses)
+	clear(sh.pages)
 	for i := 0; i < n; i++ {
 		vpn := memdef.VPN(r.U64())
-		sh.accessors[vpn] = r.U64()
-		sh.accesses[vpn] = r.U64()
+		sh.pages[vpn] = pageShare{accessors: r.U64(), accesses: r.U64()}
 	}
 }
 

@@ -192,34 +192,38 @@ func (s *Sim) UnnecessaryInvalFraction() float64 {
 // received — the data behind Figure 4's "distribution of accesses
 // referencing shared pages".
 type Sharing struct {
-	accessors map[memdef.VPN]uint64 // bitmask of GPUs
-	accesses  map[memdef.VPN]uint64
+	pages map[memdef.VPN]pageShare
+}
+
+// pageShare is one page's sharing record.
+type pageShare struct {
+	accessors uint64 // bitmask of GPUs
+	accesses  uint64
 }
 
 // NewSharing returns an empty tracker.
 func NewSharing() *Sharing {
-	return &Sharing{
-		accessors: make(map[memdef.VPN]uint64),
-		accesses:  make(map[memdef.VPN]uint64),
-	}
+	return &Sharing{pages: make(map[memdef.VPN]pageShare)}
 }
 
 // Record notes one access to vpn by gpu.
 func (sh *Sharing) Record(vpn memdef.VPN, gpu int) {
-	sh.accessors[vpn] |= 1 << uint(gpu)
-	sh.accesses[vpn]++
+	p := sh.pages[vpn]
+	p.accessors |= 1 << uint(gpu)
+	p.accesses++
+	sh.pages[vpn] = p
 }
 
 // Pages reports the number of distinct pages touched.
-func (sh *Sharing) Pages() int { return len(sh.accessors) }
+func (sh *Sharing) Pages() int { return len(sh.pages) }
 
 // sortedVPNs returns the tracked pages in ascending VPN order. Every
 // reducer below iterates this slice rather than the maps directly so that
 // accumulation order — which matters for the float sums in
 // AccessDistribution — is independent of Go's randomized map iteration.
 func (sh *Sharing) sortedVPNs() []memdef.VPN {
-	vpns := make([]memdef.VPN, 0, len(sh.accessors))
-	for vpn := range sh.accessors {
+	vpns := make([]memdef.VPN, 0, len(sh.pages))
+	for vpn := range sh.pages {
 		vpns = append(vpns, vpn)
 	}
 	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
@@ -233,11 +237,12 @@ func (sh *Sharing) AccessDistribution(maxGPUs int) []float64 {
 	dist := make([]float64, maxGPUs+1)
 	var total uint64
 	for _, vpn := range sh.sortedVPNs() {
-		k := bits.OnesCount64(sh.accessors[vpn])
+		p := sh.pages[vpn]
+		k := bits.OnesCount64(p.accessors)
 		if k > maxGPUs {
 			k = maxGPUs
 		}
-		n := sh.accesses[vpn]
+		n := p.accesses
 		dist[k] += float64(n)
 		total += n
 	}
@@ -255,9 +260,10 @@ func (sh *Sharing) AccessDistribution(maxGPUs int) []float64 {
 func (sh *Sharing) SharedAccessRatio() float64 {
 	var shared, total uint64
 	for _, vpn := range sh.sortedVPNs() {
-		n := sh.accesses[vpn]
+		p := sh.pages[vpn]
+		n := p.accesses
 		total += n
-		if bits.OnesCount64(sh.accessors[vpn]) > 1 {
+		if bits.OnesCount64(p.accessors) > 1 {
 			shared += n
 		}
 	}
@@ -273,9 +279,9 @@ func (sh *Sharing) HottestPages(n int) []memdef.VPN {
 		vpn memdef.VPN
 		n   uint64
 	}
-	all := make([]pc, 0, len(sh.accesses))
-	for vpn, c := range sh.accesses {
-		all = append(all, pc{vpn, c})
+	all := make([]pc, 0, len(sh.pages))
+	for vpn, p := range sh.pages {
+		all = append(all, pc{vpn, p.accesses})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].n != all[j].n {

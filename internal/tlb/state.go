@@ -33,6 +33,7 @@ func (t *TLB) RestoreState(r *checkpoint.Reader) {
 	t.shootdowns = r.U64()
 	t.shootdownHits = r.U64()
 	t.flushedEntries = r.U64()
+	t.recount()
 }
 
 // SaveState writes the MSHR's counters to w. At a quiescent point no miss is

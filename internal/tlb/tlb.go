@@ -23,6 +23,14 @@ type Entry struct {
 type TLB struct {
 	c       *cache.SetAssoc[memdef.VPN, Entry]
 	latency sim.VTime
+	// counts[bucket(vpn)] is the exact number of resident VPNs hashing to
+	// that bucket, kept on fill, eviction and shootdown. Most shootdowns
+	// name a page this TLB does not hold; an empty bucket answers them
+	// without scanning a set. Allocated on the first fill (an empty TLB
+	// needs none) and derived from the contents, it is rebuilt rather than
+	// serialized on RestoreState.
+	counts []uint16
+	shift  uint // 64 - log2(buckets)
 
 	shootdowns     uint64
 	shootdownHits  uint64
@@ -42,10 +50,24 @@ func New(cfg Config) *TLB {
 	if sets < 1 {
 		sets = 1
 	}
+	// Four buckets per entry, rounded up to a power of two, keep a
+	// shootdown of an absent page answered by an empty bucket most of the
+	// time.
+	bits := uint(0)
+	for 1<<bits < 4*cfg.Entries {
+		bits++
+	}
 	return &TLB{
 		c:       cache.New[memdef.VPN, Entry](sets, cfg.Ways, func(v memdef.VPN) uint64 { return uint64(v) }),
 		latency: cfg.Latency,
+		shift:   64 - bits,
 	}
+}
+
+// bucket hashes vpn to its filter bucket (Fibonacci hashing: the top bits
+// of a multiplicative hash, so neighbouring pages spread out).
+func (t *TLB) bucket(vpn memdef.VPN) uint64 {
+	return uint64(vpn) * 0x9e3779b97f4a7c15 >> t.shift
 }
 
 // Latency reports the lookup latency in cycles.
@@ -55,24 +77,54 @@ func (t *TLB) Latency() sim.VTime { return t.latency }
 func (t *TLB) Lookup(vpn memdef.VPN) (Entry, bool) { return t.c.Lookup(vpn) }
 
 // Fill installs a translation.
-func (t *TLB) Fill(vpn memdef.VPN, e Entry) { t.c.Insert(vpn, e) }
+func (t *TLB) Fill(vpn memdef.VPN, e Entry) {
+	if t.counts == nil {
+		t.counts = make([]uint16, 1<<(64-t.shift))
+	}
+	n := t.c.Len()
+	// vpn is new to the TLB iff it displaced a victim or grew the TLB.
+	if victim, _, evicted := t.c.Insert(vpn, e); evicted {
+		t.counts[t.bucket(victim)]--
+		t.counts[t.bucket(vpn)]++
+	} else if t.c.Len() > n {
+		t.counts[t.bucket(vpn)]++
+	}
+}
 
 // Shootdown invalidates vpn and reports whether it was resident. Shootdowns
 // are immediate in both baseline and IDYLL (§6.3: "upon receiving an
 // invalidation request, the TLB is immediately invalidated").
 func (t *TLB) Shootdown(vpn memdef.VPN) bool {
 	t.shootdowns++
-	if t.c.Invalidate(vpn) {
-		t.shootdownHits++
-		return true
+	if t.c.Len() == 0 {
+		return false
 	}
-	return false
+	b := t.bucket(vpn)
+	if t.counts[b] == 0 || !t.c.Invalidate(vpn) {
+		return false
+	}
+	t.counts[b]--
+	t.shootdownHits++
+	return true
 }
 
 // Flush empties the TLB.
 func (t *TLB) Flush() {
 	t.flushedEntries += uint64(t.c.Len())
 	t.c.Flush()
+	clear(t.counts)
+}
+
+// recount rebuilds the filter counts from the TLB's contents.
+func (t *TLB) recount() {
+	if t.counts == nil {
+		t.counts = make([]uint16, 1<<(64-t.shift))
+	}
+	clear(t.counts)
+	t.c.Range(func(vpn memdef.VPN, _ Entry) bool {
+		t.counts[t.bucket(vpn)]++
+		return true
+	})
 }
 
 // Len reports resident entries.

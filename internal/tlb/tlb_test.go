@@ -1,10 +1,14 @@
 package tlb
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"idyll/internal/cache"
+	"idyll/internal/checkpoint"
 	"idyll/internal/memdef"
+	"idyll/internal/sim"
 )
 
 func newL1() *TLB {
@@ -173,5 +177,88 @@ func TestMSHRWaiterConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refTLB is a filter-free TLB: the same set-associative store, with every
+// shootdown scanning its set. TestShootdownFilterProperty checks the
+// filtered TLB against it.
+type refTLB struct {
+	c                  *cache.SetAssoc[memdef.VPN, Entry]
+	requests, shotHits uint64
+}
+
+func (r *refTLB) shootdown(vpn memdef.VPN) bool {
+	r.requests++
+	if r.c.Invalidate(vpn) {
+		r.shotHits++
+		return true
+	}
+	return false
+}
+
+// Property: over random Fill / Lookup / Shootdown / Flush sequences with
+// checkpoint round trips, each bucket count equals a recount of the
+// resident VPNs, and Shootdown's result and the Shootdowns counters equal
+// those of the filter-free reference. VPNs are drawn from a range about
+// four times the TLB's capacity, so fills evict and most shootdowns miss.
+func TestShootdownFilterProperty(t *testing.T) {
+	for _, cfg := range []Config{{Entries: 32, Ways: 32}, {Entries: 512, Ways: 16}} {
+		prop := func(seed uint64) bool {
+			rng := sim.NewRand(seed)
+			tl := New(cfg)
+			ref := &refTLB{c: cache.New[memdef.VPN, Entry](cfg.Entries/cfg.Ways, cfg.Ways,
+				func(v memdef.VPN) uint64 { return uint64(v) })}
+			for i := 0; i < 3000; i++ {
+				vpn := memdef.VPN(rng.Intn(4 * cfg.Entries))
+				switch op := rng.Intn(100); {
+				case op < 45:
+					e := Entry{PFN: memdef.PFN(i), Writable: rng.Intn(2) == 0}
+					tl.Fill(vpn, e)
+					ref.c.Insert(vpn, e)
+				case op < 60:
+					tl.Lookup(vpn)
+					ref.c.Lookup(vpn)
+				case op < 97:
+					if tl.Shootdown(vpn) != ref.shootdown(vpn) {
+						return false
+					}
+				case op < 98:
+					tl.Flush()
+					ref.c.Flush()
+				default:
+					w := checkpoint.NewWriter()
+					tl.SaveState(w)
+					r, err := checkpoint.NewReader(w.Finish())
+					if err != nil {
+						return false
+					}
+					tl = New(cfg)
+					tl.RestoreState(r)
+					if r.Finish() != nil {
+						return false
+					}
+				}
+				if req, hits := tl.Shootdowns(); req != ref.requests || hits != ref.shotHits {
+					return false
+				}
+				want := make([]uint16, 1<<(64-tl.shift))
+				ref.c.Range(func(v memdef.VPN, _ Entry) bool {
+					want[tl.bucket(v)]++
+					return true
+				})
+				got := tl.counts
+				if got == nil { // never filled: every bucket is empty
+					got = make([]uint16, len(want))
+				}
+				if tl.Len() != ref.c.Len() || !slices.Equal(got, want) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatalf("%d entries: %v", cfg.Entries, err)
+		}
 	}
 }

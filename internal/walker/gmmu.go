@@ -60,6 +60,72 @@ type GMMU struct {
 	// consumed synchronously by walkCost before any other walk can start,
 	// so one buffer per GMMU suffices and the walk path never allocates.
 	scratch []pagetable.Visit
+	// free holds finished walk records for reuse.
+	free []*walk
+}
+
+// walkKind is the request class a walk record carries.
+type walkKind uint8
+
+const (
+	demandWalk walkKind = iota
+	invalWalk
+	updateWalk
+	batchWalk
+)
+
+// walk is one request from enqueue to completion. Records are pooled per
+// GMMU and their continuations are bound once, when the record is first
+// made, so queueing, retrying, walking and finishing a request schedules
+// them without allocating a closure per walk.
+type walk struct {
+	g       *GMMU
+	kind    walkKind
+	vpn     memdef.VPN
+	pte     pagetable.PTE // demand: the PTE found; update: the PTE to install
+	ok      bool          // demand: whether a leaf entry existed
+	release func()
+
+	demandDone func(pagetable.PTE, bool)
+	invalDone  func(bool)
+	stale      func() bool
+	done       func()
+	// Batch state: the pages, the next one to apply, and the hooks of
+	// InvalidateBatchFiltered.
+	vpns []memdef.VPN
+	i    int
+	skip func(memdef.VPN) bool
+	each func(memdef.VPN, bool)
+
+	// run starts the walk on a walker thread, retry re-attempts a rejected
+	// enqueue, and finish runs once the walk's latency has elapsed.
+	run    func(release func())
+	retry  func()
+	finish func()
+}
+
+// newWalk takes a record from the free list, or makes one.
+func (g *GMMU) newWalk(kind walkKind, vpn memdef.VPN) *walk {
+	var w *walk
+	if n := len(g.free); n > 0 {
+		w = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		w = &walk{g: g}
+		w.run = w.start
+		w.retry = w.enqueue
+		w.finish = w.complete
+	}
+	w.kind, w.vpn = kind, vpn
+	return w
+}
+
+// recycle returns a finished record to the free list, dropping its
+// references to caller state.
+func (g *GMMU) recycle(w *walk) {
+	w.release, w.demandDone, w.invalDone, w.stale, w.done = nil, nil, nil, nil, nil
+	w.vpns, w.skip, w.each = nil, nil, nil
+	g.free = append(g.free, w)
 }
 
 // New builds a GMMU over the GPU's local page table. st may be shared with
@@ -134,14 +200,88 @@ func (g *GMMU) fullWalkCost(vpn memdef.VPN) sim.VTime {
 	return g.walkCost(visits)
 }
 
-// enqueue submits a job to the walk queue with automatic retry on
+// enqueue submits the walk to the walk queue with automatic retry on
 // backpressure.
-func (g *GMMU) enqueue(job func(release func())) {
-	if g.walkers.Acquire(job) {
+func (w *walk) enqueue() {
+	g := w.g
+	if g.walkers.Acquire(w.run) {
 		return
 	}
 	g.st.WalkQueueRejects++
-	g.engine.Schedule(g.cfg.RetryDelay, func() { g.enqueue(job) })
+	g.engine.Schedule(g.cfg.RetryDelay, w.retry)
+}
+
+// start runs on a walker thread: it walks the table, charges the walk's
+// latency, and schedules finish (a batch applies its pages in turn).
+func (w *walk) start(release func()) {
+	g := w.g
+	w.release = release
+	switch w.kind {
+	case demandWalk:
+		visits, pte, ok := g.pt.WalkInto(g.scratch, w.vpn)
+		g.scratch = visits
+		w.pte, w.ok = pte, ok
+		g.engine.Schedule(g.walkCost(visits), w.finish)
+	case invalWalk:
+		visits, _, _ := g.pt.WalkInto(g.scratch, w.vpn)
+		g.scratch = visits
+		cost := g.walkCost(visits)
+		g.st.InvalBusy += cost
+		g.engine.Schedule(cost, w.finish)
+	case updateWalk:
+		g.engine.Schedule(g.fullWalkCost(w.vpn), w.finish)
+	case batchWalk:
+		w.step()
+	}
+}
+
+// complete applies the walk's effect once its latency has elapsed, frees
+// the walker thread and the record, then reports to the caller.
+func (w *walk) complete() {
+	g := w.g
+	switch w.kind {
+	case demandWalk:
+		release, done, pte, ok := w.release, w.demandDone, w.pte, w.ok
+		g.recycle(w)
+		release()
+		done(pte, ok)
+	case invalWalk:
+		wasValid := g.invalidate(w.vpn)
+		release, done := w.release, w.invalDone
+		g.recycle(w)
+		release()
+		done(wasValid)
+	case updateWalk:
+		if w.stale == nil || !w.stale() {
+			g.pt.Map(w.vpn, w.pte)
+		}
+		release, done := w.release, w.done
+		g.recycle(w)
+		release()
+		if done != nil {
+			done()
+		}
+	case batchWalk:
+		v := w.vpns[w.i]
+		wasValid := g.invalidate(v)
+		if w.each != nil {
+			w.each(v, wasValid)
+		}
+		w.i++
+		w.step()
+	}
+}
+
+// invalidate clears vpn's PTE and counts whether the invalidation was
+// necessary.
+func (g *GMMU) invalidate(vpn memdef.VPN) bool {
+	wasValid := g.pt.Invalidate(vpn)
+	if wasValid {
+		g.st.InvalNecessary++
+	} else {
+		g.st.InvalUnnecessary++
+	}
+	return wasValid
 }
 
 // Demand performs a demand translation walk for vpn. done receives the PTE
@@ -149,15 +289,9 @@ func (g *GMMU) enqueue(job func(release func())) {
 // whether any leaf entry existed at all.
 func (g *GMMU) Demand(vpn memdef.VPN, done func(pte pagetable.PTE, ok bool)) {
 	g.st.WalkerDemand++
-	g.enqueue(func(release func()) {
-		visits, pte, ok := g.pt.WalkInto(g.scratch, vpn)
-		g.scratch = visits
-		cost := g.walkCost(visits)
-		g.engine.Schedule(cost, func() {
-			release()
-			done(pte, ok)
-		})
-	})
+	w := g.newWalk(demandWalk, vpn)
+	w.demandDone = done
+	w.enqueue()
 }
 
 // Invalidate performs an invalidation walk for vpn (baseline behaviour: the
@@ -165,22 +299,9 @@ func (g *GMMU) Demand(vpn memdef.VPN, done func(pte pagetable.PTE, ok bool)) {
 // done receives whether a valid PTE was actually invalidated.
 func (g *GMMU) Invalidate(vpn memdef.VPN, done func(wasValid bool)) {
 	g.st.WalkerInval++
-	g.enqueue(func(release func()) {
-		visits, _, _ := g.pt.WalkInto(g.scratch, vpn)
-		g.scratch = visits
-		cost := g.walkCost(visits)
-		g.st.InvalBusy += cost
-		g.engine.Schedule(cost, func() {
-			wasValid := g.pt.Invalidate(vpn)
-			if wasValid {
-				g.st.InvalNecessary++
-			} else {
-				g.st.InvalUnnecessary++
-			}
-			release()
-			done(wasValid)
-		})
-	})
+	w := g.newWalk(invalWalk, vpn)
+	w.invalDone = done
+	w.enqueue()
 }
 
 // InvalidateBatch writes back a batch of buffered invalidations on a single
@@ -207,41 +328,32 @@ func (g *GMMU) InvalidateBatchFiltered(vpns []memdef.VPN, skip func(memdef.VPN) 
 		return
 	}
 	g.st.WalkerInval += uint64(len(vpns))
-	g.enqueue(func(release func()) {
-		g.batchStep(vpns, 0, skip, each, release, done)
-	})
+	w := g.newWalk(batchWalk, 0)
+	w.vpns, w.i, w.skip, w.each, w.done = vpns, 0, skip, each, done
+	w.enqueue()
 }
 
-// batchStep applies the i'th invalidation of a batch and chains to the next.
-func (g *GMMU) batchStep(vpns []memdef.VPN, i int, skip func(memdef.VPN) bool,
-	each func(memdef.VPN, bool), release func(), done func()) {
-	if i >= len(vpns) {
+// step walks the batch's next page that skip does not suppress and
+// schedules its invalidation, or finishes the batch.
+func (w *walk) step() {
+	g := w.g
+	for w.i < len(w.vpns) && w.skip != nil && w.skip(w.vpns[w.i]) {
+		w.i++
+	}
+	if w.i >= len(w.vpns) {
+		release, done := w.release, w.done
+		g.recycle(w)
 		release()
 		if done != nil {
 			done()
 		}
 		return
 	}
-	if skip != nil && skip(vpns[i]) {
-		g.batchStep(vpns, i+1, skip, each, release, done)
-		return
-	}
-	visits, _, _ := g.pt.WalkInto(g.scratch, vpns[i])
+	visits, _, _ := g.pt.WalkInto(g.scratch, w.vpns[w.i])
 	g.scratch = visits
 	cost := g.walkCost(visits)
 	g.st.InvalBusy += cost
-	g.engine.Schedule(cost, func() {
-		wasValid := g.pt.Invalidate(vpns[i])
-		if wasValid {
-			g.st.InvalNecessary++
-		} else {
-			g.st.InvalUnnecessary++
-		}
-		if each != nil {
-			each(vpns[i], wasValid)
-		}
-		g.batchStep(vpns, i+1, skip, each, release, done)
-	})
+	g.engine.Schedule(cost, w.finish)
 }
 
 // Update installs a translation via the walk queue — "the new mapping is
@@ -257,18 +369,9 @@ func (g *GMMU) Update(vpn memdef.VPN, pte pagetable.PTE, done func()) {
 // resurrect a dead translation.
 func (g *GMMU) UpdateUnless(vpn memdef.VPN, pte pagetable.PTE, stale func() bool, done func()) {
 	g.st.WalkerUpdate++
-	g.enqueue(func(release func()) {
-		cost := g.fullWalkCost(vpn)
-		g.engine.Schedule(cost, func() {
-			if stale == nil || !stale() {
-				g.pt.Map(vpn, pte)
-			}
-			release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	w := g.newWalk(updateWalk, vpn)
+	w.pte, w.stale, w.done = pte, stale, done
+	w.enqueue()
 }
 
 // PWCHitRate reports the page-walk-cache hit rate.

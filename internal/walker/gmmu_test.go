@@ -242,3 +242,39 @@ func TestOnIdleFiresAfterDrain(t *testing.T) {
 		t.Fatal("GMMU should be idle")
 	}
 }
+
+// Walk requests are pooled records with continuations bound once, so once
+// a GMMU has served each kind of request, serving more — queued behind busy
+// walkers and rejected by a full queue included — allocates nothing.
+func TestWalksAreAllocationFree(t *testing.T) {
+	e, g, pt, _ := newGMMU(2)
+	for v := memdef.VPN(0); v < 64; v++ {
+		pt.Map(v, pagetable.PTE{Valid: true})
+	}
+	batch := []memdef.VPN{1, 2, 3}
+	demandDone := func(pagetable.PTE, bool) {}
+	invalDone := func(bool) {}
+	done := func() {}
+	skip := func(memdef.VPN) bool { return false }
+	each := func(memdef.VPN, bool) {}
+	round := func() {
+		for i := 0; i < 80; i++ { // more than threads + queue: some retry
+			v := memdef.VPN(i % 64)
+			switch i % 4 {
+			case 0:
+				g.Demand(v, demandDone)
+			case 1:
+				g.Invalidate(v, invalDone)
+			case 2:
+				g.Update(v, pagetable.PTE{Valid: true}, done)
+			default:
+				g.InvalidateBatchFiltered(batch, skip, each, done)
+			}
+		}
+		e.Run()
+	}
+	round() // warm the pools: walk records, event nodes, release states
+	if n := testing.AllocsPerRun(5, round); n != 0 {
+		t.Fatalf("a round of walks allocated %.1f times, want 0", n)
+	}
+}
