@@ -47,6 +47,14 @@ func main() {
 		}
 		return
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"gpus", *gpus}, {"cus", *cus}, {"accesses", *accesses}} {
+		if f.v <= 0 {
+			fatal(fmt.Errorf("-%s must be positive, got %d", f.name, f.v))
+		}
+	}
 
 	app, err := workload.App(*appName)
 	fatal(err)

@@ -63,6 +63,14 @@ func cmdGen(args []string) {
 	if *out == "" {
 		usage()
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"gpus", *gpus}, {"cus", *cus}, {"accesses", *accesses}} {
+		if f.v <= 0 {
+			fatal(fmt.Errorf("-%s must be positive, got %d", f.name, f.v))
+		}
+	}
 	p, err := workload.App(*app)
 	fatal(err)
 	trace := workload.Generate(p, *gpus, *cus, *accesses, *seed)
@@ -103,10 +111,14 @@ func cmdInfo(args []string) {
 		}
 	}
 	total := t.TotalAccesses()
+	writePct := 0.0
+	if total > 0 { // a trace file may hold GPUs with no CUs
+		writePct = float64(writes) / float64(total) * 100
+	}
 	fmt.Printf("name:        %s\n", t.Params.Abbr)
 	fmt.Printf("gpus:        %d\n", t.NumGPUs)
 	fmt.Printf("cus/gpu:     %d\n", len(t.Accesses[0]))
-	fmt.Printf("accesses:    %d (%.1f%% writes)\n", total, float64(writes)/float64(total)*100)
+	fmt.Printf("accesses:    %d (%.1f%% writes)\n", total, writePct)
 	fmt.Printf("4KB pages:   %d (%.1f MB footprint)\n", len(pages), float64(len(pages))*4/1024)
 	fmt.Printf("issue shape: gap=%d cy, instr/access=%d\n",
 		t.Params.ComputeGap, t.Params.InstrPerAccess)

@@ -8,14 +8,11 @@ package cache
 // SetAssoc is a set-associative cache mapping keys of type K to values of
 // type V. The zero value is not usable; construct with New.
 type SetAssoc[K comparable, V any] struct {
-	sets    int
-	ways    int
-	index   func(K) uint64
-	lines   [][]line[K, V] // [set][way], ordered MRU-first
-	size    int
-	lookups uint64
-	hits    uint64
-	evicts  uint64
+	sets  int
+	ways  int
+	index func(K) uint64
+	lines [][]line[K, V] // [set][way], ordered MRU-first
+	size  int
 }
 
 type line[K comparable, V any] struct {
@@ -54,35 +51,16 @@ func (c *SetAssoc[K, V]) Len() int { return c.size }
 // Capacity reports sets × ways.
 func (c *SetAssoc[K, V]) Capacity() int { return c.sets * c.ways }
 
-// Lookups reports the number of Lookup calls.
-func (c *SetAssoc[K, V]) Lookups() uint64 { return c.lookups }
-
-// Hits reports the number of Lookup calls that hit.
-func (c *SetAssoc[K, V]) Hits() uint64 { return c.hits }
-
-// Evictions reports the number of entries displaced by Insert.
-func (c *SetAssoc[K, V]) Evictions() uint64 { return c.evicts }
-
-// HitRate reports hits/lookups, or 0 if there were no lookups.
-func (c *SetAssoc[K, V]) HitRate() float64 {
-	if c.lookups == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.lookups)
-}
-
 func (c *SetAssoc[K, V]) set(key K) int {
 	return int(c.index(key) % uint64(c.sets))
 }
 
 // Lookup finds key, promoting it to MRU on hit.
 func (c *SetAssoc[K, V]) Lookup(key K) (V, bool) {
-	c.lookups++
 	s := c.set(key)
 	ln := c.lines[s]
 	for i := range ln {
 		if ln[i].key == key {
-			c.hits++
 			hit := ln[i]
 			copy(ln[1:i+1], ln[:i])
 			ln[0] = hit
@@ -93,7 +71,7 @@ func (c *SetAssoc[K, V]) Lookup(key K) (V, bool) {
 	return zero, false
 }
 
-// Peek finds key without touching LRU state or statistics.
+// Peek finds key without touching LRU state.
 func (c *SetAssoc[K, V]) Peek(key K) (V, bool) {
 	ln := c.lines[c.set(key)]
 	for i := range ln {
@@ -121,7 +99,6 @@ func (c *SetAssoc[K, V]) Insert(key K, val V) (evictedKey K, evictedVal V, evict
 		victim := ln[len(ln)-1]
 		copy(ln[1:], ln[:len(ln)-1])
 		ln[0] = line[K, V]{key: key, val: val}
-		c.evicts++
 		return victim.key, victim.val, true
 	}
 	// Grow in place: sets are allocated at full associativity on first use,
@@ -214,9 +191,4 @@ func (c *SetAssoc[K, V]) Range(fn func(K, V) bool) {
 			}
 		}
 	}
-}
-
-// ResetStats zeroes the hit/lookup/eviction counters.
-func (c *SetAssoc[K, V]) ResetStats() {
-	c.lookups, c.hits, c.evicts = 0, 0, 0
 }

@@ -21,9 +21,6 @@ func TestInsertLookup(t *testing.T) {
 	if _, ok := c.Lookup(11); ok {
 		t.Fatal("phantom hit")
 	}
-	if c.Hits() != 1 || c.Lookups() != 2 {
-		t.Fatalf("stats hits=%d lookups=%d", c.Hits(), c.Lookups())
-	}
 }
 
 func TestInsertUpdatesExisting(t *testing.T) {
@@ -193,20 +190,6 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	ek, _, _ := c.Insert(3, 3)
 	if ek != 1 {
 		t.Fatalf("evicted %d; Peek promoted the LRU line", ek)
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	c := newTest(1, 4)
-	c.Insert(1, 1)
-	c.Lookup(1)
-	c.Lookup(2)
-	if hr := c.HitRate(); hr != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", hr)
-	}
-	c.ResetStats()
-	if c.HitRate() != 0 {
-		t.Fatal("hit rate not reset")
 	}
 }
 

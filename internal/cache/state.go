@@ -8,14 +8,12 @@ import "idyll/internal/checkpoint"
 // key/value encoding belongs to the embedding component, passed in as
 // enc/dec callbacks, because only it knows the concrete K and V.
 
-// SaveState writes the cache's geometry fingerprint, statistics, and every
-// resident line to w, using enc for each key/value pair.
+// SaveState writes the cache's geometry fingerprint and every resident line
+// to w, using enc for each key/value pair. The cache keeps no event counts:
+// its callers count probes into stats.Sim.
 func (c *SetAssoc[K, V]) SaveState(w *checkpoint.Writer, enc func(*checkpoint.Writer, K, V)) {
 	w.Int(c.sets)
 	w.Int(c.ways)
-	w.U64(c.lookups)
-	w.U64(c.hits)
-	w.U64(c.evicts)
 	for s := range c.lines {
 		w.U32(uint32(len(c.lines[s])))
 		for i := range c.lines[s] {
@@ -37,7 +35,6 @@ func (c *SetAssoc[K, V]) RestoreState(r *checkpoint.Reader, dec func(*checkpoint
 		r.Failf("cache: %d ways in checkpoint, %d configured", ways, c.ways)
 		return
 	}
-	c.lookups, c.hits, c.evicts = r.U64(), r.U64(), r.U64()
 	c.size = 0
 	for s := range c.lines {
 		n := int(r.U32())

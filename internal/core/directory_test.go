@@ -146,8 +146,8 @@ func TestVMDirectoryCacheMissCostsMemoryAccess(t *testing.T) {
 	if lat != 2 {
 		t.Fatalf("warm lookup latency = %d, want 2", lat)
 	}
-	if d.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", d.HitRate())
+	if d.Lookups() != 2 || d.Hits() != 1 {
+		t.Fatalf("lookups/hits = %d/%d, want 2/1", d.Lookups(), d.Hits())
 	}
 }
 

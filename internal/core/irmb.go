@@ -20,13 +20,6 @@ type IRMB struct {
 	maxEntries      int
 	offsetsPerEntry int
 	entries         []*mergedEntry // MRU first
-
-	inserts    uint64
-	mergeHits  uint64
-	evictions  uint64
-	lookups    uint64
-	lookupHits uint64
-	removed    uint64
 }
 
 // mergedEntry is one base with its merged offsets (Figure 9's "merged
@@ -99,20 +92,20 @@ func (b *IRMB) promote(i int) {
 // Insert buffers an invalidation for vpn. If buffering forces an eviction —
 // the LRU entry when all bases are in use ( b in Figure 9), or the target
 // entry's own offsets when its slots are full — the displaced VPNs are
-// returned and must be written back to the page table as one batch.
-func (b *IRMB) Insert(vpn memdef.VPN) (writeback []memdef.VPN) {
+// returned and must be written back to the page table as one batch. merged
+// reports whether vpn's base was already resident, so the request joined an
+// existing entry rather than taking a new one.
+func (b *IRMB) Insert(vpn memdef.VPN) (writeback []memdef.VPN, merged bool) {
 	base := memdef.IRMBBase(vpn)
 	off := memdef.IRMBOffset(vpn)
-	b.inserts++
 
 	if i := b.find(base); i >= 0 {
 		e := b.entries[i]
 		for _, o := range e.offsets {
 			if o == off {
 				// Already buffered: the request fully merges.
-				b.mergeHits++
 				b.promote(i)
-				return nil
+				return nil, true
 			}
 		}
 		if len(e.offsets) >= b.offsetsPerEntry {
@@ -120,13 +113,11 @@ func (b *IRMB) Insert(vpn memdef.VPN) (writeback []memdef.VPN) {
 			// it over with the new request (§6.3 "IRMB insertion and
 			// eviction", second case).
 			writeback = b.vpnsOf(e)
-			b.evictions++
 			e.offsets = e.offsets[:0]
 		}
 		e.offsets = append(e.offsets, off)
-		b.mergeHits++
 		b.promote(i)
-		return writeback
+		return writeback, true
 	}
 
 	// New base needed.
@@ -135,12 +126,11 @@ func (b *IRMB) Insert(vpn memdef.VPN) (writeback []memdef.VPN) {
 		// stay resident to keep coalescing.
 		victim := b.entries[len(b.entries)-1]
 		writeback = b.vpnsOf(victim)
-		b.evictions++
 		b.entries = b.entries[:len(b.entries)-1]
 	}
 	e := &mergedEntry{base: base, offsets: []uint16{off}}
 	b.entries = append([]*mergedEntry{e}, b.entries...)
-	return writeback
+	return writeback, false
 }
 
 // vpnsOf expands an entry's offsets back into VPNs.
@@ -157,12 +147,10 @@ func (b *IRMB) vpnsOf(e *mergedEntry) []memdef.VPN {
 // PTE is stale, so the GMMU must bypass the walk and raise a far fault
 // directly ( C ). Lookup does not disturb LRU order.
 func (b *IRMB) Lookup(vpn memdef.VPN) bool {
-	b.lookups++
 	if i := b.find(memdef.IRMBBase(vpn)); i >= 0 {
 		off := memdef.IRMBOffset(vpn)
 		for _, o := range b.entries[i].offsets {
 			if o == off {
-				b.lookupHits++
 				return true
 			}
 		}
@@ -184,7 +172,6 @@ func (b *IRMB) Remove(vpn memdef.VPN) bool {
 	for j, o := range e.offsets {
 		if o == off {
 			e.offsets = append(e.offsets[:j], e.offsets[j+1:]...)
-			b.removed++
 			if len(e.offsets) == 0 {
 				b.entries = append(b.entries[:i], b.entries[i+1:]...)
 			}
@@ -205,9 +192,4 @@ func (b *IRMB) DrainLRU() []memdef.VPN {
 	victim := b.entries[len(b.entries)-1]
 	b.entries = b.entries[:len(b.entries)-1]
 	return b.vpnsOf(victim)
-}
-
-// Stats reports insert/merge/evict/lookup counters.
-func (b *IRMB) Stats() (inserts, mergeHits, evictions, lookups, lookupHits, removed uint64) {
-	return b.inserts, b.mergeHits, b.evictions, b.lookups, b.lookupHits, b.removed
 }

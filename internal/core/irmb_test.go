@@ -19,7 +19,7 @@ func TestIRMBGeometryBytes(t *testing.T) {
 
 func TestIRMBInsertLookup(t *testing.T) {
 	b := NewIRMB(DefaultGeometry)
-	if wb := b.Insert(100); wb != nil {
+	if wb, _ := b.Insert(100); wb != nil {
 		t.Fatalf("first insert wrote back %v", wb)
 	}
 	if !b.Lookup(100) {
@@ -37,7 +37,7 @@ func TestIRMBMergesSameBase(t *testing.T) {
 	b := NewIRMB(DefaultGeometry)
 	// VPNs 0..15 share a base (offsets 0..15).
 	for v := memdef.VPN(0); v < 16; v++ {
-		if wb := b.Insert(v); wb != nil {
+		if wb, _ := b.Insert(v); wb != nil {
 			t.Fatalf("insert %d wrote back %v", v, wb)
 		}
 	}
@@ -52,7 +52,7 @@ func TestIRMBMergesSameBase(t *testing.T) {
 func TestIRMBDuplicateInsertIsIdempotent(t *testing.T) {
 	b := NewIRMB(DefaultGeometry)
 	b.Insert(5)
-	if wb := b.Insert(5); wb != nil {
+	if wb, _ := b.Insert(5); wb != nil {
 		t.Fatalf("duplicate insert wrote back %v", wb)
 	}
 	if b.PendingInvalidations() != 1 {
@@ -65,9 +65,9 @@ func TestIRMBOffsetOverflowEvictsEntryOffsets(t *testing.T) {
 	for v := memdef.VPN(0); v < 4; v++ {
 		b.Insert(v)
 	}
-	wb := b.Insert(4) // fifth offset of the same base
-	if len(wb) != 4 {
-		t.Fatalf("writeback = %v, want the 4 displaced VPNs", wb)
+	wb, merged := b.Insert(4) // fifth offset of the same base
+	if len(wb) != 4 || !merged {
+		t.Fatalf("writeback = %v merged = %v, want the 4 displaced VPNs, merged", wb, merged)
 	}
 	seen := map[memdef.VPN]bool{}
 	for _, v := range wb {
@@ -88,12 +88,12 @@ func TestIRMBOffsetOverflowEvictsEntryOffsets(t *testing.T) {
 
 func TestIRMBBaseOverflowEvictsLRUEntry(t *testing.T) {
 	b := NewIRMB(Geometry{Bases: 2, Offsets: 4})
-	b.Insert(0 << 9)         // base 0
-	b.Insert(1 << 9)         // base 1
-	b.Insert(0<<9 | 1)       // touch base 0 → base 1 is now LRU
-	wb := b.Insert(2<<9 | 3) // base 2 evicts base 1
-	if len(wb) != 1 || wb[0] != 1<<9 {
-		t.Fatalf("writeback = %v, want [%d]", wb, 1<<9)
+	b.Insert(0 << 9)                 // base 0
+	b.Insert(1 << 9)                 // base 1
+	b.Insert(0<<9 | 1)               // touch base 0 → base 1 is now LRU
+	wb, merged := b.Insert(2<<9 | 3) // base 2 evicts base 1
+	if len(wb) != 1 || wb[0] != 1<<9 || merged {
+		t.Fatalf("writeback = %v merged = %v, want [%d], not merged", wb, merged, 1<<9)
 	}
 	if !b.Lookup(0<<9) || !b.Lookup(0<<9|1) || !b.Lookup(2<<9|3) {
 		t.Fatal("survivors lost")
@@ -145,15 +145,23 @@ func TestIRMBDrainLRU(t *testing.T) {
 	}
 }
 
-func TestIRMBStats(t *testing.T) {
+// Insert reports a merge whenever the request's base is already resident:
+// a new offset joins the entry, and a duplicate merges fully.
+func TestIRMBInsertMerged(t *testing.T) {
 	b := NewIRMB(DefaultGeometry)
-	b.Insert(1)
-	b.Insert(2)  // merge into same base
-	b.Lookup(1)  // hit
-	b.Lookup(99) // miss (same base, absent offset)
-	ins, merges, _, lookups, hits, _ := b.Stats()
-	if ins != 2 || merges != 1 || lookups != 2 || hits != 1 {
-		t.Fatalf("stats = %d inserts, %d merges, %d lookups, %d hits", ins, merges, lookups, hits)
+	for _, c := range []struct {
+		vpn  memdef.VPN
+		want bool
+		what string
+	}{
+		{1, false, "new base"},
+		{2, true, "new offset in a resident base"},
+		{1, true, "duplicate"},
+		{1 << 9, false, "second new base"},
+	} {
+		if wb, merged := b.Insert(c.vpn); merged != c.want || wb != nil {
+			t.Fatalf("%s: Insert(%d) = %v, merged %v; want merged %v", c.what, c.vpn, wb, merged, c.want)
+		}
 	}
 }
 
@@ -183,7 +191,7 @@ func TestIRMBInvariantsProperty(t *testing.T) {
 			vpn := memdef.VPN(op % 64) // few bases, many collisions
 			switch op % 3 {
 			case 0, 1:
-				if !evict(b.Insert(vpn)) {
+				if wb, _ := b.Insert(vpn); !evict(wb) {
 					return false
 				}
 				live[vpn] = true

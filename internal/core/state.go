@@ -8,13 +8,13 @@ import (
 
 // Checkpoint support. The IRMB carries its merged entries verbatim in MRU
 // order (both the LRU replacement and the offset insertion order are
-// behaviour-visible). Directories: broadcast is stateless; the in-PTE
-// directory's state lives in the host page table's Aux bits (serialized with
-// that table by the driver) plus one counter; the VM-Table directory owns a
-// map and a VM-Cache of its own.
+// behaviour-visible); its event counts live in stats.Sim. Directories:
+// broadcast is stateless; the in-PTE directory's state lives wholly in the
+// host page table's Aux bits (serialized with that table by the driver); the
+// VM-Table directory owns a map, a VM-Cache and its lookup counters.
 
 // SaveState writes the IRMB's entries (MRU first, offsets in insertion
-// order) and counters to w.
+// order) to w.
 func (b *IRMB) SaveState(w *checkpoint.Writer) {
 	w.Int(b.maxEntries)
 	w.Int(b.offsetsPerEntry)
@@ -26,12 +26,6 @@ func (b *IRMB) SaveState(w *checkpoint.Writer) {
 			w.U16(o)
 		}
 	}
-	w.U64(b.inserts)
-	w.U64(b.mergeHits)
-	w.U64(b.evictions)
-	w.U64(b.lookups)
-	w.U64(b.lookupHits)
-	w.U64(b.removed)
 }
 
 // RestoreState reads the state written by SaveState into b, which must be an
@@ -63,24 +57,6 @@ func (b *IRMB) RestoreState(r *checkpoint.Reader) {
 		}
 		b.entries = append(b.entries, e)
 	}
-	b.inserts = r.U64()
-	b.mergeHits = r.U64()
-	b.evictions = r.U64()
-	b.lookups = r.U64()
-	b.lookupHits = r.U64()
-	b.removed = r.U64()
-}
-
-// SaveState writes the in-PTE directory's residual state: only the
-// false-target counter — the access bits themselves ride in the host page
-// table's Aux bits.
-func (d *InPTEDirectory) SaveState(w *checkpoint.Writer) {
-	w.U64(d.falseTargets)
-}
-
-// RestoreState reads the state written by SaveState.
-func (d *InPTEDirectory) RestoreState(r *checkpoint.Reader) {
-	d.falseTargets = r.U64()
 }
 
 // SaveState writes the VM-Table (sorted by VPN), the VM-Cache contents in

@@ -230,19 +230,3 @@ func invalidateMasked(c *cache.SetAssoc[uint64, lineState], lo, mask uint64, lim
 	}
 	return n
 }
-
-// L1HitRate reports the aggregate L1 hit rate.
-func (h *Hierarchy) L1HitRate() float64 {
-	var hits, lookups uint64
-	for _, c := range h.l1 {
-		hits += c.Hits()
-		lookups += c.Lookups()
-	}
-	if lookups == 0 {
-		return 0
-	}
-	return float64(hits) / float64(lookups)
-}
-
-// L2HitRate reports the shared L2 hit rate.
-func (h *Hierarchy) L2HitRate() float64 { return h.l2.HitRate() }

@@ -97,11 +97,14 @@ func TestInvalidatePageLeavesNeighbours(t *testing.T) {
 }
 
 func TestHitRates(t *testing.T) {
-	e, h, _ := newHier(1)
+	e, h, st := newHier(1)
 	runAccess(t, e, h, 0, 0, false)
 	runAccess(t, e, h, 0, 0, false)
-	if hr := h.L1HitRate(); hr != 0.5 {
-		t.Fatalf("L1 hit rate = %v", hr)
+	if st.L1DLookups != 2 || st.L1DHits != 1 {
+		t.Fatalf("L1 lookups/hits = %d/%d, want 2/1", st.L1DLookups, st.L1DHits)
+	}
+	if st.L2DLookups != 1 || st.L2DHits != 0 {
+		t.Fatalf("L2 lookups/hits = %d/%d, want 1/0", st.L2DLookups, st.L2DHits)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // migration open, and no mapping reply on the wire — SaveState asserts all of
 // it — so what travels is the host page table (whose Aux bits carry the
 // in-PTE directory), the frame allocators, the replica sets, the host-walker
-// counters, and whatever residual state the active directory kind owns. The
+// pool, and the VM-Table directory's state when that kind is active. The
 // directory kind is fixed by the scheme the restoring system was built from,
 // which the content-addressed checkpoint key guarantees matches.
 
@@ -58,13 +58,10 @@ func (d *Driver) SaveState(w *checkpoint.Writer) {
 		}
 	}
 
-	switch dir := d.dir.(type) {
-	case *core.InPTEDirectory:
-		dir.SaveState(w) // access bits ride the host PT's Aux; this is counters
-	case *core.VMDirectory:
+	// The broadcast directory is stateless and the in-PTE one lives in the
+	// host page table's Aux bits.
+	if dir, ok := d.dir.(*core.VMDirectory); ok {
 		dir.SaveState(w)
-	default:
-		// Broadcast directory is stateless.
 	}
 }
 
@@ -91,10 +88,7 @@ func (d *Driver) RestoreState(r *checkpoint.Reader) {
 		d.replicas[vpn] = set
 	}
 
-	switch dir := d.dir.(type) {
-	case *core.InPTEDirectory:
-		dir.RestoreState(r)
-	case *core.VMDirectory:
+	if dir, ok := d.dir.(*core.VMDirectory); ok {
 		dir.RestoreState(r)
 	}
 }

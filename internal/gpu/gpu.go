@@ -259,9 +259,6 @@ func (g *GPU) SetHostDomain(d *pdes.Domain) {
 	}
 }
 
-// Domain reports the GPU's synchronization domain.
-func (g *GPU) Domain() *pdes.Domain { return g.dom }
-
 // SetPeers attaches the other GPUs (for Trans-FW remote forwarding).
 func (g *GPU) SetPeers(peers []*GPU) { g.peers = peers }
 
@@ -306,8 +303,8 @@ func (g *GPU) Run(trace [][]workload.Access, onDone func()) {
 func (g *GPU) DoneAt() sim.VTime { return g.doneAt }
 
 // Finished reports whether every CU slot has retired its last access. Read
-// it after the run completes: during a parallel run it belongs to the GPU's
-// domain like the rest of the GPU's state.
+// it after the run completes: until then it belongs to the GPU's domain like
+// the rest of the GPU's state.
 func (g *GPU) Finished() bool { return g.finished }
 
 // issueNext pulls the CU's next trace entry into this slot, or retires the
@@ -666,8 +663,11 @@ func (g *GPU) ReceiveInvalidation(vpn memdef.VPN, ack func()) {
 	case g.irmb != nil:
 		delete(g.shotDown, vpn) // the IRMB entry itself marks staleness
 		g.irmbReceipt[vpn] = receipt
-		wb := g.irmb.Insert(vpn)
+		wb, merged := g.irmb.Insert(vpn)
 		g.st.IRMBInserts++
+		if merged {
+			g.st.IRMBMergeHits++
+		}
 		if len(wb) > 0 {
 			g.st.IRMBEvictions++
 			g.writebackBatch(wb)

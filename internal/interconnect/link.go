@@ -15,7 +15,7 @@
 // receiver's domain with the full wire latency. Because every link's
 // propagation is at least the cluster lookahead minus the one guaranteed
 // serialization cycle, link traffic can never deliver inside the sender's
-// current window — the property the conservative parallel engine rests on
+// current window — the property the cluster's conservative windows rest on
 // (see internal/sim/pdes).
 package interconnect
 
@@ -34,10 +34,7 @@ type Link struct {
 	bytesPerCycle float64
 	propagation   sim.VTime
 	nextFree      sim.VTime
-
-	messages  uint64
-	bytesSent uint64
-	busyTime  sim.VTime
+	bytesSent     uint64
 }
 
 // NewLink builds a directed link with the given bandwidth (bytes per cycle)
@@ -80,9 +77,7 @@ func (l *Link) Send(bytes int, deliver, local func()) {
 		ser = 1
 	}
 	l.nextFree = start + ser
-	l.messages++
 	l.bytesSent += uint64(bytes)
-	l.busyTime += ser
 	at := l.nextFree + l.propagation
 	if deliver != nil {
 		l.owner.Post(l.dst, at, deliver)
@@ -92,10 +87,8 @@ func (l *Link) Send(bytes int, deliver, local func()) {
 	}
 }
 
-// Stats reports messages, bytes, and busy cycles on this link.
-func (l *Link) Stats() (messages, bytes uint64, busy sim.VTime) {
-	return l.messages, l.bytesSent, l.busyTime
-}
+// Bytes reports the bytes sent on this link.
+func (l *Link) Bytes() uint64 { return l.bytesSent }
 
 // Network is the system fabric: directed GPU↔GPU links and directed
 // GPU↔CPU links. Each link lives in its sender's domain; the Network struct
@@ -194,13 +187,10 @@ func (n *Network) TotalBytes() (nvlink, pcie uint64) {
 	for i := 0; i < n.numGPUs; i++ {
 		for j := 0; j < n.numGPUs; j++ {
 			if l := n.gpuGPU[i][j]; l != nil {
-				_, b, _ := l.Stats()
-				nvlink += b
+				nvlink += l.Bytes()
 			}
 		}
-		_, b1, _ := n.gpuCPU[i].Stats()
-		_, b2, _ := n.cpuGPU[i].Stats()
-		pcie += b1 + b2
+		pcie += n.gpuCPU[i].Bytes() + n.cpuGPU[i].Bytes()
 	}
 	return
 }

@@ -10,22 +10,19 @@ import (
 // still sit beyond the drained clock — a backlog queued at the end of the
 // run keeps nextFree in the future — so nextFree is state, not derivable.
 // The link topology is fixed by configuration; only the per-link scalars
-// travel.
+// travel: the horizon and the byte count, the one traffic counter a link
+// keeps (the run's NVLink and PCIe totals are summed from it).
 
-// SaveState writes the link's serialization horizon and traffic counters.
+// SaveState writes the link's serialization horizon and byte count.
 func (l *Link) SaveState(w *checkpoint.Writer) {
 	w.I64(int64(l.nextFree))
-	w.U64(l.messages)
 	w.U64(l.bytesSent)
-	w.I64(int64(l.busyTime))
 }
 
 // RestoreState reads the state written by SaveState.
 func (l *Link) RestoreState(r *checkpoint.Reader) {
 	l.nextFree = sim.VTime(r.I64())
-	l.messages = r.U64()
 	l.bytesSent = r.U64()
-	l.busyTime = sim.VTime(r.I64())
 }
 
 // SaveState writes every link's state in fixed topology order: GPU→GPU by

@@ -207,15 +207,11 @@ func (t *Table) Invalidate(vpn memdef.VPN) (wasValid bool) {
 
 // Entry exposes the mutable PTE for vpn, creating it if needed. The UVM
 // driver uses this to update the in-PTE directory access bits (Aux) during
-// host-side walks.
+// host-side walks. Flip Valid only through Map and Invalidate, which keep
+// the table's valid count.
 func (t *Table) Entry(vpn memdef.VPN) *PTE {
 	return t.entry(vpn, true)
 }
-
-// UpdateValid adjusts the valid counter after direct mutation through Entry.
-// Callers that flip Valid via Entry must keep the counter consistent; Map
-// and Invalidate do this automatically and are preferred.
-func (t *Table) UpdateValid(delta int) { t.valid += delta }
 
 // Range iterates all resident PTEs in ascending VPN order until fn returns
 // false. The order is part of the contract: callbacks escape iteration

@@ -426,8 +426,8 @@ func (e *Engine) Step() bool {
 }
 
 // NextAt reports the time of the earliest scheduled event without executing
-// or removing anything — the peek a conservative parallel coordinator needs
-// to place the next synchronization window. It scans the occupancy bitmap
+// or removing anything — the peek the pdes cluster's coordinator needs to
+// place the next synchronization window. It scans the occupancy bitmap
 // from the cursor for the first non-empty bucket, and falls back to the far
 // heap's minimum.
 func (e *Engine) NextAt() (VTime, bool) {

@@ -28,12 +28,6 @@ type Resource struct {
 	// drain merged invalidation entries "when the page table walker is
 	// available" (§6.3).
 	OnIdle func()
-
-	// Stats
-	peakQueue  int
-	totalJobs  uint64
-	queuedJobs uint64
-	rejected   uint64
 }
 
 // releaseState is one pooled release callback. fn is built once, bound to
@@ -58,27 +52,6 @@ func NewResource(engine *Engine, servers, queueCap int) *Resource {
 	return r
 }
 
-// Servers reports the number of servers in the pool.
-func (r *Resource) Servers() int { return r.servers }
-
-// Busy reports how many servers are currently held.
-func (r *Resource) Busy() int { return r.busy }
-
-// QueueLen reports the number of jobs waiting for a server.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// PeakQueueLen reports the maximum queue length observed.
-func (r *Resource) PeakQueueLen() int { return r.peakQueue }
-
-// TotalJobs reports how many jobs have been accepted.
-func (r *Resource) TotalJobs() uint64 { return r.totalJobs }
-
-// QueuedJobs reports how many accepted jobs had to wait in the queue.
-func (r *Resource) QueuedJobs() uint64 { return r.queuedJobs }
-
-// Rejected reports how many Acquire calls were refused due to a full queue.
-func (r *Resource) Rejected() uint64 { return r.rejected }
-
 // Idle reports whether at least one server is free and nothing is queued.
 func (r *Resource) Idle() bool { return r.busy < r.servers && len(r.queue) == 0 }
 
@@ -89,22 +62,15 @@ func (r *Resource) Acquire(job func(release func())) bool {
 	if job == nil {
 		panic("sim: nil resource job")
 	}
-	r.totalJobs++
 	if r.busy < r.servers && len(r.queue) == 0 {
 		r.busy++
 		job(r.makeRelease())
 		return true
 	}
 	if r.capacity >= 0 && len(r.queue) >= r.capacity {
-		r.totalJobs--
-		r.rejected++
 		return false
 	}
-	r.queuedJobs++
 	r.queue = append(r.queue, job)
-	if len(r.queue) > r.peakQueue {
-		r.peakQueue = len(r.queue)
-	}
 	return true
 }
 

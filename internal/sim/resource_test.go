@@ -66,12 +66,9 @@ func TestResourceBoundedQueueRejects(t *testing.T) {
 	if accepted != 3 {
 		t.Fatalf("accepted %d jobs, want 3", accepted)
 	}
-	if r.Rejected() != 2 {
-		t.Fatalf("rejected = %d, want 2", r.Rejected())
-	}
 	e.Run()
-	if r.Busy() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("resource not drained: busy=%d queue=%d", r.Busy(), r.QueueLen())
+	if r.busy != 0 || len(r.queue) != 0 {
+		t.Fatalf("resource not drained: busy=%d queue=%d", r.busy, len(r.queue))
 	}
 }
 
@@ -110,24 +107,6 @@ func TestResourceDoubleReleasePanics(t *testing.T) {
 		})
 	})
 	e.Run()
-}
-
-func TestResourceStats(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1, -1)
-	for i := 0; i < 3; i++ {
-		holdFor(e, r, 2, nil)
-	}
-	e.Run()
-	if r.TotalJobs() != 3 {
-		t.Fatalf("total = %d, want 3", r.TotalJobs())
-	}
-	if r.QueuedJobs() != 2 {
-		t.Fatalf("queued = %d, want 2", r.QueuedJobs())
-	}
-	if r.PeakQueueLen() != 2 {
-		t.Fatalf("peak queue = %d, want 2", r.PeakQueueLen())
-	}
 }
 
 // Property: with any job durations, every accepted job eventually completes

@@ -83,20 +83,17 @@ func (e *Engine) AdvanceTo(t VTime) {
 	e.cursor = t
 }
 
-// SaveState writes the resource's statistics to w. At a quiescent point no
-// server is held and nothing waits in the queue, so the counters are the
-// entire state; both conditions are asserted into the stream so a
-// non-quiescent save is caught at restore time.
+// SaveState writes the resource's occupancy to w. At a quiescent point no
+// server is held and nothing waits in the queue, so the pool carries no
+// state; both conditions are asserted into the stream so a non-quiescent
+// save is caught at restore time. Walk rejections are counted by the caller
+// into stats.Sim.
 func (r *Resource) SaveState(w *checkpoint.Writer) {
 	w.Int(r.busy)
 	w.Int(len(r.queue))
-	w.Int(r.peakQueue)
-	w.U64(r.totalJobs)
-	w.U64(r.queuedJobs)
-	w.U64(r.rejected)
 }
 
-// RestoreState rebuilds the statistics written by SaveState.
+// RestoreState checks the occupancy written by SaveState.
 func (r *Resource) RestoreState(rd *checkpoint.Reader) {
 	if busy := rd.Int(); busy != 0 {
 		rd.Failf("sim: resource checkpointed with %d busy servers", busy)
@@ -104,10 +101,5 @@ func (r *Resource) RestoreState(rd *checkpoint.Reader) {
 	}
 	if queued := rd.Int(); queued != 0 {
 		rd.Failf("sim: resource checkpointed with %d queued jobs", queued)
-		return
 	}
-	r.peakQueue = rd.Int()
-	r.totalJobs = rd.U64()
-	r.queuedJobs = rd.U64()
-	r.rejected = rd.U64()
 }

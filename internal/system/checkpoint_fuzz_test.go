@@ -31,7 +31,7 @@ func FuzzResume(f *testing.F) {
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(checkpoint.NewWriter().Finish())    // valid header, no state
-	f.Add([]byte("IDYLLCKP\x01\x00\x00\x00")) // stale format version 1
+	f.Add([]byte("IDYLLCKP\x02\x00\x00\x00")) // stale format version 2
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := MustNew(m, scheme)

@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"idyll/internal/config"
@@ -94,6 +95,11 @@ func TestStatsLiveAfterWarmup(t *testing.T) {
 	if want := uint64(gpus * m.CUsPerGPU * warmup); s.Stats.Accesses != want {
 		t.Fatalf("Accesses after warmup = %d, want %d", s.Stats.Accesses, want)
 	}
+	// IRMB merges count at the event like every other IRMB count, so the
+	// collector holds them before any finalize.
+	if s.Stats.IRMBMergeHits == 0 {
+		t.Fatal("IRMBMergeHits = 0 after warmup")
+	}
 }
 
 // The phased run is itself deterministic across repetitions.
@@ -126,6 +132,14 @@ func TestResumeRejectsMismatchedSystem(t *testing.T) {
 	m4 := smallMachine(4)
 	if err := MustNew(m4, config.Baseline()).Resume(blob); err == nil {
 		t.Fatal("resume into a different machine succeeded")
+	}
+	// Format version 2 carried per-component counters that version 3 drops:
+	// a v2 stream must be refused at the header, not misread.
+	v2 := bytes.Clone(blob)
+	v2[len("IDYLLCKP")] = 2
+	if err := MustNew(m, config.Baseline()).Resume(v2); err == nil ||
+		!strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("resume of a v2 stream: err = %v, want a format-version error", err)
 	}
 }
 

@@ -217,14 +217,6 @@ func (s *System) finalize() (*stats.Sim, error) {
 	s.Stats.EngineMigrated = es.Migrated
 	s.Stats.EngineCancelled = es.Cancelled
 	s.Stats.EnginePoolHits = es.PoolHits
-	var irmbMerges uint64
-	for _, g := range s.GPUs {
-		if irmb := g.IRMB(); irmb != nil {
-			_, merges, _, _, _, _ := irmb.Stats()
-			irmbMerges += merges
-		}
-	}
-	s.Stats.IRMBMergeHits = irmbMerges
 	if vm := s.Driver.VMDirectory(); vm != nil {
 		s.Stats.VMCacheLookups = vm.Lookups()
 		s.Stats.VMCacheHits = vm.Hits()
@@ -311,20 +303,4 @@ func (s *System) StaleWindowFraction() float64 {
 		return 0
 	}
 	return float64(s.staleWindow) / float64(s.Stats.Accesses)
-}
-
-// RunOnce is the one-call convenience used by examples and benchmarks:
-// build the system, generate the trace, run it.
-func RunOnce(machine config.Machine, scheme config.Scheme, app workload.Params,
-	cusPerGPU, accessesPerCU int, seed uint64) (*stats.Sim, error) {
-	m := machine
-	if cusPerGPU > 0 {
-		m.CUsPerGPU = cusPerGPU
-	}
-	s, err := New(m, scheme)
-	if err != nil {
-		return nil, err
-	}
-	trace := workload.Generate(app, m.NumGPUs, m.CUsPerGPU, accessesPerCU, seed)
-	return s.Run(trace)
 }

@@ -16,11 +16,6 @@ type MSHR[W any] struct {
 	// free recycles waiter slices between misses (see Recycle), so the
 	// per-miss Add path stops allocating once the MSHR has warmed up.
 	free [][]W
-
-	allocs   uint64
-	merges   uint64
-	full     uint64
-	recycles uint64
 }
 
 // NewMSHR builds an MSHR with the given entry capacity (capacity <= 0 means
@@ -47,16 +42,13 @@ const (
 func (m *MSHR[W]) Add(vpn memdef.VPN, waiter W) Outcome {
 	if ws, ok := m.pending[vpn]; ok {
 		m.pending[vpn] = append(ws, waiter)
-		m.merges++
 		return Merged
 	}
 	if m.capacity > 0 && len(m.pending) >= m.capacity {
-		m.full++
 		return Full
 	}
 	ws := m.getSlice()
 	m.pending[vpn] = append(ws, waiter)
-	m.allocs++
 	return Allocated
 }
 
@@ -80,7 +72,6 @@ func (m *MSHR[W]) Recycle(ws []W) {
 	}
 	clear(ws)
 	m.free = append(m.free, ws[:0])
-	m.recycles++
 }
 
 // Pending reports whether vpn has an outstanding miss.
@@ -98,11 +89,3 @@ func (m *MSHR[W]) Complete(vpn memdef.VPN) []W {
 
 // Len reports the number of outstanding entries.
 func (m *MSHR[W]) Len() int { return len(m.pending) }
-
-// Stats reports allocations, merges, and full rejections.
-func (m *MSHR[W]) Stats() (allocs, merges, full uint64) {
-	return m.allocs, m.merges, m.full
-}
-
-// Recycles reports how many waiter slices have been returned via Recycle.
-func (m *MSHR[W]) Recycles() uint64 { return m.recycles }

@@ -31,10 +31,6 @@ type TLB struct {
 	// serialized on RestoreState.
 	counts []uint16
 	shift  uint // 64 - log2(buckets)
-
-	shootdowns     uint64
-	shootdownHits  uint64
-	flushedEntries uint64
 }
 
 // Config describes a TLB level's geometry and lookup latency.
@@ -95,7 +91,6 @@ func (t *TLB) Fill(vpn memdef.VPN, e Entry) {
 // are immediate in both baseline and IDYLL (§6.3: "upon receiving an
 // invalidation request, the TLB is immediately invalidated").
 func (t *TLB) Shootdown(vpn memdef.VPN) bool {
-	t.shootdowns++
 	if t.c.Len() == 0 {
 		return false
 	}
@@ -104,13 +99,11 @@ func (t *TLB) Shootdown(vpn memdef.VPN) bool {
 		return false
 	}
 	t.counts[b]--
-	t.shootdownHits++
 	return true
 }
 
 // Flush empties the TLB.
 func (t *TLB) Flush() {
-	t.flushedEntries += uint64(t.c.Len())
 	t.c.Flush()
 	clear(t.counts)
 }
@@ -129,18 +122,3 @@ func (t *TLB) recount() {
 
 // Len reports resident entries.
 func (t *TLB) Len() int { return t.c.Len() }
-
-// HitRate reports the lookup hit rate.
-func (t *TLB) HitRate() float64 { return t.c.HitRate() }
-
-// Lookups reports total lookups.
-func (t *TLB) Lookups() uint64 { return t.c.Lookups() }
-
-// Hits reports total hits.
-func (t *TLB) Hits() uint64 { return t.c.Hits() }
-
-// Shootdowns reports how many shootdown requests were received and how many
-// actually removed a resident entry.
-func (t *TLB) Shootdowns() (requests, hits uint64) {
-	return t.shootdowns, t.shootdownHits
-}

@@ -39,9 +39,6 @@ type entry struct {
 type PRT struct {
 	capacity int
 	fifo     []entry
-
-	lookups uint64
-	hits    uint64
 }
 
 // New builds a PRT with the given fingerprint capacity.
@@ -73,11 +70,9 @@ func (p *PRT) Insert(vpn memdef.VPN, gpu int) {
 // fingerprint matches. A true result is only a prediction: it may be a false
 // positive either from fingerprint collision or from staleness.
 func (p *PRT) Lookup(vpn memdef.VPN) (gpu int, ok bool) {
-	p.lookups++
 	fp := Fingerprint(vpn)
 	for i := range p.fifo {
 		if p.fifo[i].fp == fp {
-			p.hits++
 			return int(p.fifo[i].gpu), true
 		}
 	}
@@ -100,9 +95,6 @@ func (p *PRT) InvalidateVPN(vpn memdef.VPN) {
 
 // Len reports resident fingerprints.
 func (p *PRT) Len() int { return len(p.fifo) }
-
-// Stats reports lookups and predicted hits.
-func (p *PRT) Stats() (lookups, hits uint64) { return p.lookups, p.hits }
 
 // Bytes reports the hardware cost: capacity × (fingerprint + GPU id ≈ 13
 // bits) rounded to bytes, ≈ 720 bytes at the default capacity.

@@ -99,12 +99,6 @@ func TestInvalidateVPN(t *testing.T) {
 
 func TestStatsAndBytes(t *testing.T) {
 	p := New(DefaultCapacity)
-	p.Insert(1, 0)
-	p.Lookup(1)
-	lookups, hits := p.Stats()
-	if lookups != 1 || hits != 1 {
-		t.Fatalf("stats = %d,%d", lookups, hits)
-	}
 	// §7.5: PRT scaled to ~720 bytes to match the IRMB.
 	if b := p.Bytes(); b < 700 || b > 740 {
 		t.Fatalf("PRT bytes = %d, want ≈720", b)

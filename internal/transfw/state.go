@@ -4,9 +4,10 @@ import "idyll/internal/checkpoint"
 
 // Checkpoint support: the FIFO order is behaviour-visible (displacement
 // picks the oldest fingerprint), so entries are carried verbatim oldest
-// first.
+// first. The PRT keeps no event counts: the GPU counts its lookups and hits
+// into stats.Sim.
 
-// SaveState writes the PRT's fingerprints and counters to w.
+// SaveState writes the PRT's fingerprints to w.
 func (p *PRT) SaveState(w *checkpoint.Writer) {
 	w.Int(p.capacity)
 	w.U32(uint32(len(p.fifo)))
@@ -14,8 +15,6 @@ func (p *PRT) SaveState(w *checkpoint.Writer) {
 		w.U16(e.fp)
 		w.U8(uint8(e.gpu))
 	}
-	w.U64(p.lookups)
-	w.U64(p.hits)
 }
 
 // RestoreState reads the state written by SaveState into p, which must have
@@ -35,6 +34,4 @@ func (p *PRT) RestoreState(r *checkpoint.Reader) {
 		e := entry{fp: r.U16(), gpu: int8(r.U8())}
 		p.fifo = append(p.fifo, e)
 	}
-	p.lookups = r.U64()
-	p.hits = r.U64()
 }

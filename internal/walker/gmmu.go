@@ -158,9 +158,6 @@ func (g *GMMU) SetOnIdle(fn func()) { g.walkers.OnIdle = fn }
 // Idle reports whether a walker is free and the queue is empty.
 func (g *GMMU) Idle() bool { return g.walkers.Idle() }
 
-// QueueLen reports the current walk-queue depth.
-func (g *GMMU) QueueLen() int { return g.walkers.QueueLen() }
-
 // walkCost charges PWC lookups/updates for one walk of vpn and returns the
 // total walk latency. The PWC caches non-leaf levels only; the leaf PTE
 // access always goes to memory, so a batch of invalidations sharing all
@@ -356,28 +353,16 @@ func (w *walk) step() {
 	g.engine.Schedule(cost, w.finish)
 }
 
-// Update installs a translation via the walk queue — "the new mapping is
-// directly inserted into the page table walk queue for PTE update" (§6.3).
-func (g *GMMU) Update(vpn memdef.VPN, pte pagetable.PTE, done func()) {
-	g.UpdateUnless(vpn, pte, nil, done)
-}
-
-// UpdateUnless is Update with a staleness guard: checked immediately before
-// the mapping is written, a true result skips the install. The GPU uses it
-// to cancel updates whose translation an invalidation has overtaken while
-// the update sat in the walk queue — without the guard, a late update would
-// resurrect a dead translation.
+// UpdateUnless installs a translation via the walk queue — "the new mapping
+// is directly inserted into the page table walk queue for PTE update"
+// (§6.3). The staleness guard stale, if non-nil, is checked immediately
+// before the mapping is written; a true result skips the install. The GPU
+// uses it to cancel updates whose translation an invalidation has overtaken
+// while the update sat in the walk queue — without the guard, a late update
+// would resurrect a dead translation.
 func (g *GMMU) UpdateUnless(vpn memdef.VPN, pte pagetable.PTE, stale func() bool, done func()) {
 	g.st.WalkerUpdate++
 	w := g.newWalk(updateWalk, vpn)
 	w.pte, w.stale, w.done = pte, stale, done
 	w.enqueue()
-}
-
-// PWCHitRate reports the page-walk-cache hit rate.
-func (g *GMMU) PWCHitRate() float64 { return g.pwc.HitRate() }
-
-// QueueStats reports accepted, queued, and rejected walk requests.
-func (g *GMMU) QueueStats() (total, queued, rejected uint64) {
-	return g.walkers.TotalJobs(), g.walkers.QueuedJobs(), g.walkers.Rejected()
 }

@@ -196,7 +196,7 @@ func TestInvalidateBatchHoldsSingleThread(t *testing.T) {
 func TestUpdateInstallsMapping(t *testing.T) {
 	e, g, pt, _ := newGMMU(8)
 	var at sim.VTime
-	g.Update(55, pagetable.PTE{PFN: 3, Valid: true}, func() { at = e.Now() })
+	g.UpdateUnless(55, pagetable.PTE{PFN: 3, Valid: true}, nil, func() { at = e.Now() })
 	e.Run()
 	if at != 400 {
 		t.Fatalf("update took %d, want 400 (full path creation)", at)
@@ -266,7 +266,7 @@ func TestWalksAreAllocationFree(t *testing.T) {
 			case 1:
 				g.Invalidate(v, invalDone)
 			case 2:
-				g.Update(v, pagetable.PTE{Valid: true}, done)
+				g.UpdateUnless(v, pagetable.PTE{Valid: true}, nil, done)
 			default:
 				g.InvalidateBatchFiltered(batch, skip, each, done)
 			}

@@ -4,8 +4,8 @@ import "idyll/internal/checkpoint"
 
 // Checkpoint support. A GMMU at a quiescent point has no walk in flight
 // (walkers idle, queue empty — asserted by the Resource's own SaveState), so
-// its state is the local page table, the page-walk cache contents in recency
-// order, and the walker-pool counters.
+// its state is the local page table and the page-walk cache contents in
+// recency order; the walker pool only asserts its idleness into the stream.
 
 // SaveState writes the GMMU's state to w.
 func (g *GMMU) SaveState(w *checkpoint.Writer) {
