@@ -11,12 +11,16 @@ import (
 
 	"idyll"
 	"idyll/internal/blobstore"
+	"idyll/internal/config"
 	"idyll/internal/core"
 	"idyll/internal/datapath"
+	"idyll/internal/driver"
 	"idyll/internal/experiment"
+	"idyll/internal/interconnect"
 	"idyll/internal/memdef"
 	"idyll/internal/pagetable"
 	"idyll/internal/sim"
+	"idyll/internal/sim/pdes"
 	"idyll/internal/stats"
 	"idyll/internal/tlb"
 )
@@ -391,6 +395,47 @@ func BenchmarkPageTableWalk(b *testing.B) {
 				buf, _, _ = pt.WalkInto(buf, c.vpns[i%len(c.vpns)])
 			}
 		})
+	}
+}
+
+// ackingGPU stands in for a GPU at the driver's ports: it acks each
+// invalidation 50 cycles after delivery and drops mappings.
+type ackingGPU struct{ engine *sim.Engine }
+
+func (g ackingGPU) ReceiveInvalidation(_ memdef.VPN, ack func()) { g.engine.Schedule(50, ack) }
+func (ackingGPU) ReceiveMapping(memdef.VPN, pagetable.PTE)       {}
+func (ackingGPU) ReceivePRTInsert(memdef.VPN, int)               {}
+
+// BenchmarkDriverMigration measures one page migration through the UVM
+// driver's FSM on the default 4-GPU machine with the in-PTE directory:
+// request, host walk, invalidation of the old owner and its ack, GPU→GPU
+// transfer, remap and the mapping reply, with the page bouncing between
+// two GPUs. Its allocs/op (0 once the driver's pools are warm) is gated.
+func BenchmarkDriverMigration(b *testing.B) {
+	m := config.Default()
+	m.MigrationBlockPages = 1
+	cl := pdes.NewCluster(1, 1)
+	dom := cl.Domain(0)
+	net := interconnect.NewNetwork(cl, interconnect.Config{
+		NumGPUs:             m.NumGPUs,
+		NVLinkBytesPerCycle: m.NVLinkBytesPerCycle,
+		NVLinkLatency:       m.NVLinkLatency,
+		PCIeBytesPerCycle:   m.PCIeBytesPerCycle,
+		PCIeLatency:         m.PCIeLatency,
+	})
+	d := driver.New(dom, m, config.IDYLL(), net, stats.NewSim())
+	ports := make([]driver.GPUPort, m.NumGPUs)
+	for i := range ports {
+		ports[i] = ackingGPU{engine: dom.Engine()}
+	}
+	d.AttachGPUs(ports)
+	const vpn = 42
+	d.Preinstall(vpn, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.RequestMigration(1-i%2, vpn)
+		cl.Run()
 	}
 }
 

@@ -46,3 +46,27 @@ func TestNonPositiveGeometryRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestTooManyGPUsRejected: the sharing tracker and the invalidation
+// directory keep one bit per GPU in a uint64, so -gpus above
+// config.MaxGPUs exits 1 with one line naming the bound instead of running
+// with GPUs silently dropped from Figure 4's accessor masks.
+func TestTooManyGPUsRejected(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-gpus", "65", "-cus", "1", "-accesses", "10")
+	cmd.Env = append(os.Environ(), "IDYLLSIM_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1 (stderr: %s)", err, stderr.String())
+	}
+	msg := strings.TrimSuffix(stderr.String(), "\n")
+	if strings.Contains(msg, "\n") || !strings.Contains(msg, "NumGPUs = 65") ||
+		!strings.Contains(msg, "MaxGPUs") {
+		t.Fatalf("stderr is not one line naming the GPU bound: %q", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("a simulation ran with 65 GPUs: %q", stdout.String())
+	}
+}

@@ -44,6 +44,7 @@ var CorePackages = []string{
 	"internal/gpu",
 	"internal/interconnect",
 	"internal/memdef",
+	"internal/pagemap",
 	"internal/pagetable",
 	"internal/sim",
 	"internal/sim/pdes",

@@ -132,11 +132,18 @@ func Default() Machine {
 	}
 }
 
+// MaxGPUs is the largest NumGPUs a machine may have. Per-page GPU sets are
+// 64-bit masks, one bit per GPU: the sharing tracker's accessor mask
+// (Figure 4) and the invalidation directory's target mask.
+const MaxGPUs = 64
+
 // Validate reports configuration errors.
 func (m Machine) Validate() error {
 	switch {
 	case m.NumGPUs < 1:
 		return fmt.Errorf("config: NumGPUs = %d", m.NumGPUs)
+	case m.NumGPUs > MaxGPUs:
+		return fmt.Errorf("config: NumGPUs = %d exceeds MaxGPUs (%d)", m.NumGPUs, MaxGPUs)
 	case m.CUsPerGPU < 1:
 		return fmt.Errorf("config: CUsPerGPU = %d", m.CUsPerGPU)
 	case m.PTWThreads < 1:

@@ -24,11 +24,13 @@ import (
 // Directory decides which GPUs must receive the PTE-invalidation requests
 // for a migrating page, and records which GPUs establish mappings.
 type Directory interface {
-	// Targets returns the GPUs that must be invalidated for vpn and any
-	// extra lookup latency beyond the host page-table walk the driver
-	// performs anyway. Supersets are allowed (false positives cost extra
-	// requests but preserve correctness, §6.2); subsets are not.
-	Targets(vpn memdef.VPN) (gpus []int, extra sim.VTime)
+	// Targets returns the GPUs that must be invalidated for vpn, as a mask
+	// with bit g set for GPU g (a machine has at most 64 GPUs, see
+	// config.MaxGPUs), and any extra lookup latency beyond the host
+	// page-table walk the driver performs anyway. Supersets are allowed
+	// (false positives cost extra requests but preserve correctness, §6.2);
+	// subsets are not.
+	Targets(vpn memdef.VPN) (gpus uint64, extra sim.VTime)
 	// Record notes that gpu established a valid mapping for vpn, and
 	// returns any extra latency of the bookkeeping.
 	Record(vpn memdef.VPN, gpu int) sim.VTime
@@ -46,21 +48,16 @@ type Directory interface {
 // BroadcastDirectory is the conventional UVM behaviour: invalidations go to
 // every GPU because the driver has no residency information.
 type BroadcastDirectory struct {
-	numGPUs int
-	all     []int
+	all uint64
 }
 
 // NewBroadcastDirectory builds the baseline directory for numGPUs GPUs.
 func NewBroadcastDirectory(numGPUs int) *BroadcastDirectory {
-	all := make([]int, numGPUs)
-	for i := range all {
-		all[i] = i
-	}
-	return &BroadcastDirectory{numGPUs: numGPUs, all: all}
+	return &BroadcastDirectory{all: ^uint64(0) >> (64 - uint(numGPUs))}
 }
 
 // Targets returns every GPU with no extra latency.
-func (d *BroadcastDirectory) Targets(memdef.VPN) ([]int, sim.VTime) { return d.all, 0 }
+func (d *BroadcastDirectory) Targets(memdef.VPN) (uint64, sim.VTime) { return d.all, 0 }
 
 // Record is a no-op: the baseline keeps no residency state.
 func (d *BroadcastDirectory) Record(memdef.VPN, int) sim.VTime { return 0 }
@@ -96,23 +93,29 @@ func NewInPTEDirectory(hostPT *pagetable.Table, numGPUs, unusedBits int) *InPTED
 // bit returns the access-bit index for gpu.
 func (d *InPTEDirectory) bit(gpu int) uint { return uint(gpu % d.unusedBits) }
 
+// holders expands an access-bit field that keeps GPU g at bit g % width
+// into the mask of every GPU whose bit is set.
+func holders(bits uint64, numGPUs, width int) uint64 {
+	var gpus uint64
+	for g := 0; g < numGPUs; g++ {
+		if bits&(1<<uint(g%width)) != 0 {
+			gpus |= 1 << uint(g)
+		}
+	}
+	return gpus
+}
+
 // Targets decodes the access bits of vpn's host PTE. The information rides
 // on the host walk the driver performs anyway, so extra latency is zero —
 // but RequiresHostWalkFirst forces the driver to finish that walk before
 // sending, which is the "additional latency in sending invalidation
 // requests" the paper accepts (§6.2).
-func (d *InPTEDirectory) Targets(vpn memdef.VPN) ([]int, sim.VTime) {
+func (d *InPTEDirectory) Targets(vpn memdef.VPN) (uint64, sim.VTime) {
 	pte, ok := d.hostPT.Lookup(vpn)
 	if !ok {
-		return nil, 0
+		return 0, 0
 	}
-	var gpus []int
-	for g := 0; g < d.numGPUs; g++ {
-		if pte.Aux&(1<<d.bit(g)) != 0 {
-			gpus = append(gpus, g)
-		}
-	}
-	return gpus, 0
+	return holders(uint64(pte.Aux), d.numGPUs, d.unusedBits), 0
 }
 
 // Record sets gpu's access bit in vpn's host PTE.
@@ -189,15 +192,9 @@ func (d *VMDirectory) install(vpn memdef.VPN, mask uint32) {
 // Targets decodes vpn's access mask. The lookup happens in parallel with the
 // host walk (§6.4), so the returned latency is only what exceeds a typical
 // walk — we report the raw lookup latency and let the driver overlap it.
-func (d *VMDirectory) Targets(vpn memdef.VPN) ([]int, sim.VTime) {
+func (d *VMDirectory) Targets(vpn memdef.VPN) (uint64, sim.VTime) {
 	mask, lat := d.load(vpn)
-	var gpus []int
-	for g := 0; g < d.numGPUs; g++ {
-		if mask&(1<<d.bit(g)) != 0 {
-			gpus = append(gpus, g)
-		}
-	}
-	return gpus, lat
+	return holders(uint64(mask), d.numGPUs, d.hashBits), lat
 }
 
 // Record sets gpu's bit in vpn's mask.

@@ -13,16 +13,19 @@ func TestBroadcastDirectoryNamesEveryGPU(t *testing.T) {
 	if extra != 0 {
 		t.Fatalf("extra = %d", extra)
 	}
-	if len(gpus) != 4 {
-		t.Fatalf("targets = %v", gpus)
+	if gpus != 0b1111 {
+		t.Fatalf("targets = %#b", gpus)
 	}
 	if d.RequiresHostWalkFirst() {
 		t.Fatal("baseline must broadcast before the host walk")
 	}
 	d.Record(123, 1) // must be a no-op
 	gpus, _ = d.Targets(123)
-	if len(gpus) != 4 {
+	if gpus != 0b1111 {
 		t.Fatal("Record changed broadcast behaviour")
+	}
+	if all, _ := NewBroadcastDirectory(64).Targets(1); all != ^uint64(0) {
+		t.Fatalf("64-GPU broadcast = %#x, want every bit", all)
 	}
 }
 
@@ -34,14 +37,14 @@ func newInPTE(numGPUs, bits int) (*InPTEDirectory, *pagetable.Table) {
 func TestInPTEDirectoryTracksAccessors(t *testing.T) {
 	d, pt := newInPTE(4, 11)
 	pt.Map(7, pagetable.PTE{Valid: true})
-	if gpus, _ := d.Targets(7); len(gpus) != 0 {
-		t.Fatalf("fresh page has targets %v", gpus)
+	if gpus, _ := d.Targets(7); gpus != 0 {
+		t.Fatalf("fresh page has targets %#b", gpus)
 	}
 	d.Record(7, 0)
 	d.Record(7, 2)
 	gpus, _ := d.Targets(7)
-	if len(gpus) != 2 || gpus[0] != 0 || gpus[1] != 2 {
-		t.Fatalf("targets = %v, want [0 2]", gpus)
+	if gpus != 0b101 {
+		t.Fatalf("targets = %#b, want GPUs 0 and 2", gpus)
 	}
 	if !d.RequiresHostWalkFirst() {
 		t.Fatal("in-PTE directory needs the host walk")
@@ -53,8 +56,8 @@ func TestInPTEDirectoryClear(t *testing.T) {
 	pt.Map(9, pagetable.PTE{Valid: true})
 	d.Record(9, 3)
 	d.Clear(9)
-	if gpus, _ := d.Targets(9); len(gpus) != 0 {
-		t.Fatalf("targets after clear = %v", gpus)
+	if gpus, _ := d.Targets(9); gpus != 0 {
+		t.Fatalf("targets after clear = %#b", gpus)
 	}
 }
 
@@ -75,15 +78,8 @@ func TestInPTEDirectoryHashCollisionsAreSupersets(t *testing.T) {
 	d, pt := newInPTE(8, 4)
 	pt.Map(11, pagetable.PTE{Valid: true})
 	d.Record(11, 4)
-	gpus, _ := d.Targets(11)
-	want := map[int]bool{0: true, 4: true}
-	if len(gpus) != 2 {
-		t.Fatalf("targets = %v, want GPUs 0 and 4", gpus)
-	}
-	for _, g := range gpus {
-		if !want[g] {
-			t.Fatalf("unexpected target %d", g)
-		}
+	if gpus, _ := d.Targets(11); gpus != 1<<0|1<<4 {
+		t.Fatalf("targets = %#b, want GPUs 0 and 4", gpus)
 	}
 }
 
@@ -96,15 +92,7 @@ func TestInPTEDirectoryNoFalseNegatives(t *testing.T) {
 			pt.Map(1, pagetable.PTE{Valid: true})
 			for g := 0; g < numGPUs; g++ {
 				d.Record(1, g)
-				found := false
-				gpus, _ := d.Targets(1)
-				for _, got := range gpus {
-					if got == g {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if gpus, _ := d.Targets(1); gpus&(1<<uint(g)) == 0 {
 					t.Fatalf("bits=%d gpus=%d: GPU %d recorded but not targeted", bits, numGPUs, g)
 				}
 			}
@@ -114,8 +102,8 @@ func TestInPTEDirectoryNoFalseNegatives(t *testing.T) {
 
 func TestInPTEDirectoryUnmappedPageHasNoTargets(t *testing.T) {
 	d, _ := newInPTE(4, 11)
-	if gpus, _ := d.Targets(999); gpus != nil {
-		t.Fatalf("targets for unmapped page = %v", gpus)
+	if gpus, _ := d.Targets(999); gpus != 0 {
+		t.Fatalf("targets for unmapped page = %#b", gpus)
 	}
 }
 
@@ -123,13 +111,12 @@ func TestVMDirectoryExactTracking(t *testing.T) {
 	d := NewVMDirectory(4, 2, 150)
 	d.Record(3, 1)
 	d.Record(3, 2)
-	gpus, _ := d.Targets(3)
-	if len(gpus) != 2 || gpus[0] != 1 || gpus[1] != 2 {
-		t.Fatalf("targets = %v", gpus)
+	if gpus, _ := d.Targets(3); gpus != 0b110 {
+		t.Fatalf("targets = %#b", gpus)
 	}
 	d.Clear(3)
-	if gpus, _ := d.Targets(3); len(gpus) != 0 {
-		t.Fatalf("targets after clear = %v", gpus)
+	if gpus, _ := d.Targets(3); gpus != 0 {
+		t.Fatalf("targets after clear = %#b", gpus)
 	}
 	if d.RequiresHostWalkFirst() {
 		t.Fatal("VM-Cache is parallel to the host walk")
@@ -158,23 +145,15 @@ func TestVMDirectoryEvictionWritesBack(t *testing.T) {
 		d.Record(memdef.VPN(i*16), i%4)
 	}
 	// VPN 0 was evicted; its mask must survive in the VM-Table.
-	gpus, _ := d.Targets(0)
-	if len(gpus) != 1 || gpus[0] != 0 {
-		t.Fatalf("written-back mask lost: targets = %v", gpus)
+	if gpus, _ := d.Targets(0); gpus != 1 {
+		t.Fatalf("written-back mask lost: targets = %#b", gpus)
 	}
 }
 
 func TestVMDirectoryHashBeyond19GPUs(t *testing.T) {
 	d := NewVMDirectory(24, 2, 150)
 	d.Record(1, 20) // bit 20%19 = 1, shared with GPU 1
-	gpus, _ := d.Targets(1)
-	want := map[int]bool{1: true, 20: true}
-	if len(gpus) != 2 {
-		t.Fatalf("targets = %v", gpus)
-	}
-	for _, g := range gpus {
-		if !want[g] {
-			t.Fatalf("unexpected target %d", g)
-		}
+	if gpus, _ := d.Targets(1); gpus != 1<<1|1<<20 {
+		t.Fatalf("targets = %#b, want GPUs 1 and 20", gpus)
 	}
 }

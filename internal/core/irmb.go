@@ -19,7 +19,10 @@ import (
 type IRMB struct {
 	maxEntries      int
 	offsetsPerEntry int
-	entries         []*mergedEntry // MRU first
+	entries         []*mergedEntry // MRU first; capacity maxEntries
+	// spare holds emptied entries for reuse, so buffering a new base
+	// allocates nothing once the IRMB has warmed up.
+	spare []*mergedEntry
 }
 
 // mergedEntry is one base with its merged offsets (Figure 9's "merged
@@ -51,7 +54,11 @@ func NewIRMB(g Geometry) *IRMB {
 	if g.Bases <= 0 || g.Offsets <= 0 {
 		panic("core: IRMB geometry must be positive")
 	}
-	return &IRMB{maxEntries: g.Bases, offsetsPerEntry: g.Offsets}
+	return &IRMB{
+		maxEntries:      g.Bases,
+		offsetsPerEntry: g.Offsets,
+		entries:         make([]*mergedEntry, 0, g.Bases),
+	}
 }
 
 // Len reports the number of live merged entries.
@@ -124,13 +131,36 @@ func (b *IRMB) Insert(vpn memdef.VPN) (writeback []memdef.VPN, merged bool) {
 	if len(b.entries) >= b.maxEntries {
 		// Evict the LRU merged entry ( b ): recently-migrated neighbourhoods
 		// stay resident to keep coalescing.
-		victim := b.entries[len(b.entries)-1]
-		writeback = b.vpnsOf(victim)
-		b.entries = b.entries[:len(b.entries)-1]
+		writeback = b.evictLRU()
 	}
-	e := &mergedEntry{base: base, offsets: []uint16{off}}
-	b.entries = append([]*mergedEntry{e}, b.entries...)
+	e := b.newEntry()
+	e.base, e.offsets = base, append(e.offsets, off)
+	b.entries = append(b.entries, nil)
+	copy(b.entries[1:], b.entries)
+	b.entries[0] = e
 	return writeback, false
+}
+
+// newEntry takes an empty entry from the spare list, or makes one.
+func (b *IRMB) newEntry() *mergedEntry {
+	if n := len(b.spare); n > 0 {
+		e := b.spare[n-1]
+		b.spare = b.spare[:n-1]
+		return e
+	}
+	return &mergedEntry{offsets: make([]uint16, 0, b.offsetsPerEntry)}
+}
+
+// evictLRU removes the LRU entry, returns its VPNs and keeps the entry as
+// a spare.
+func (b *IRMB) evictLRU() []memdef.VPN {
+	victim := b.entries[len(b.entries)-1]
+	b.entries[len(b.entries)-1] = nil
+	b.entries = b.entries[:len(b.entries)-1]
+	vpns := b.vpnsOf(victim)
+	victim.offsets = victim.offsets[:0]
+	b.spare = append(b.spare, victim)
+	return vpns
 }
 
 // vpnsOf expands an entry's offsets back into VPNs.
@@ -173,7 +203,10 @@ func (b *IRMB) Remove(vpn memdef.VPN) bool {
 		if o == off {
 			e.offsets = append(e.offsets[:j], e.offsets[j+1:]...)
 			if len(e.offsets) == 0 {
-				b.entries = append(b.entries[:i], b.entries[i+1:]...)
+				copy(b.entries[i:], b.entries[i+1:])
+				b.entries[len(b.entries)-1] = nil
+				b.entries = b.entries[:len(b.entries)-1]
+				b.spare = append(b.spare, e)
 			}
 			return true
 		}
@@ -189,7 +222,5 @@ func (b *IRMB) DrainLRU() []memdef.VPN {
 	if len(b.entries) == 0 {
 		return nil
 	}
-	victim := b.entries[len(b.entries)-1]
-	b.entries = b.entries[:len(b.entries)-1]
-	return b.vpnsOf(victim)
+	return b.evictLRU()
 }

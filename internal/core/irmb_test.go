@@ -218,3 +218,28 @@ func TestIRMBInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIRMBInsertWithoutEvictionAllocatesNothing: buffering a new base reuses
+// an emptied entry and shifts the entry slice in place, so inserts that
+// evict nothing — new bases, merged offsets, duplicates — and the removals
+// that empty entries allocate nothing once the IRMB has warmed up.
+func TestIRMBInsertWithoutEvictionAllocatesNothing(t *testing.T) {
+	b := NewIRMB(DefaultGeometry)
+	for i := 0; i < DefaultGeometry.Bases-2; i++ {
+		b.Insert(memdef.VPN(i) << 9) // a mostly full buffer to shift through
+	}
+	a, c := memdef.VPN(1<<20), memdef.VPN(1<<20+1) // one base, two offsets
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, v := range []memdef.VPN{a, c, a, 2 << 20} {
+			if wb, _ := b.Insert(v); wb != nil {
+				t.Fatalf("Insert(%#x) evicted %v", v, wb)
+			}
+		}
+		if !b.Lookup(c) || !b.Remove(a) || !b.Remove(c) || !b.Remove(2<<20) {
+			t.Fatal("buffered invalidations not found")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("insert without eviction allocates %v times", allocs)
+	}
+}

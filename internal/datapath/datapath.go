@@ -12,6 +12,7 @@ import (
 
 	"idyll/internal/cache"
 	"idyll/internal/memdef"
+	"idyll/internal/pagemap"
 	"idyll/internal/sim"
 	"idyll/internal/stats"
 )
@@ -70,7 +71,7 @@ type Hierarchy struct {
 	// stop once every resident line is gone. Pages with no resident line
 	// have no entry. Derived from the caches' contents, it is rebuilt
 	// rather than serialized on RestoreState.
-	resident map[uint64]pageLines
+	resident pagemap.Map[uint64, pageLines]
 
 	lineShift     uint
 	pageLineShift uint // log2(lines per page)
@@ -103,7 +104,6 @@ func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
 	}
 	h := &Hierarchy{
 		engine: engine, cfg: cfg, st: st,
-		resident:      make(map[uint64]pageLines),
 		lineShift:     shift,
 		pageLineShift: log2(cfg.PageBytes) - shift,
 	}
@@ -132,15 +132,14 @@ func (h *Hierarchy) bit(ln uint64) uint64 {
 func (h *Hierarchy) fill(c *cache.SetAssoc[uint64, lineState], ln uint64, st lineState) {
 	if victim, _, evicted := c.Insert(ln, st); evicted {
 		page := victim >> h.pageLineShift
-		r := h.resident[page]
+		r := h.resident.Ptr(page)
 		if r.n--; r.n == 0 {
-			delete(h.resident, page)
+			h.resident.Delete(page)
 			return
 		}
 		if c == h.l2 {
 			r.l2 &^= h.bit(victim)
 		}
-		h.resident[page] = r
 	}
 }
 
@@ -159,14 +158,16 @@ func (h *Hierarchy) Access(cu int, pa memdef.PAddr, write bool, done func()) {
 		h.engine.Schedule(h.cfg.L1HitLatency, done)
 		return
 	}
+	// r is valid only until the next Put or Delete on resident, so both
+	// paths finish updating it before fill, which may delete a victim's
+	// record.
 	page, bit := ln>>h.pageLineShift, h.bit(ln)
-	r := h.resident[page]
+	r, _ := h.resident.Put(page)
 	h.st.L2DLookups++
 	if _, ok := h.l2.Lookup(ln); ok {
 		h.st.L2DHits++
 		r.n++
 		r.l1 |= bit
-		h.resident[page] = r
 		h.fill(l1, ln, lineState{dirty: write})
 		h.engine.Schedule(h.cfg.L1HitLatency+h.cfg.L2HitLatency, done)
 		return
@@ -176,7 +177,6 @@ func (h *Hierarchy) Access(cu int, pa memdef.PAddr, write bool, done func()) {
 	r.n += 2
 	r.l2 |= bit
 	r.l1 |= bit
-	h.resident[page] = r
 	h.fill(h.l2, ln, lineState{})
 	h.fill(l1, ln, lineState{dirty: write})
 	h.engine.Schedule(h.cfg.L1HitLatency+h.cfg.L2HitLatency+h.cfg.DRAMLatency, done)
@@ -185,17 +185,17 @@ func (h *Hierarchy) Access(cu int, pa memdef.PAddr, write bool, done func()) {
 // InvalidatePage drops every cached line of the page containing pa, called
 // when a page migrates away so stale data cannot be read locally, and
 // reports how many lines it removed. A page with no resident line costs one
-// map lookup. Otherwise the L2 drops exactly the lines its mask marks, then
+// table lookup. Otherwise the L2 drops exactly the lines its mask marks, then
 // each L1 the lines any L1 has held, stopping once the page's last resident
 // line is gone. Pages of more than 64 lines keep no masks and sweep the sets
 // the page indexes to instead.
 func (h *Hierarchy) InvalidatePage(pa memdef.PAddr) int {
 	page := h.line(pa) >> h.pageLineShift
-	r, ok := h.resident[page]
+	r, ok := h.resident.Get(page)
 	if !ok {
 		return 0
 	}
-	delete(h.resident, page)
+	h.resident.Delete(page)
 	want := int(r.n)
 	lo := page << h.pageLineShift
 	if !h.masks {

@@ -147,11 +147,11 @@ func recounted(h *Hierarchy) map[uint64]pageLines {
 // the same pages, n and the L2 mask equal, the L1 mask a superset.
 func indexMatches(h *Hierarchy) bool {
 	want := recounted(h)
-	if len(want) != len(h.resident) {
+	if len(want) != h.resident.Len() {
 		return false
 	}
 	for page, w := range want {
-		got, ok := h.resident[page]
+		got, ok := h.resident.Get(page)
 		if !ok || got.n != w.n || got.l2 != w.l2 || w.l1&^got.l1 != 0 {
 			return false
 		}

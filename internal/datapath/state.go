@@ -47,18 +47,16 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader) {
 // contents. The rebuilt L1 mask is exact, a subset of the superset the
 // saved run carried; flushes remove the same lines either way.
 func (h *Hierarchy) recount() {
-	clear(h.resident)
+	h.resident.Clear()
 	count := func(c *cache.SetAssoc[uint64, lineState]) {
 		c.Range(func(ln uint64, _ lineState) bool {
-			page := ln >> h.pageLineShift
-			r := h.resident[page]
+			r, _ := h.resident.Put(ln >> h.pageLineShift)
 			r.n++
 			if c == h.l2 {
 				r.l2 |= h.bit(ln)
 			} else {
 				r.l1 |= h.bit(ln)
 			}
-			h.resident[page] = r
 			return true
 		})
 	}

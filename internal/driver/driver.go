@@ -12,11 +12,13 @@ package driver
 
 import (
 	"fmt"
+	"math/bits"
 
 	"idyll/internal/config"
 	"idyll/internal/core"
 	"idyll/internal/interconnect"
 	"idyll/internal/memdef"
+	"idyll/internal/pagemap"
 	"idyll/internal/pagetable"
 	"idyll/internal/sim"
 	"idyll/internal/sim/pdes"
@@ -47,8 +49,13 @@ type fault struct {
 	at    sim.VTime
 }
 
-// migration tracks one in-flight migration (or replication collapse).
+// migration tracks one in-flight migration (or replication collapse). The
+// host domain pools the records, and each record's continuations — the
+// host-walk job, the walk's completion, the delayed invalidation send, the
+// GPU→GPU copy chain and the finish — are bound once, when it is first
+// made, so a migration round allocates nothing.
 type migration struct {
+	d        *Driver
 	vpn      memdef.VPN
 	to       int
 	start    sim.VTime
@@ -57,7 +64,75 @@ type migration struct {
 	pendingAcks  int
 	hostWalkDone bool
 	transferred  bool
-	deferred     []fault
+	// walkTargets: the directory names the targets when the host walk is
+	// done (the in-PTE directory). Otherwise targets holds the ones named
+	// at the start until sendInvals sends them.
+	walkTargets bool
+	targets     uint64
+	frame       memdef.PFN // the destination frame, once the transfer begins
+	deferred    []fault
+	// holds counts what still refers to the record: the FSM until it
+	// completes, a pending sendInvals, and each invalidation message until
+	// its ack lands (acks may land after the migration completed). The
+	// last release returns the record to the pool.
+	holds int
+
+	release            func() // the host walker serving the walk
+	walkJob            func(release func())
+	walked, sendInvals func()
+	finish             func()
+	copy               gpuCopy
+}
+
+// gpuCopy is the command chain a host issues to move one page between GPUs:
+// a control message orders the source to push the page over NVLink, and the
+// destination reports the landed page back to the host, where done runs.
+// Each hop runs in the domain that owns its link.
+type gpuCopy struct {
+	d          *Driver
+	src, dst   int
+	done       func()
+	ctrl, data func() // the hops at the source and at the destination
+}
+
+// bind builds the chain's hops once.
+func (c *gpuCopy) bind(d *Driver, done func()) {
+	c.d, c.done = d, done
+	c.ctrl = func() { c.d.net.GPUToGPU(c.src, c.dst, c.d.pageBytes(), c.data, nil) }
+	c.data = func() { c.d.net.GPUToCPU(c.dst, memdef.ControlMsgBytes, c.done, nil) }
+}
+
+// start issues the chain from the host domain.
+func (c *gpuCopy) start(src, dst int) {
+	c.src, c.dst = src, dst
+	c.d.net.CPUToGPU(src, memdef.ControlMsgBytes, c.ctrl, nil)
+}
+
+// faultWalk is one far fault's host page-table walk, pooled in the host
+// domain with its walker job and completion bound once.
+type faultWalk struct {
+	d       *Driver
+	f       fault
+	release func()
+	job     func(release func())
+	walked  func()
+}
+
+// reply is one mapping reply on the wire, pooled in the host domain. Its
+// two continuations run at the same arrival cycle: install at the GPU, in
+// the GPU's domain, and retire at the host, which recycles the record. The
+// install always runs first — in a multi-domain cluster every GPU domain
+// executes a window before the host domain does, and a single domain runs
+// same-cycle events in scheduling order, where the link schedules the
+// delivery before the local completion — and retire panics if it did not.
+type reply struct {
+	d         *Driver
+	gpu       int
+	vpn       memdef.VPN
+	pte       pagetable.PTE
+	installed bool
+	install   func()
+	retire    func()
 }
 
 // Driver is the UVM driver instance. All of its state belongs to the host
@@ -78,8 +153,10 @@ type Driver struct {
 	gpus []GPUPort
 
 	faultQueue     []fault
+	batch          []fault // processBatch's scratch copy of one batch
 	batchScheduled bool
-	migrating      map[memdef.VPN]*migration
+	processBatchFn func() // processBatch, bound once
+	migrating      pagemap.Map[memdef.VPN, *migration]
 	replicas       map[memdef.VPN]map[int]memdef.PFN // reader GPU → its replica frame
 	nextFrame      map[memdef.DeviceID]uint64
 	// repliesInFlight counts mapping replies on the wire per page; a new
@@ -87,10 +164,13 @@ type Driver struct {
 	// would reinstall a translation the migration just killed. This is the
 	// per-page operation serialization real UVM drivers enforce with
 	// va_block locks.
-	repliesInFlight map[memdef.VPN]int
-	queuedMigration map[memdef.VPN]queuedMig
-	// invalFree holds finished invalidation messages for reuse.
+	repliesInFlight pagemap.Map[memdef.VPN, int]
+	queuedMigration pagemap.Map[memdef.VPN, queuedMig]
+	// Free lists of the pooled host-domain records.
 	invalFree []*invalMsg
+	migFree   []*migration
+	walkFree  []*faultWalk
+	replyFree []*reply
 }
 
 // invalMsg is one invalidation of a migrating page sent to one GPU, from
@@ -124,20 +204,18 @@ func New(dom *pdes.Domain, machine config.Machine, scheme config.Scheme,
 	}
 	engine := dom.Engine()
 	d := &Driver{
-		dom:             dom,
-		engine:          engine,
-		machine:         machine,
-		scheme:          scheme,
-		net:             net,
-		st:              st,
-		hostPT:          pagetable.New(machine.PageSize),
-		hostWalkers:     sim.NewResource(engine, machine.HostWalkers, -1),
-		migrating:       make(map[memdef.VPN]*migration),
-		replicas:        make(map[memdef.VPN]map[int]memdef.PFN),
-		nextFrame:       make(map[memdef.DeviceID]uint64),
-		repliesInFlight: make(map[memdef.VPN]int),
-		queuedMigration: make(map[memdef.VPN]queuedMig),
+		dom:         dom,
+		engine:      engine,
+		machine:     machine,
+		scheme:      scheme,
+		net:         net,
+		st:          st,
+		hostPT:      pagetable.New(machine.PageSize),
+		hostWalkers: sim.NewResource(engine, machine.HostWalkers, -1),
+		replicas:    make(map[memdef.VPN]map[int]memdef.PFN),
+		nextFrame:   make(map[memdef.DeviceID]uint64),
 	}
+	d.processBatchFn = d.processBatch
 	switch scheme.Directory {
 	case config.InPTE:
 		bits := scheme.UnusedBits
@@ -179,10 +257,7 @@ func (d *Driver) Owner(vpn memdef.VPN) (memdef.DeviceID, bool) {
 }
 
 // Migrating reports whether vpn has an in-flight migration or collapse.
-func (d *Driver) Migrating(vpn memdef.VPN) bool {
-	_, ok := d.migrating[vpn]
-	return ok
-}
+func (d *Driver) Migrating(vpn memdef.VPN) bool { return d.migrating.Has(vpn) }
 
 // alloc returns a fresh frame on dev.
 func (d *Driver) alloc(dev memdef.DeviceID) memdef.PFN {
@@ -208,7 +283,7 @@ func (d *Driver) FarFault(gpu int, vpn memdef.VPN, write bool) {
 	d.faultQueue = append(d.faultQueue, fault{gpu: gpu, vpn: vpn, write: write, at: d.engine.Now()})
 	if !d.batchScheduled {
 		d.batchScheduled = true
-		d.engine.Schedule(d.machine.FaultBatchWindow, d.processBatch)
+		d.engine.Schedule(d.machine.FaultBatchWindow, d.processBatchFn)
 	}
 }
 
@@ -218,35 +293,53 @@ func (d *Driver) processBatch() {
 	if n > d.machine.FaultBatchSize {
 		n = d.machine.FaultBatchSize
 	}
-	batch := d.faultQueue[:n]
-	d.faultQueue = append([]fault(nil), d.faultQueue[n:]...)
+	d.batch = append(d.batch[:0], d.faultQueue[:n]...)
+	d.faultQueue = d.faultQueue[:copy(d.faultQueue, d.faultQueue[n:])]
 	if len(d.faultQueue) > 0 {
-		d.engine.Schedule(d.machine.FaultBatchWindow, d.processBatch)
+		d.engine.Schedule(d.machine.FaultBatchWindow, d.processBatchFn)
 	} else {
 		d.batchScheduled = false
 	}
-	for _, f := range batch {
+	for _, f := range d.batch {
 		d.serviceFault(f)
 	}
 }
 
 // serviceFault runs one fault through the host walker and resolves it.
 func (d *Driver) serviceFault(f fault) {
-	if m, ok := d.migrating[f.vpn]; ok {
+	if m, ok := d.migrating.Get(f.vpn); ok {
 		m.deferred = append(m.deferred, f)
 		return
 	}
-	d.hostWalkers.Acquire(func(release func()) {
-		d.engine.Schedule(d.hostWalkLatency()+d.machine.FaultFixedLatency, func() {
-			release()
-			// A migration may have begun while this fault was walking.
-			if m, ok := d.migrating[f.vpn]; ok {
-				m.deferred = append(m.deferred, f)
-				return
-			}
-			d.resolveFault(f)
-		})
-	})
+	var w *faultWalk
+	if n := len(d.walkFree); n > 0 {
+		w = d.walkFree[n-1]
+		d.walkFree = d.walkFree[:n-1]
+	} else {
+		w = &faultWalk{d: d}
+		w.job = func(release func()) {
+			w.release = release
+			w.d.engine.Schedule(w.d.hostWalkLatency()+w.d.machine.FaultFixedLatency, w.walked)
+		}
+		w.walked = w.done
+	}
+	w.f = f
+	d.hostWalkers.Acquire(w.job)
+}
+
+// done finishes a fault's host walk: the walker and the record are
+// released and the fault is resolved.
+func (w *faultWalk) done() {
+	d, f, release := w.d, w.f, w.release
+	w.release = nil
+	d.walkFree = append(d.walkFree, w)
+	release()
+	// A migration may have begun while this fault was walking.
+	if m, ok := d.migrating.Get(f.vpn); ok {
+		m.deferred = append(m.deferred, f)
+		return
+	}
+	d.resolveFault(f)
 }
 
 // resolveFault decides the outcome of a walked fault per the scheme policy.
@@ -304,15 +397,22 @@ func (d *Driver) recordAndReply(gpu int, vpn memdef.VPN, pfn memdef.PFN, writabl
 // sendMapping delivers a translation to a GPU over PCIe and, with Trans-FW,
 // pushes fingerprint updates to the other GPUs.
 func (d *Driver) sendMapping(gpu int, vpn memdef.VPN, pte pagetable.PTE) {
-	d.repliesInFlight[vpn]++
+	n, _ := d.repliesInFlight.Put(vpn)
+	*n++
 	// Two continuations at the same arrival cycle: the GPU installs the
 	// mapping in its own domain, while the driver retires the in-flight
-	// reply in the host domain. They touch disjoint state.
-	d.net.CPUToGPU(gpu, memdef.ControlMsgBytes, func() {
-		d.gpus[gpu].ReceiveMapping(vpn, pte)
-	}, func() {
-		d.replyDelivered(vpn)
-	})
+	// reply in the host domain (see reply).
+	var x *reply
+	if k := len(d.replyFree); k > 0 {
+		x = d.replyFree[k-1]
+		d.replyFree = d.replyFree[:k-1]
+	} else {
+		x = &reply{d: d}
+		x.install = x.installAtGPU
+		x.retire = x.retireAtHost
+	}
+	x.gpu, x.vpn, x.pte = gpu, vpn, pte
+	d.net.CPUToGPU(gpu, memdef.ControlMsgBytes, x.install, x.retire)
 	if d.scheme.TransFW {
 		for g := 0; g < d.machine.NumGPUs; g++ {
 			if g == gpu {
@@ -326,22 +426,40 @@ func (d *Driver) sendMapping(gpu int, vpn memdef.VPN, pte pagetable.PTE) {
 	}
 }
 
+// installAtGPU delivers the mapping in the GPU's domain.
+func (x *reply) installAtGPU() {
+	x.d.gpus[x.gpu].ReceiveMapping(x.vpn, x.pte)
+	x.installed = true
+}
+
+// retireAtHost runs in the host domain once the GPU has installed the
+// mapping: the record goes back to the free list and the reply retires.
+func (x *reply) retireAtHost() {
+	if !x.installed {
+		panic("driver: mapping reply retired at the host before the GPU installed it")
+	}
+	d, vpn := x.d, x.vpn
+	x.installed = false
+	d.replyFree = append(d.replyFree, x)
+	d.replyDelivered(vpn)
+}
+
 // replyDelivered retires one in-flight reply and releases a migration that
 // was waiting for the page's wire traffic to quiesce.
 func (d *Driver) replyDelivered(vpn memdef.VPN) {
-	d.repliesInFlight[vpn]--
-	if d.repliesInFlight[vpn] > 0 {
+	if n := d.repliesInFlight.Ptr(vpn); *n > 1 {
+		*n--
 		return
 	}
-	delete(d.repliesInFlight, vpn)
-	q, ok := d.queuedMigration[vpn]
+	d.repliesInFlight.Delete(vpn)
+	q, ok := d.queuedMigration.Get(vpn)
 	if !ok {
 		return
 	}
-	delete(d.queuedMigration, vpn)
+	d.queuedMigration.Delete(vpn)
 	// Re-validate: the page may already be where the requester wants it.
 	pte, mapped := d.hostPT.Lookup(vpn)
-	if _, busy := d.migrating[vpn]; busy || !mapped || !pte.Valid ||
+	if busy := d.migrating.Has(vpn); busy || !mapped || !pte.Valid ||
 		pte.PFN.Device() == memdef.GPUDevice(q.to) {
 		return
 	}
@@ -372,7 +490,7 @@ func (d *Driver) RequestMigration(gpu int, vpn memdef.VPN) {
 	}
 	start := vpn - vpn%memdef.VPN(block)
 	for p := start; p < start+memdef.VPN(block); p++ {
-		if _, busy := d.migrating[p]; busy {
+		if d.migrating.Has(p) {
 			continue
 		}
 		pte, ok := d.hostPT.Lookup(p)
@@ -387,14 +505,15 @@ func (d *Driver) RequestMigration(gpu int, vpn memdef.VPN) {
 // replies for the page are still on the wire, the migration queues behind
 // them (per-page serialization; see repliesInFlight).
 func (d *Driver) startMigration(vpn memdef.VPN, to int, collapse bool) {
-	if d.repliesInFlight[vpn] > 0 {
-		if _, queued := d.queuedMigration[vpn]; !queued {
-			d.queuedMigration[vpn] = queuedMig{to: to, collapse: collapse}
+	if n, _ := d.repliesInFlight.Get(vpn); n > 0 {
+		if !d.queuedMigration.Has(vpn) {
+			d.queuedMigration.Set(vpn, queuedMig{to: to, collapse: collapse})
 		}
 		return
 	}
-	m := &migration{vpn: vpn, to: to, start: d.engine.Now(), collapse: collapse}
-	d.migrating[vpn] = m
+	m := d.newMigration()
+	m.vpn, m.to, m.start, m.collapse = vpn, to, d.engine.Now(), collapse
+	d.migrating.Set(vpn, m)
 
 	if d.scheme.ZeroLatencyInval {
 		// Idealization: invalidations take effect instantaneously on every
@@ -407,63 +526,101 @@ func (d *Driver) startMigration(vpn memdef.VPN, to int, collapse bool) {
 			d.gpus[g].ReceiveInvalidation(vpn, func() {})
 			d.net.CPUToGPU(g, memdef.ControlMsgBytes, nil, nil)
 		}
-		d.hostWalkInvalidate(m, nil)
+		d.hostWalkers.Acquire(m.walkJob)
 		return
 	}
 
 	if d.dir.RequiresHostWalkFirst() {
 		// §6.2: the in-PTE directory must finish the host walk to learn the
 		// access bits, delaying the send — a cost the paper accepts.
-		d.hostWalkInvalidate(m, func(targets []int) {
-			d.sendInvalidations(m, targets)
-		})
+		m.walkTargets = true
+		d.hostWalkers.Acquire(m.walkJob)
 		return
 	}
 	// Baseline broadcasts before the walk completes; the VM-Cache lookup
 	// runs in parallel with the walk and adds only its own latency.
 	targets, extra := d.dir.Targets(vpn)
-	d.engine.Schedule(extra, func() { d.sendInvalidations(m, targets) })
-	d.hostWalkInvalidate(m, nil)
+	m.targets = targets
+	m.holds++
+	d.engine.Schedule(extra, m.sendInvals)
+	d.hostWalkers.Acquire(m.walkJob)
 }
 
-// hostWalkInvalidate walks the host table, reads directory targets (when
-// needed), clears the directory and invalidates the host PTE. afterTargets,
-// if non-nil, receives the directory's targets once the walk is done.
-func (d *Driver) hostWalkInvalidate(m *migration, afterTargets func([]int)) {
-	d.hostWalkers.Acquire(func(release func()) {
-		d.engine.Schedule(d.hostWalkLatency(), func() {
-			release()
-			var targets []int
-			if afterTargets != nil {
-				targets, _ = d.dir.Targets(m.vpn)
-			}
-			d.dir.Clear(m.vpn)
-			d.hostPT.Invalidate(m.vpn)
-			m.hostWalkDone = true
-			if afterTargets != nil {
-				afterTargets(targets)
-			}
-			d.maybeTransfer(m)
-		})
-	})
+// newMigration takes a migration record from the free list, or makes one
+// and binds its continuations.
+func (d *Driver) newMigration() *migration {
+	var m *migration
+	if n := len(d.migFree); n > 0 {
+		m = d.migFree[n-1]
+		d.migFree = d.migFree[:n-1]
+	} else {
+		m = &migration{d: d}
+		m.walkJob = func(release func()) {
+			m.release = release
+			m.d.engine.Schedule(m.d.hostWalkLatency(), m.walked)
+		}
+		m.walked = m.hostWalked
+		m.sendInvals = func() {
+			m.d.sendInvalidations(m, m.targets)
+			m.unhold()
+		}
+		m.finish = func() { m.d.completeMigration(m) }
+		m.copy.bind(d, m.finish)
+	}
+	m.holds = 1
+	return m
 }
 
-// sendInvalidations issues the invalidation round for a migration.
-func (d *Driver) sendInvalidations(m *migration, targets []int) {
-	m.pendingAcks = len(targets)
-	d.st.DirectoryTargeted += uint64(len(targets))
-	d.st.DirectoryFiltered += uint64(d.machine.NumGPUs - len(targets))
-	if len(targets) == 0 {
+// unhold drops one hold on m; the last returns it, reset, to the pool.
+func (m *migration) unhold() {
+	if m.holds--; m.holds > 0 {
+		return
+	}
+	m.pendingAcks, m.hostWalkDone, m.transferred = 0, false, false
+	m.walkTargets, m.targets, m.frame = false, 0, 0
+	m.deferred = m.deferred[:0]
+	m.d.migFree = append(m.d.migFree, m)
+}
+
+// hostWalked runs when the migration's host walk is done: it reads the
+// directory's targets (when they wait for the walk), clears the directory
+// and invalidates the host PTE.
+func (m *migration) hostWalked() {
+	d := m.d
+	m.release()
+	m.release = nil
+	var targets uint64
+	if m.walkTargets {
+		targets, _ = d.dir.Targets(m.vpn)
+	}
+	d.dir.Clear(m.vpn)
+	d.hostPT.Invalidate(m.vpn)
+	m.hostWalkDone = true
+	if m.walkTargets {
+		d.sendInvalidations(m, targets)
+	}
+	d.maybeTransfer(m)
+}
+
+// sendInvalidations issues the invalidation round for a migration, one
+// message per GPU in targets, in ascending GPU order.
+func (d *Driver) sendInvalidations(m *migration, targets uint64) {
+	n := bits.OnesCount64(targets)
+	m.pendingAcks = n
+	d.st.DirectoryTargeted += uint64(n)
+	d.st.DirectoryFiltered += uint64(d.machine.NumGPUs - n)
+	if n == 0 {
 		d.maybeTransfer(m)
 		return
 	}
-	for _, g := range targets {
+	for t := targets; t != 0; t &= t - 1 {
+		g := bits.TrailingZeros64(t)
 		d.net.CPUToGPU(g, memdef.ControlMsgBytes, d.newInvalMsg(m, g).deliver, nil)
 	}
 }
 
 // newInvalMsg takes an invalidation message from the free list, or makes
-// one.
+// one. The message holds m until its ack lands.
 func (d *Driver) newInvalMsg(m *migration, gpu int) *invalMsg {
 	var x *invalMsg
 	if n := len(d.invalFree); n > 0 {
@@ -479,6 +636,7 @@ func (d *Driver) newInvalMsg(m *migration, gpu int) *invalMsg {
 		x.ack = func() { x.d.net.GPUToCPU(x.gpu, memdef.ControlMsgBytes, x.acked, nil) }
 		x.acked = x.landed
 	}
+	m.holds++
 	x.m, x.gpu = m, gpu
 	return x
 }
@@ -491,6 +649,7 @@ func (x *invalMsg) landed() {
 	d.invalFree = append(d.invalFree, x)
 	m.pendingAcks--
 	d.maybeTransfer(m)
+	m.unhold()
 }
 
 // maybeTransfer begins the data transfer once the host walk is done and all
@@ -507,58 +666,54 @@ func (d *Driver) maybeTransfer(m *migration) {
 	// re-read it via the (now invalid, but resident) entry.
 	stale, _ := d.hostPT.Lookup(m.vpn)
 	from := stale.PFN.Device()
-	newFrame := d.alloc(memdef.GPUDevice(m.to))
-	finish := func() { d.completeMigration(m, newFrame) }
+	m.frame = d.alloc(memdef.GPUDevice(m.to))
 	switch {
 	case from.IsCPU():
 		// finish mutates driver state, so it rides the host-side completion
 		// of the data push, not the GPU-side delivery.
-		d.net.CPUToGPU(m.to, d.pageBytes(), nil, finish)
+		d.net.CPUToGPU(m.to, d.pageBytes(), nil, m.finish)
 	case from == memdef.GPUDevice(m.to):
 		// Collapse onto a GPU that already holds the bytes (it had a
 		// replica or is the owner): no bulk transfer needed.
-		d.engine.Schedule(1, finish)
+		d.engine.Schedule(1, m.finish)
 	default:
-		// GPU→GPU copy as the command chain real drivers issue: the host
-		// orders the source GPU to push the page over NVLink, and the
-		// destination GPU reports the landed page back to the host, which
-		// then remaps. Each hop runs in the domain that owns its link.
-		d.copyGPUToGPU(from.GPUIndex(), m.to, finish)
+		// GPU→GPU copy as the command chain real drivers issue.
+		m.copy.start(from.GPUIndex(), m.to)
 	}
 }
 
-// copyGPUToGPU moves one page from GPU src to GPU dst via the host-issued
-// command chain (ctrl to src; bulk data src→dst; ctrl ack to host) and runs
-// done in the host domain once the ack lands.
+// copyGPUToGPU moves one page from GPU src to GPU dst via a fresh command
+// chain (see gpuCopy) and runs done in the host domain once the ack lands.
+// Migrations reuse their own chain; replication copies come here.
 func (d *Driver) copyGPUToGPU(src, dst int, done func()) {
-	d.net.CPUToGPU(src, memdef.ControlMsgBytes, func() {
-		d.net.GPUToGPU(src, dst, d.pageBytes(), func() {
-			d.net.GPUToCPU(dst, memdef.ControlMsgBytes, done, nil)
-		}, nil)
-	}, nil)
+	c := new(gpuCopy)
+	c.bind(d, done)
+	c.start(src, dst)
 }
 
 // completeMigration installs the new mapping, replays deferred faults and
 // closes the FSM.
-func (d *Driver) completeMigration(m *migration, frame memdef.PFN) {
-	d.hostPT.Map(m.vpn, pagetable.PTE{PFN: frame, Valid: true, Writable: true})
+func (d *Driver) completeMigration(m *migration) {
+	pte := pagetable.PTE{PFN: m.frame, Valid: true, Writable: true}
+	d.hostPT.Map(m.vpn, pte)
 	delete(d.replicas, m.vpn)
 	d.dir.Record(m.vpn, m.to)
 	d.st.MigrationTotal.Add(d.engine.Now() - m.start)
-	delete(d.migrating, m.vpn)
-	d.sendMapping(m.to, m.vpn, pagetable.PTE{PFN: frame, Valid: true, Writable: true})
+	d.migrating.Delete(m.vpn)
+	d.sendMapping(m.to, m.vpn, pte)
 
 	// Replay deferred faults, one per GPU (the MSHR guarantees one
 	// outstanding fault per page per GPU, but on-touch defers its trigger
-	// fault alongside later ones).
-	seen := map[int]bool{m.to: true}
+	// fault alongside later ones). Servicing a fault only queues its host
+	// walk, so m.deferred stays put while this loop runs.
+	seen := uint64(1) << uint(m.to)
 	for _, f := range m.deferred {
-		if seen[f.gpu] {
-			continue
+		if bit := uint64(1) << uint(f.gpu); seen&bit == 0 {
+			seen |= bit
+			d.serviceFault(f)
 		}
-		seen[f.gpu] = true
-		d.serviceFault(f)
 	}
+	m.unhold()
 }
 
 // ---------------------------------------------------------------------------
@@ -568,7 +723,7 @@ func (d *Driver) completeMigration(m *migration, frame memdef.PFN) {
 // deferOrRetry parks a fault behind its page's migration; if the migration
 // itself is queued behind in-flight replies, the fault retries shortly.
 func (d *Driver) deferOrRetry(f fault) {
-	if m, ok := d.migrating[f.vpn]; ok {
+	if m, ok := d.migrating.Get(f.vpn); ok {
 		m.deferred = append(m.deferred, f)
 		return
 	}

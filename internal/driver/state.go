@@ -19,8 +19,8 @@ import (
 // SaveState writes the driver's state to w. Panics if the driver is not
 // quiescent — checkpoints are only taken after a full drain.
 func (d *Driver) SaveState(w *checkpoint.Writer) {
-	if len(d.faultQueue) != 0 || d.batchScheduled || len(d.migrating) != 0 ||
-		len(d.repliesInFlight) != 0 || len(d.queuedMigration) != 0 {
+	if len(d.faultQueue) != 0 || d.batchScheduled || d.migrating.Len() != 0 ||
+		d.repliesInFlight.Len() != 0 || d.queuedMigration.Len() != 0 {
 		panic("driver: SaveState with in-flight work")
 	}
 	d.hostPT.SaveState(w)

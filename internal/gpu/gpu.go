@@ -13,6 +13,7 @@ import (
 	"idyll/internal/datapath"
 	"idyll/internal/interconnect"
 	"idyll/internal/memdef"
+	"idyll/internal/pagemap"
 	"idyll/internal/pagetable"
 	"idyll/internal/sim"
 	"idyll/internal/sim/pdes"
@@ -142,12 +143,15 @@ type GPU struct {
 	// config.RemoteEnginePorts).
 	remoteService *sim.Resource
 
-	counters    map[memdef.VPN]int
-	irmbReceipt map[memdef.VPN]sim.VTime
+	// counters holds the access counter of each region with remote
+	// accesses (see region); irmbReceipt the arrival time of each
+	// invalidation buffered in the IRMB.
+	counters    pagemap.Map[memdef.VPN, int]
+	irmbReceipt pagemap.Map[memdef.VPN, sim.VTime]
 	// pendingWB marks VPNs whose buffered invalidation left the IRMB for a
 	// write-back walk that has not yet reached them: the local PTE is still
 	// stale, so demand misses must keep treating them as IRMB hits.
-	pendingWB map[memdef.VPN]bool
+	pendingWB pagemap.Map[memdef.VPN, struct{}]
 	// wbCancelled and wbLanded are the write-back batch hooks, bound once.
 	wbCancelled func(memdef.VPN) bool
 	wbLanded    func(memdef.VPN, bool)
@@ -155,11 +159,11 @@ type GPU struct {
 	// performed but whose PTE invalidation has not yet retired. In-flight
 	// demand walks must not refill the TLBs for these pages — real
 	// shootdowns fence new fills until the invalidation completes.
-	shotDown map[memdef.VPN]bool
+	shotDown pagemap.Map[memdef.VPN, struct{}]
 	// invalEpoch counts invalidations received per page; queued PTE
 	// updates carry the epoch they were issued under and abort if a newer
 	// invalidation arrived while they waited in the walk queue.
-	invalEpoch map[memdef.VPN]uint32
+	invalEpoch pagemap.Map[memdef.VPN, uint32]
 
 	trace          [][]workload.Access
 	cuNext         []int
@@ -185,19 +189,14 @@ func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 	net *interconnect.Network, st *stats.Sim) *GPU {
 	engine := dom.Engine()
 	g := &GPU{
-		ID:          id,
-		dom:         dom,
-		engine:      engine,
-		hostDom:     dom,
-		machine:     machine,
-		scheme:      scheme,
-		net:         net,
-		st:          st,
-		counters:    make(map[memdef.VPN]int),
-		irmbReceipt: make(map[memdef.VPN]sim.VTime),
-		pendingWB:   make(map[memdef.VPN]bool),
-		shotDown:    make(map[memdef.VPN]bool),
-		invalEpoch:  make(map[memdef.VPN]uint32),
+		ID:      id,
+		dom:     dom,
+		engine:  engine,
+		hostDom: dom,
+		machine: machine,
+		scheme:  scheme,
+		net:     net,
+		st:      st,
 	}
 	g.l1tlbs = make([]*tlb.TLB, machine.CUsPerGPU)
 	for i := range g.l1tlbs {
@@ -409,7 +408,7 @@ func (s *slot) probeL2() {
 func (g *GPU) launchTranslation(vpn memdef.VPN, write bool) {
 	if g.irmb != nil {
 		g.st.IRMBLookups++
-		if g.irmb.Lookup(vpn) || g.pendingWB[vpn] {
+		if g.irmb.Lookup(vpn) || g.pendingWB.Has(vpn) {
 			// The local PTE is stale (buffered in the IRMB, or evicted from
 			// it into a write-back walk that has not landed yet); walking
 			// it would read a dead translation. Raise the far fault now.
@@ -434,8 +433,8 @@ func (r *walkReq) demandWalked(pagetable.PTE, bool) {
 		// Shootdown fence and IRMB staleness: a pending invalidation for
 		// this page means the walked translation must not be used or
 		// refilled into the TLBs.
-		if g.shotDown[vpn] ||
-			(g.irmb != nil && (g.irmb.Lookup(vpn) || g.pendingWB[vpn])) {
+		if g.shotDown.Has(vpn) ||
+			(g.irmb != nil && (g.irmb.Lookup(vpn) || g.pendingWB.Has(vpn))) {
 			g.farFault(vpn, write)
 			return
 		}
@@ -448,7 +447,8 @@ func (r *walkReq) demandWalked(pagetable.PTE, bool) {
 // overtaken is an update walk's staleness guard: an invalidation arrived
 // after the update was issued.
 func (r *walkReq) overtaken() bool {
-	stale := r.g.invalEpoch[r.vpn] != r.epoch
+	epoch, _ := r.g.invalEpoch.Get(r.vpn)
+	stale := epoch != r.epoch
 	r.free()
 	return stale
 }
@@ -457,7 +457,7 @@ func (r *walkReq) overtaken() bool {
 // invalidations that arrive while it waits.
 func (g *GPU) updateUnlessOvertaken(vpn memdef.VPN, pte pagetable.PTE) {
 	r := g.newWalkReq(vpn)
-	r.epoch = g.invalEpoch[vpn]
+	r.epoch, _ = g.invalEpoch.Get(vpn)
 	g.gmmu.UpdateUnless(vpn, pte, r.stale, nil)
 }
 
@@ -492,7 +492,7 @@ func (g *GPU) forwardToPeer(vpn memdef.VPN, holder int) {
 		// page-table read belong to the holder's engine and state.
 		peer.engine.Schedule(remoteLookupLatency, func() {
 			pte, ok := peer.gmmu.PageTable().Lookup(vpn)
-			if ok && peer.irmb != nil && (peer.irmb.Lookup(vpn) || peer.pendingWB[vpn]) {
+			if ok && peer.irmb != nil && (peer.irmb.Lookup(vpn) || peer.pendingWB.Has(vpn)) {
 				ok = false // the holder's own copy is pending invalidation
 			}
 			g.net.GPUToGPU(holder, g.ID, memdef.ControlMsgBytes, func() {
@@ -618,12 +618,11 @@ func (g *GPU) countRemote(vpn memdef.VPN) {
 	if g.scheme.Policy != config.AccessCounter {
 		return
 	}
-	region := g.region(vpn)
-	g.counters[region]++
-	if g.counters[region] < g.machine.AccessCounterThreshold {
+	c, _ := g.counters.Put(g.region(vpn))
+	if *c++; *c < g.machine.AccessCounterThreshold {
 		return
 	}
-	g.counters[region] = 0
+	*c = 0
 	g.net.GPUToCPU(g.ID, memdef.ControlMsgBytes, func() {
 		g.host.RequestMigration(g.ID, vpn)
 	}, nil)
@@ -640,9 +639,10 @@ func (g *GPU) ReceiveInvalidation(vpn memdef.VPN, ack func()) {
 	g.st.InvalReceived++
 	receipt := g.engine.Now()
 	g.shootdown(vpn)
-	g.shotDown[vpn] = true
-	g.invalEpoch[vpn]++
-	delete(g.counters, g.region(vpn))
+	g.shotDown.Put(vpn)
+	epoch, _ := g.invalEpoch.Put(vpn)
+	*epoch++
+	g.counters.Delete(g.region(vpn))
 	if g.prt != nil {
 		g.prt.InvalidateVPN(vpn)
 	}
@@ -657,12 +657,12 @@ func (g *GPU) ReceiveInvalidation(vpn memdef.VPN, ack func()) {
 		}
 		// The PTE is already invalid; in-flight walks re-read it at
 		// completion, so the fence can drop immediately.
-		delete(g.shotDown, vpn)
+		g.shotDown.Delete(vpn)
 		g.st.Inval.Add(0)
 		ack()
 	case g.irmb != nil:
-		delete(g.shotDown, vpn) // the IRMB entry itself marks staleness
-		g.irmbReceipt[vpn] = receipt
+		g.shotDown.Delete(vpn) // the IRMB entry itself marks staleness
+		g.irmbReceipt.Set(vpn, receipt)
 		wb, merged := g.irmb.Insert(vpn)
 		g.st.IRMBInserts++
 		if merged {
@@ -691,7 +691,7 @@ func (g *GPU) ReceiveInvalidation(vpn memdef.VPN, ack func()) {
 func (r *walkReq) invalidated(bool) {
 	g, vpn, receipt, ack := r.g, r.vpn, r.receipt, r.ack
 	r.free()
-	delete(g.shotDown, vpn)
+	g.shotDown.Delete(vpn)
 	g.st.Inval.Add(g.engine.Now() - receipt)
 	g.st.InvalHist.Add(g.engine.Now() - receipt)
 	ack()
@@ -722,22 +722,22 @@ func (g *GPU) invalidateDataCache(vpn memdef.VPN) {
 func (g *GPU) writebackBatch(vpns []memdef.VPN) {
 	g.st.IRMBWritebacks += uint64(len(vpns))
 	for _, v := range vpns {
-		g.pendingWB[v] = true
+		g.pendingWB.Put(v)
 	}
 	g.gmmu.InvalidateBatchFiltered(vpns, g.wbCancelled, g.wbLanded, nil)
 }
 
 // writebackCancelled reports whether a fresh mapping cancelled v's
 // write-back while the batch waited.
-func (g *GPU) writebackCancelled(v memdef.VPN) bool { return !g.pendingWB[v] }
+func (g *GPU) writebackCancelled(v memdef.VPN) bool { return !g.pendingWB.Has(v) }
 
 // writebackLanded retires v's stale marker once its invalidation lands.
 func (g *GPU) writebackLanded(v memdef.VPN, _ bool) {
-	delete(g.pendingWB, v)
-	if t, ok := g.irmbReceipt[v]; ok {
+	g.pendingWB.Delete(v)
+	if t, ok := g.irmbReceipt.Get(v); ok {
 		g.st.Inval.Add(g.engine.Now() - t)
 		g.st.InvalHist.Add(g.engine.Now() - t)
-		delete(g.irmbReceipt, v)
+		g.irmbReceipt.Delete(v)
 	}
 }
 
@@ -759,25 +759,24 @@ func (g *GPU) drainIRMB() {
 func (g *GPU) ReceiveMapping(vpn memdef.VPN, pte pagetable.PTE) {
 	if g.irmb != nil {
 		annihilated := g.irmb.Remove(vpn)
-		if g.pendingWB[vpn] {
-			// Cancel the in-flight write-back: the incoming update will
+		if g.pendingWB.Delete(vpn) {
+			// Cancelled the in-flight write-back: the incoming update will
 			// overwrite the stale PTE anyway.
-			delete(g.pendingWB, vpn)
 			annihilated = true
 		}
 		if annihilated {
-			if t, ok := g.irmbReceipt[vpn]; ok {
+			if t, ok := g.irmbReceipt.Get(vpn); ok {
 				// The buffered invalidation was annihilated by the new
 				// mapping: its whole cost was the IRMB insert.
 				g.st.Inval.Add(g.engine.Now() - t)
 				g.st.InvalHist.Add(g.engine.Now() - t)
-				delete(g.irmbReceipt, vpn)
+				g.irmbReceipt.Delete(vpn)
 			}
 		}
 	}
 	g.shootdown(vpn) // replace any stale cached translation (e.g. downgrades)
-	delete(g.shotDown, vpn)
-	delete(g.counters, g.region(vpn))
+	g.shotDown.Delete(vpn)
+	g.counters.Delete(g.region(vpn))
 	g.updateUnlessOvertaken(vpn, pte)
 	if g.mshr.Pending(vpn) {
 		g.translationReady(vpn, tlb.Entry{PFN: pte.PFN, Writable: pte.Writable})

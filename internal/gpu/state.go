@@ -1,8 +1,6 @@
 package gpu
 
 import (
-	"sort"
-
 	"idyll/internal/checkpoint"
 	"idyll/internal/memdef"
 	"idyll/internal/sim"
@@ -10,20 +8,11 @@ import (
 
 // Checkpoint support. A GPU at a quiescent point has no access in flight
 // (the MSHR's own SaveState asserts it), so its state is the translation and
-// data structures plus the per-page bookkeeping maps. Maps are serialized in
-// ascending VPN order so the byte stream is deterministic. Optional
+// data structures plus the per-page bookkeeping tables. Tables are serialized
+// in ascending VPN order so the byte stream is deterministic. Optional
 // components (IRMB, PRT, remote-access engine) are presence-gated: the flag
 // in the stream must agree with the scheme the restoring system was built
 // from, which the content-addressed checkpoint key guarantees.
-
-func sortedVPNs[V any](m map[memdef.VPN]V) []memdef.VPN {
-	vpns := make([]memdef.VPN, 0, len(m))
-	for vpn := range m {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	return vpns
-}
 
 // SaveState writes the GPU's full architectural state to w.
 func (g *GPU) SaveState(w *checkpoint.Writer) {
@@ -49,28 +38,31 @@ func (g *GPU) SaveState(w *checkpoint.Writer) {
 		g.remoteService.SaveState(w)
 	}
 
-	w.U32(uint32(len(g.counters)))
-	for _, vpn := range sortedVPNs(g.counters) {
+	w.U32(uint32(g.counters.Len()))
+	for _, vpn := range g.counters.SortedKeys() {
+		n, _ := g.counters.Get(vpn)
 		w.U64(uint64(vpn))
-		w.Int(g.counters[vpn])
+		w.Int(n)
 	}
-	w.U32(uint32(len(g.irmbReceipt)))
-	for _, vpn := range sortedVPNs(g.irmbReceipt) {
+	w.U32(uint32(g.irmbReceipt.Len()))
+	for _, vpn := range g.irmbReceipt.SortedKeys() {
+		t, _ := g.irmbReceipt.Get(vpn)
 		w.U64(uint64(vpn))
-		w.I64(int64(g.irmbReceipt[vpn]))
+		w.I64(int64(t))
 	}
-	w.U32(uint32(len(g.pendingWB)))
-	for _, vpn := range sortedVPNs(g.pendingWB) {
-		w.U64(uint64(vpn))
-	}
-	w.U32(uint32(len(g.shotDown)))
-	for _, vpn := range sortedVPNs(g.shotDown) {
+	w.U32(uint32(g.pendingWB.Len()))
+	for _, vpn := range g.pendingWB.SortedKeys() {
 		w.U64(uint64(vpn))
 	}
-	w.U32(uint32(len(g.invalEpoch)))
-	for _, vpn := range sortedVPNs(g.invalEpoch) {
+	w.U32(uint32(g.shotDown.Len()))
+	for _, vpn := range g.shotDown.SortedKeys() {
 		w.U64(uint64(vpn))
-		w.U32(g.invalEpoch[vpn])
+	}
+	w.U32(uint32(g.invalEpoch.Len()))
+	for _, vpn := range g.invalEpoch.SortedKeys() {
+		e, _ := g.invalEpoch.Get(vpn)
+		w.U64(uint64(vpn))
+		w.U32(e)
 	}
 	w.I64(int64(g.doneAt))
 }
@@ -113,28 +105,28 @@ func (g *GPU) RestoreState(r *checkpoint.Reader) {
 		g.remoteService.RestoreState(r)
 	}
 
-	clear(g.counters)
+	g.counters.Clear()
 	for i, n := 0, r.Count(16); i < n && r.Err() == nil; i++ {
 		vpn := memdef.VPN(r.U64())
-		g.counters[vpn] = r.Int()
+		g.counters.Set(vpn, r.Int())
 	}
-	clear(g.irmbReceipt)
+	g.irmbReceipt.Clear()
 	for i, n := 0, r.Count(16); i < n && r.Err() == nil; i++ {
 		vpn := memdef.VPN(r.U64())
-		g.irmbReceipt[vpn] = sim.VTime(r.I64())
+		g.irmbReceipt.Set(vpn, sim.VTime(r.I64()))
 	}
-	clear(g.pendingWB)
+	g.pendingWB.Clear()
 	for i, n := 0, r.Count(8); i < n && r.Err() == nil; i++ {
-		g.pendingWB[memdef.VPN(r.U64())] = true
+		g.pendingWB.Put(memdef.VPN(r.U64()))
 	}
-	clear(g.shotDown)
+	g.shotDown.Clear()
 	for i, n := 0, r.Count(8); i < n && r.Err() == nil; i++ {
-		g.shotDown[memdef.VPN(r.U64())] = true
+		g.shotDown.Put(memdef.VPN(r.U64()))
 	}
-	clear(g.invalEpoch)
+	g.invalEpoch.Clear()
 	for i, n := 0, r.Count(12); i < n && r.Err() == nil; i++ {
 		vpn := memdef.VPN(r.U64())
-		g.invalEpoch[vpn] = r.U32()
+		g.invalEpoch.Set(vpn, r.U32())
 	}
 	g.doneAt = sim.VTime(r.I64())
 }

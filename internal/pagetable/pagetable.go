@@ -11,15 +11,14 @@
 //
 // The radix structure is implicit. PTEs are never removed, so an interior
 // entry exists exactly when some PTE lies below it: a Table stores its PTEs
-// in one map, and per interior level the set of entry prefixes present,
+// in one pagemap.Map, and per interior level the set of entry prefixes present,
 // which a walk reads only when the leaf lookup misses, to stop at the level
 // where a hardware walker would find an absent entry.
 package pagetable
 
 import (
-	"sort"
-
 	"idyll/internal/memdef"
+	"idyll/internal/pagemap"
 )
 
 // PTE is a page-table entry. The GPU-local tables use PFN/Valid/Writable;
@@ -55,19 +54,15 @@ type Table struct {
 	pageSize memdef.PageSize
 	levels   int
 	mask     uint64 // the VPN bits the radix levels index
-	ptes     map[memdef.VPN]*PTE
+	ptes     pagemap.Map[memdef.VPN, PTE]
 	// prefixes[level-2] holds LevelPrefix(key, level) of every entry
 	// present at interior level 2..levels.
-	prefixes [3]map[uint64]struct{}
-	slab     []PTE // PTE storage, carved 256 at a time
-	valid    int   // number of valid PTEs
+	prefixes [3]pagemap.Map[uint64, struct{}]
+	valid    int // number of valid PTEs
 }
 
-// slabPTEs is how many PTEs one slab allocation holds.
-const slabPTEs = 256
-
-// New creates an empty page table for the given page size. Its maps are
-// created on the first insert.
+// New creates an empty page table for the given page size. Its tables are
+// allocated on the first insert.
 func New(pageSize memdef.PageSize) *Table {
 	levels := pageSize.Levels()
 	return &Table{
@@ -87,7 +82,7 @@ func (t *Table) Levels() int { return t.levels }
 // have been invalidated in place, which still occupy a leaf slot and still
 // cost a full walk to inspect — the "even if it were invalid to begin with"
 // case of §2).
-func (t *Table) Resident() int { return len(t.ptes) }
+func (t *Table) Resident() int { return t.ptes.Len() }
 
 // ValidCount reports how many PTEs are currently valid.
 func (t *Table) ValidCount() int { return t.valid }
@@ -98,8 +93,7 @@ func (t *Table) key(vpn memdef.VPN) memdef.VPN { return memdef.VPN(uint64(vpn) &
 
 // interior reports whether the entry key selects at an interior level exists.
 func (t *Table) interior(key memdef.VPN, level int) bool {
-	_, ok := t.prefixes[level-2][memdef.LevelPrefix(key, level)]
-	return ok
+	return t.prefixes[level-2].Has(memdef.LevelPrefix(key, level))
 }
 
 // Walk simulates a hardware page-table walk for vpn. It returns the ordered
@@ -121,7 +115,7 @@ func (t *Table) Walk(vpn memdef.VPN) (visits []Visit, pte PTE, ok bool) {
 func (t *Table) WalkInto(buf []Visit, vpn memdef.VPN) (visits []Visit, pte PTE, ok bool) {
 	visits = buf[:0]
 	key := t.key(vpn)
-	p := t.ptes[key]
+	p := t.ptes.Ptr(key)
 	last := 1 // the level the walk ends at
 	if p == nil {
 		// The walk stops at the highest absent interior entry. An entry
@@ -151,27 +145,21 @@ func (t *Table) Lookup(vpn memdef.VPN) (PTE, bool) {
 }
 
 // entry returns the *PTE for vpn, creating it (and the interior entries
-// above it) if create is set.
+// above it) if create is set. The pointer is valid until the next PTE is
+// created (see pagemap.Map.Put).
 func (t *Table) entry(vpn memdef.VPN, create bool) *PTE {
 	key := t.key(vpn)
-	if p := t.ptes[key]; p != nil || !create {
-		return p
+	if !create {
+		return t.ptes.Ptr(key)
 	}
-	if t.ptes == nil {
-		t.ptes = make(map[memdef.VPN]*PTE)
-		for i := 0; i < t.levels-1; i++ {
-			t.prefixes[i] = make(map[uint64]struct{})
+	p, added := t.ptes.Put(key)
+	if added {
+		// An existing interior entry implies every entry above it.
+		for level := 2; level <= t.levels; level++ {
+			if _, added := t.prefixes[level-2].Put(memdef.LevelPrefix(key, level)); !added {
+				break
+			}
 		}
-	}
-	if len(t.slab) == cap(t.slab) {
-		t.slab = make([]PTE, 0, slabPTEs)
-	}
-	t.slab = t.slab[:len(t.slab)+1]
-	p := &t.slab[len(t.slab)-1]
-	t.ptes[key] = p
-	// An existing interior entry implies every entry above it.
-	for level := 2; level <= t.levels && !t.interior(key, level); level++ {
-		t.prefixes[level-2][memdef.LevelPrefix(key, level)] = struct{}{}
 	}
 	return p
 }
@@ -208,24 +196,21 @@ func (t *Table) Invalidate(vpn memdef.VPN) (wasValid bool) {
 // Entry exposes the mutable PTE for vpn, creating it if needed. The UVM
 // driver uses this to update the in-PTE directory access bits (Aux) during
 // host-side walks. Flip Valid only through Map and Invalidate, which keep
-// the table's valid count.
+// the table's valid count. The pointer is valid only until the next call
+// that may create a PTE (Entry or Map): finish writing through it first.
 func (t *Table) Entry(vpn memdef.VPN) *PTE {
 	return t.entry(vpn, true)
 }
 
 // Range iterates all resident PTEs in ascending VPN order until fn returns
 // false. The order is part of the contract: callbacks escape iteration
-// order to callers, so handing them raw map order would let the map hash
-// seed leak into anything built on top of Range. VPNs are reported masked
+// order to callers, so handing them the table's slot order would let its
+// insertion history leak into anything built on top of Range (checkpoint
+// bytes, for one). VPNs are reported masked
 // to the radix index bits, as a radix traversal reconstructs them.
 func (t *Table) Range(fn func(memdef.VPN, PTE) bool) {
-	keys := make([]memdef.VPN, 0, len(t.ptes))
-	for k := range t.ptes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if !fn(k, *t.ptes[k]) {
+	for _, k := range t.ptes.SortedKeys() {
+		if pte, _ := t.ptes.Get(k); !fn(k, pte) {
 			return
 		}
 	}

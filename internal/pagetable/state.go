@@ -15,7 +15,7 @@ import (
 // SaveState writes every resident PTE to w.
 func (t *Table) SaveState(w *checkpoint.Writer) {
 	w.Int(t.levels)
-	w.U32(uint32(len(t.ptes)))
+	w.U32(uint32(t.ptes.Len()))
 	t.Range(func(vpn memdef.VPN, pte PTE) bool {
 		w.U64(uint64(vpn))
 		w.U64(uint64(pte.PFN))
@@ -33,8 +33,8 @@ func (t *Table) RestoreState(r *checkpoint.Reader) {
 		r.Failf("pagetable: %d levels in checkpoint, %d configured", levels, t.levels)
 		return
 	}
-	if len(t.ptes) != 0 {
-		r.Failf("pagetable: RestoreState into a non-empty table (%d resident)", len(t.ptes))
+	if n := t.ptes.Len(); n != 0 {
+		r.Failf("pagetable: RestoreState into a non-empty table (%d resident)", n)
 		return
 	}
 	n := int(r.U32())

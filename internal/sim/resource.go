@@ -14,7 +14,12 @@ type Resource struct {
 	servers  int
 	busy     int
 	capacity int // queue capacity; <0 means unbounded
-	queue    []func(release func())
+	// queue[head:] holds the waiting jobs in FIFO order. dispatch advances
+	// head rather than shifting the slice; Acquire compacts a full slice
+	// whose consumed front is at least half of it, so a queued job costs
+	// O(1) amortized.
+	queue []func(release func())
+	head  int
 
 	// dispatchFn is the Schedule target for every release, bound once so
 	// releasing never allocates a method-value closure.
@@ -53,7 +58,10 @@ func NewResource(engine *Engine, servers, queueCap int) *Resource {
 }
 
 // Idle reports whether at least one server is free and nothing is queued.
-func (r *Resource) Idle() bool { return r.busy < r.servers && len(r.queue) == 0 }
+func (r *Resource) Idle() bool { return r.busy < r.servers && r.queued() == 0 }
+
+// queued reports how many jobs wait for a server.
+func (r *Resource) queued() int { return len(r.queue) - r.head }
 
 // Acquire requests a server for job. It reports false (and does not retain
 // job) if the wait queue is full. Otherwise job will eventually run with a
@@ -62,13 +70,18 @@ func (r *Resource) Acquire(job func(release func())) bool {
 	if job == nil {
 		panic("sim: nil resource job")
 	}
-	if r.busy < r.servers && len(r.queue) == 0 {
+	if r.busy < r.servers && r.queued() == 0 {
 		r.busy++
 		job(r.makeRelease())
 		return true
 	}
-	if r.capacity >= 0 && len(r.queue) >= r.capacity {
+	if r.capacity >= 0 && r.queued() >= r.capacity {
 		return false
+	}
+	if len(r.queue) == cap(r.queue) && r.head > 0 && 2*r.head >= len(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
 	}
 	r.queue = append(r.queue, job)
 	return true
@@ -106,11 +119,12 @@ func (r *Resource) makeRelease() func() {
 // dispatch hands a freed server to the next queued job, or fires OnIdle.
 func (r *Resource) dispatch() {
 	r.busy--
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		copy(r.queue, r.queue[1:])
-		r.queue[len(r.queue)-1] = nil
-		r.queue = r.queue[:len(r.queue)-1]
+	if r.queued() > 0 {
+		next := r.queue[r.head]
+		r.queue[r.head] = nil
+		if r.head++; r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
 		r.busy++
 		next(r.makeRelease())
 		return

@@ -139,3 +139,41 @@ func TestResourceNeverOversubscribedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResourceFIFOAcrossQueueReuse: with arrivals interleaved with
+// departures, so the queue's consumed front is compacted and reused,
+// accepted jobs are still served in arrival order, and a bounded queue's
+// backing array stays within twice its capacity.
+func TestResourceFIFOAcrossQueueReuse(t *testing.T) {
+	for _, capacity := range []int{4, -1} {
+		e := NewEngine()
+		r := NewResource(e, 1, capacity)
+		rng := NewRand(7)
+		var accepted, served []int
+		at := VTime(0)
+		for i := 0; i < 500; i++ {
+			i, hold := i, VTime(1+rng.Intn(5))
+			at += VTime(rng.Intn(4))
+			e.ScheduleAt(at, func() {
+				if r.Acquire(func(release func()) {
+					served = append(served, i)
+					e.Schedule(hold, release)
+				}) {
+					accepted = append(accepted, i)
+				}
+			})
+		}
+		e.Run()
+		if len(served) != len(accepted) || len(accepted) < 100 {
+			t.Fatalf("capacity %d: %d accepted, %d served", capacity, len(accepted), len(served))
+		}
+		for k := range served {
+			if served[k] != accepted[k] {
+				t.Fatalf("capacity %d: job %d served at position %d, accepted order %v", capacity, served[k], k, accepted[:k+1])
+			}
+		}
+		if capacity > 0 && cap(r.queue) > 2*capacity {
+			t.Fatalf("bounded queue grew to %d slots for capacity %d", cap(r.queue), capacity)
+		}
+	}
+}

@@ -90,7 +90,7 @@ func (e *Engine) AdvanceTo(t VTime) {
 // into stats.Sim.
 func (r *Resource) SaveState(w *checkpoint.Writer) {
 	w.Int(r.busy)
-	w.Int(len(r.queue))
+	w.Int(r.queued())
 }
 
 // RestoreState checks the occupancy written by SaveState.

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -37,7 +38,7 @@ func (h *Histogram) Add(v sim.VTime) {
 	}
 	b := 0
 	if v > 0 {
-		b = int(math.Log2(float64(v)))
+		b = bits.Len64(uint64(v)) - 1 // floor(log2 v)
 	}
 	if b >= len(h.buckets) {
 		b = len(h.buckets) - 1

@@ -75,6 +75,28 @@ func TestHistogramBucketCounts(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketEdges: each sample lands in bucket floor(log2 v),
+// checked at both edges of every bucket (and 0 in the first), with the
+// samples past the last bucket clamped into it.
+func TestHistogramBucketEdges(t *testing.T) {
+	h := NewHistogram()
+	want := make([]uint64, len(h.buckets))
+	add := func(v sim.VTime, b int) {
+		h.Add(v)
+		want[min(b, len(want)-1)]++
+	}
+	add(0, 0)
+	for b := 0; b < 63; b++ {
+		add(sim.VTime(1)<<b, b)
+		add(sim.VTime(1)<<(b+1)-1, b)
+	}
+	for b, n := range want {
+		if h.buckets[b] != n {
+			t.Fatalf("bucket %d holds %d samples, want %d", b, h.buckets[b], n)
+		}
+	}
+}
+
 func TestHistogramStringMentionsStats(t *testing.T) {
 	h := NewHistogram()
 	h.Add(5)

@@ -7,13 +7,14 @@ package system
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"idyll/internal/config"
 	"idyll/internal/driver"
 	"idyll/internal/gpu"
 	"idyll/internal/interconnect"
 	"idyll/internal/memdef"
+	"idyll/internal/pagemap"
 	"idyll/internal/sim"
 	"idyll/internal/sim/pdes"
 	"idyll/internal/stats"
@@ -231,27 +232,32 @@ func (s *System) finalize() (*stats.Sim, error) {
 // counters show a page is genuinely contended, which is the regime the
 // paper studies.
 func (s *System) preplace(trace *workload.Trace) {
-	counts := make(map[memdef.VPN][]int)
+	// Page i of first touch owns counts[i*n : (i+1)*n], its per-GPU access
+	// counts.
+	n := s.Machine.NumGPUs
+	var index pagemap.Map[memdef.VPN, int]
+	var vpns []memdef.VPN
+	var counts []int
 	for g := range trace.Accesses {
 		for _, cu := range trace.Accesses[g] {
 			for _, a := range cu {
 				vpn := memdef.PageNum(a.VA, s.Machine.PageSize)
-				c := counts[vpn]
-				if c == nil {
-					c = make([]int, s.Machine.NumGPUs)
-					counts[vpn] = c
+				i, added := index.Put(vpn)
+				if added {
+					*i = len(vpns)
+					vpns = append(vpns, vpn)
+					for k := 0; k < n; k++ {
+						counts = append(counts, 0)
+					}
 				}
-				c[g]++
+				counts[*i*n+g]++
 			}
 		}
 	}
-	vpns := make([]memdef.VPN, 0, len(counts))
-	for vpn := range counts {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 	for _, vpn := range vpns {
-		c := counts[vpn]
+		i, _ := index.Get(vpn)
+		c := counts[i*n : (i+1)*n]
 		owner := 0
 		for g := 1; g < len(c); g++ {
 			if c[g] > c[owner] {

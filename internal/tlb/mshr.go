@@ -1,6 +1,9 @@
 package tlb
 
-import "idyll/internal/memdef"
+import (
+	"idyll/internal/memdef"
+	"idyll/internal/pagemap"
+)
 
 // MSHR is a miss-status holding register: it tracks virtual pages with an
 // outstanding translation and merges later requests to the same page onto
@@ -12,7 +15,7 @@ import "idyll/internal/memdef"
 // W is the caller's waiter payload (typically a request continuation).
 type MSHR[W any] struct {
 	capacity int
-	pending  map[memdef.VPN][]W
+	pending  pagemap.Map[memdef.VPN, []W]
 	// free recycles waiter slices between misses (see Recycle), so the
 	// per-miss Add path stops allocating once the MSHR has warmed up.
 	free [][]W
@@ -21,7 +24,7 @@ type MSHR[W any] struct {
 // NewMSHR builds an MSHR with the given entry capacity (capacity <= 0 means
 // unbounded).
 func NewMSHR[W any](capacity int) *MSHR[W] {
-	return &MSHR[W]{capacity: capacity, pending: make(map[memdef.VPN][]W)}
+	return &MSHR[W]{capacity: capacity}
 }
 
 // Outcome reports what happened to a Lookup-and-allocate attempt.
@@ -40,15 +43,14 @@ const (
 
 // Add registers waiter for vpn.
 func (m *MSHR[W]) Add(vpn memdef.VPN, waiter W) Outcome {
-	if ws, ok := m.pending[vpn]; ok {
-		m.pending[vpn] = append(ws, waiter)
+	if ws := m.pending.Ptr(vpn); ws != nil {
+		*ws = append(*ws, waiter)
 		return Merged
 	}
-	if m.capacity > 0 && len(m.pending) >= m.capacity {
+	if m.capacity > 0 && m.pending.Len() >= m.capacity {
 		return Full
 	}
-	ws := m.getSlice()
-	m.pending[vpn] = append(ws, waiter)
+	m.pending.Set(vpn, append(m.getSlice(), waiter))
 	return Allocated
 }
 
@@ -76,16 +78,15 @@ func (m *MSHR[W]) Recycle(ws []W) {
 
 // Pending reports whether vpn has an outstanding miss.
 func (m *MSHR[W]) Pending(vpn memdef.VPN) bool {
-	_, ok := m.pending[vpn]
-	return ok
+	return m.pending.Has(vpn)
 }
 
 // Complete removes vpn's entry and returns its waiters in arrival order.
 func (m *MSHR[W]) Complete(vpn memdef.VPN) []W {
-	ws := m.pending[vpn]
-	delete(m.pending, vpn)
+	ws, _ := m.pending.Get(vpn)
+	m.pending.Delete(vpn)
 	return ws
 }
 
 // Len reports the number of outstanding entries.
-func (m *MSHR[W]) Len() int { return len(m.pending) }
+func (m *MSHR[W]) Len() int { return m.pending.Len() }

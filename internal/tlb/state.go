@@ -35,7 +35,7 @@ func (t *TLB) RestoreState(r *checkpoint.Reader) {
 // is outstanding; the count is asserted into the stream so a non-quiescent
 // save fails at restore.
 func (m *MSHR[W]) SaveState(w *checkpoint.Writer) {
-	w.Int(len(m.pending))
+	w.Int(m.pending.Len())
 }
 
 // RestoreState checks the entry count written by SaveState.

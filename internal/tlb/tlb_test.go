@@ -230,3 +230,23 @@ func TestShootdownFilterProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestMSHRAllocatesNothingWarm: Add (allocate and merge), Complete and
+// Recycle reuse the MSHR's table and waiter slices once it has warmed up.
+func TestMSHRAllocatesNothingWarm(t *testing.T) {
+	m := NewMSHR[int](4)
+	allocs := testing.AllocsPerRun(100, func() {
+		if m.Add(1, 1) != Allocated || m.Add(1, 2) != Merged || m.Add(1<<40, 3) != Allocated {
+			t.Fatal("unexpected outcome")
+		}
+		if ws := m.Complete(1); len(ws) != 2 {
+			t.Fatalf("waiters = %v", ws)
+		} else {
+			m.Recycle(ws)
+		}
+		m.Recycle(m.Complete(1 << 40))
+	})
+	if allocs != 0 {
+		t.Fatalf("warm MSHR allocates %v times per miss round", allocs)
+	}
+}

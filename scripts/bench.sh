@@ -3,11 +3,11 @@
 #
 #   scripts/bench.sh run [count]       # run benchmarks, print + save output
 #   scripts/bench.sh check [count]     # run, then gate allocs/op + B/op
-#                                      # against BENCH_PR17.json (wall-clock is
+#                                      # against BENCH_PR19.json (wall-clock is
 #                                      # machine-dependent, so it is NOT gated
 #                                      # against the committed baseline)
 #   scripts/bench.sh record [count]    # run count>=3 times, rewrite
-#                                      # BENCH_PR17.json from the per-benchmark
+#                                      # BENCH_PR19.json from the per-benchmark
 #                                      # MINIMUM (noise only ever adds time)
 #   scripts/bench.sh compare OLD NEW   # diff two saved bench outputs
 #                                      # (10% ns/op + allocs/op thresholds,
@@ -18,17 +18,18 @@
 #
 # The tracked set is the micro-benchmarks (event engine, IRMB, Zipf, the
 # page-migration data-cache flush, a GPU's TLB shootdown, a page-table walk,
-# one fig11 cell's machine assembly) plus
+# one migration through the driver's FSM, one fig11 cell's machine assembly)
+# plus
 # the end-to-end throughput benchmarks (BenchmarkSuiteFig11Serial) and on
 # the warmup-checkpoint path (BenchmarkSuiteFig11Warmup vs BenchmarkSuiteFig11Checkpointed is the
-# warmup-sharing speedup); see BENCH_PR17.json for the committed baseline and
+# warmup-sharing speedup); see BENCH_PR19.json for the committed baseline and
 # DESIGN.md "Engine internals & profiling" / "Checkpoint format & forking"
 # for how these numbers are used.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkTLBShootdown|BenchmarkPageTableWalk|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
-BASELINE=BENCH_PR17.json
+PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkTLBShootdown|BenchmarkPageTableWalk|BenchmarkDriverMigration|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
+BASELINE=BENCH_PR19.json
 OUT=${BENCH_OUT:-/tmp/idyll_bench.txt}
 PROFILE=${BENCH_PROFILE:-/tmp/idyll_cpu.pprof}
 
