@@ -187,11 +187,10 @@ func cmdRun(args []string) {
 		}
 		fmt.Println(st.Summary())
 		if *engineStats {
-			fmt.Printf("engine: events=%d bucket=%.1f%% (ring=%d heap=%d migrated=%d) "+
-				"cancelled=%d pool-hits=%d\n",
+			fmt.Printf("engine: events=%d bucket=%.1f%% (ring=%d heap=%d migrated=%d) pool-hits=%d\n",
 				st.EngineEvents, st.EngineBucketFraction()*100,
 				st.EngineRingScheduled, st.EngineFarScheduled, st.EngineMigrated,
-				st.EngineCancelled, st.EnginePoolHits)
+				st.EnginePoolHits)
 		}
 	}
 }

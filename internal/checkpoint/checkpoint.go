@@ -36,7 +36,7 @@ const magic = "IDYLLCKP"
 // version: the format has no compatibility machinery, because checkpoints
 // are content-addressed cache entries — a version bump simply misses the
 // cache and regenerates, it never needs to migrate old bytes.
-const Version = 3
+const Version = 4
 
 // Writer appends values to a checkpoint byte stream. The zero Writer is not
 // usable; NewWriter stamps the magic/version header.

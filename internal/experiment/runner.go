@@ -1,10 +1,17 @@
 // The concurrent suite runner. Every figure of the evaluation is a
 // (scheme × application) matrix of independent simulation cells; a cell is a
 // pure function of its spec — machine, scheme, workload, scale, seed — with
-// no shared mutable state (each cell builds its own engine, system, stats,
-// and trace). The runner fans cells out across a bounded worker pool and
-// merges results back in submission order, so parallel regeneration renders
+// no shared mutable state (each cell builds its own engine, system and
+// stats). The runner fans cells out across a bounded worker pool and merges
+// results back in submission order, so parallel regeneration renders
 // byte-identical tables to a serial run.
+//
+// Every figure is a ratio against a baseline run of the same trace, so the
+// cells of one pass replay few distinct traces: fig11's 54 cells replay 9.
+// A pass therefore builds each distinct trace, and its page placement, once
+// and hands both to every cell that replays it. Neither is written after it
+// is built, so concurrent cells read them without locks; each is released
+// once the last cell that uses it has started.
 package experiment
 
 import (
@@ -14,7 +21,9 @@ import (
 	"sync"
 
 	"idyll/internal/config"
+	"idyll/internal/memdef"
 	"idyll/internal/stats"
+	"idyll/internal/system"
 	"idyll/internal/workload"
 )
 
@@ -93,6 +102,15 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 	if workers < 1 {
 		workers = 1
 	}
+	plans := make([]cellPlan, n)
+	planErrs := make([]error, n)
+	memo := traceMemo{entries: map[traceKey]*sharedTrace{}}
+	for i, spec := range specs {
+		plans[i], planErrs[i] = planCell(spec, o)
+		if planErrs[i] == nil {
+			memo.use(plans[i].key)
+		}
+	}
 
 	var (
 		wg       sync.WaitGroup
@@ -120,7 +138,12 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 			defer wg.Done()
 			for i := range work {
 				spec := specs[i]
-				st, err := runCell(spec, o)
+				err := planErrs[i]
+				var st *stats.Sim
+				if err == nil {
+					sh := memo.take(plans[i])
+					st, err = runSystem(plans[i].o, plans[i].m, spec.Scheme, sh.trace, sh.place)
+				}
 				if err != nil {
 					errs[i] = fmt.Errorf("%s: cell (app=%s, scheme=%s): %w",
 						spec.Figure, spec.App, spec.Scheme.Name, err)
@@ -150,9 +173,29 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 	return results, nil
 }
 
-// runCell executes one cell: resolve its options and workload, build a
-// private system, run to completion.
-func runCell(spec CellSpec, o Options) (*stats.Sim, error) {
+// cellPlan is one cell resolved to what it simulates: its options, its
+// machine, and its trace — the trace given in its spec, or the generator
+// parameters it is built from (the seed is o.Seed).
+type cellPlan struct {
+	o      Options
+	m      config.Machine
+	params workload.Params
+	key    traceKey
+}
+
+// traceKey names a cell's trace and the page size it is placed at. A
+// generated trace is named by its canonical parameters, geometry and seed,
+// a given one by its pointer.
+type traceKey struct {
+	params                    string
+	gpus, cusPerGPU, accesses int
+	seed                      uint64
+	given                     *workload.Trace
+	pageSize                  memdef.PageSize
+}
+
+// planCell resolves a cell's options, machine and trace.
+func planCell(spec CellSpec, o Options) (cellPlan, error) {
 	co := o
 	if spec.Opts != nil {
 		co = *spec.Opts
@@ -163,20 +206,82 @@ func runCell(spec CellSpec, o Options) (*stats.Sim, error) {
 			co.CheckpointStore = o.CheckpointStore
 		}
 	}
+	m := spec.Machine
+	if co.CounterThreshold > 0 {
+		m.AccessCounterThreshold = co.CounterThreshold
+	}
 	if spec.Trace != nil {
-		m := spec.Machine
 		m.NumGPUs = spec.Trace.NumGPUs
 		m.CUsPerGPU = len(spec.Trace.Accesses[0])
-		if co.CounterThreshold > 0 {
-			m.AccessCounterThreshold = co.CounterThreshold
-		}
-		return runSystem(co, m, spec.Scheme, spec.Trace)
+		return cellPlan{o: co, m: m, key: traceKey{given: spec.Trace, pageSize: m.PageSize}}, nil
 	}
 	co.Seed = CellSeed(co.Seed, spec.Figure, spec.App)
-	if spec.Params != nil {
-		return RunParams(spec.Machine, spec.Scheme, *spec.Params, co)
+	params := spec.Params
+	if params == nil {
+		app, err := workload.App(spec.App)
+		if err != nil {
+			return cellPlan{}, err
+		}
+		params = &app
 	}
-	return Run(spec.Machine, spec.Scheme, spec.App, co)
+	if co.CUsPerGPU > 0 {
+		m.CUsPerGPU = co.CUsPerGPU
+	}
+	return cellPlan{o: co, m: m, params: *params, key: traceKey{
+		// %#v, as in WarmupKey: every field, and no String() method.
+		params:    fmt.Sprintf("%#v", *params),
+		gpus:      m.NumGPUs,
+		cusPerGPU: m.CUsPerGPU,
+		accesses:  co.AccessesPerCU,
+		seed:      co.Seed,
+		pageSize:  m.PageSize,
+	}}, nil
+}
+
+// traceMemo holds one RunCells pass's shared traces.
+type traceMemo struct {
+	mu      sync.Mutex
+	entries map[traceKey]*sharedTrace
+}
+
+// sharedTrace is one trace of a pass and its placement, built by the first
+// of its cells to start. users counts its cells yet to start.
+type sharedTrace struct {
+	once  sync.Once
+	users int
+	trace *workload.Trace
+	place *system.Placement
+}
+
+// use registers one more cell on key's trace. It runs before any cell
+// starts.
+func (m *traceMemo) use(key traceKey) {
+	e := m.entries[key]
+	if e == nil {
+		e = &sharedTrace{}
+		m.entries[key] = e
+	}
+	e.users++
+}
+
+// take returns p's shared trace, building it on first use. When p is the
+// last of its cells to start, the entry leaves the memo: the cells still
+// running hold it until they finish, and nothing keeps it past them.
+func (m *traceMemo) take(p cellPlan) *sharedTrace {
+	m.mu.Lock()
+	e := m.entries[p.key]
+	if e.users--; e.users == 0 {
+		delete(m.entries, p.key)
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		e.trace = p.key.given
+		if e.trace == nil {
+			e.trace = workload.Generate(p.params, p.m.NumGPUs, p.m.CUsPerGPU, p.o.AccessesPerCU, p.o.Seed)
+		}
+		e.place = system.Place(e.trace, p.m.PageSize)
+	})
+	return e
 }
 
 // cells accumulates one figure's specs so the whole matrix runs in a single
@@ -224,8 +329,13 @@ func (c *cells) addParamsOpts(m config.Machine, s config.Scheme, p workload.Para
 	return len(c.specs) - 1
 }
 
+// runPass runs one figure's accumulated specs. It is a variable so that
+// tests can compare a figure's shared-trace pass with its cells run one by
+// one.
+var runPass = RunCells
+
 // run executes the accumulated specs on the pool.
-func (c *cells) run() ([]*stats.Sim, error) { return RunCells(c.o, c.specs) }
+func (c *cells) run() ([]*stats.Sim, error) { return runPass(c.o, c.specs) }
 
 // schemeMatrix runs baseline plus each scheme for every app in one pool pass
 // and returns one speedup row per scheme — the (scheme × app) shape most

@@ -19,7 +19,7 @@ import (
 // the checkpoint format version, the machine and scheme (every field), the
 // warmup depth, the trace's parameters, and the trace's full access stream —
 // full, not just the warmup prefix, because pre-placement computes page
-// affinity from the whole trace (system.preplace). Identical keys therefore
+// affinity from the whole trace (system.Place). Identical keys therefore
 // guarantee bit-identical warmup state, and fork-from-checkpoint replays
 // byte-identically to a straight-line run (CI-enforced; see
 // internal/system/checkpoint_test.go).
@@ -53,17 +53,27 @@ func WarmupKey(m config.Machine, scheme config.Scheme, warmup int, trace *worklo
 //   - warmup, no store: two-phase run on one system;
 //   - warmup + store: fetch or compute the warmup checkpoint, fork a fresh
 //     system from it, and run only the remainder.
-func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workload.Trace) (*stats.Sim, error) {
+//
+// place, when non-nil, is trace's placement at m's page size, shared by
+// every system built here; when nil, each system computes its own.
+func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workload.Trace, place *system.Placement) (*stats.Sim, error) {
+	newSystem := func() (*system.System, error) {
+		s, err := system.New(m, scheme)
+		if err == nil {
+			s.Placement = place
+		}
+		return s, err
+	}
 	warmup := o.WarmupAccessesPerCU
 	if warmup <= 0 {
-		s, err := system.New(m, scheme)
+		s, err := newSystem()
 		if err != nil {
 			return nil, err
 		}
 		return s.RunCtx(o.Context(), trace)
 	}
 	if o.CheckpointStore == nil {
-		s, err := system.New(m, scheme)
+		s, err := newSystem()
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +84,7 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 	}
 	key := WarmupKey(m, scheme, warmup, trace)
 	compute := func() ([]byte, error) {
-		scratch, err := system.New(m, scheme)
+		scratch, err := newSystem()
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +102,7 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 		if err != nil {
 			return nil, err
 		}
-		s, err := system.New(m, scheme)
+		s, err := newSystem()
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +111,7 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 		}
 		o.CheckpointStore.Quarantine(key)
 	}
-	s, err := system.New(m, scheme)
+	s, err := newSystem()
 	if err != nil {
 		return nil, err
 	}

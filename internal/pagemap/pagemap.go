@@ -162,11 +162,33 @@ func (m *Map[K, V]) Set(k K, v V) {
 
 // grow doubles the slot array (or makes the first one) and rehashes.
 func (m *Map[K, V]) grow() {
-	oldCtrl, old := m.ctrl, m.slots
-	size := 2 * len(old)
+	size := 2 * len(m.slots)
 	if size < minSlots {
 		size = minSlots
 	}
+	m.resize(size)
+}
+
+// Reserve sizes the table to hold n keys without growing, so a caller that
+// knows its final size pays for one slot array instead of a chain of
+// doublings. It never shrinks the table, and Reserve(0) allocates nothing.
+func (m *Map[K, V]) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	size := minSlots
+	for 4*n > 3*size {
+		size *= 2
+	}
+	if size > len(m.slots) {
+		m.resize(size)
+	}
+}
+
+// resize replaces the slot array with one of size slots (a power of two
+// large enough for every key) and rehashes.
+func (m *Map[K, V]) resize(size int) {
+	oldCtrl, old := m.ctrl, m.slots
 	m.ctrl = make([]uint8, size+group-1)
 	m.slots = make([]slot[K, V], size)
 	m.shift = uint(64 - bits.TrailingZeros(uint(size)))

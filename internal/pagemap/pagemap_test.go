@@ -128,6 +128,52 @@ func TestDifferentialAgainstGoMap(t *testing.T) {
 	}
 }
 
+// TestReserve: a reserved table takes its keys without growing or
+// allocating, a Reserve on a filled table keeps every entry and its
+// invariants, and Reserve never shrinks a table.
+func TestReserve(t *testing.T) {
+	for _, n := range []int{0, 1, 6, 7, 100, 3000} {
+		var m Map[uint64, uint64]
+		m.Reserve(n)
+		slots := len(m.slots)
+		i := uint64(0)
+		if allocs := testing.AllocsPerRun(1, func() {
+			for ; i < uint64(n); i++ {
+				m.Set(i*7919, i)
+			}
+		}); allocs != 0 {
+			t.Fatalf("Reserve(%d): %d Puts allocated %.0f times", n, n, allocs)
+		}
+		if len(m.slots) != slots {
+			t.Fatalf("Reserve(%d): table grew from %d to %d slots", n, slots, len(m.slots))
+		}
+		// The table a chain of doublings would reach for n keys: a Reserve
+		// must not size it larger.
+		var grown Map[uint64, uint64]
+		for k := uint64(0); k < uint64(n); k++ {
+			grown.Set(k*7919, k)
+		}
+		if len(m.slots) != len(grown.slots) {
+			t.Fatalf("Reserve(%d): %d slots, doubling reaches %d", n, len(m.slots), len(grown.slots))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(2))
+	var m Map[uint64, uint64]
+	ref := map[uint64]uint64{}
+	for step := 0; step < 300; step++ {
+		apply(t, &m, ref, byte(rng.Intn(4)), byte(rng.Intn(256)), rng.Uint64())
+	}
+	m.Reserve(4 * len(ref))
+	checkAgainst(t, &m, ref)
+	big := len(m.slots)
+	m.Reserve(1)
+	if len(m.slots) != big {
+		t.Fatalf("Reserve(1) shrank the table from %d to %d slots", big, len(m.slots))
+	}
+	checkAgainst(t, &m, ref)
+}
+
 // TestDeleteShiftsAcrossWrapAround fills the run that wraps from the last
 // slot to the first and deletes from its head, so the backward shift moves
 // entries across the wrap, including one whose home is slot 0.

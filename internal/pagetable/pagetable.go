@@ -87,6 +87,10 @@ func (t *Table) Resident() int { return t.ptes.Len() }
 // ValidCount reports how many PTEs are currently valid.
 func (t *Table) ValidCount() int { return t.valid }
 
+// Reserve sizes the table to hold n PTEs without growing its leaf map; a
+// caller that knows how many pages it is about to install calls it first.
+func (t *Table) Reserve(n int) { t.ptes.Reserve(n) }
+
 // key is vpn's leaf key: the bits the radix levels index. Higher VPN bits
 // alias, as they do in a radix table that indexes each level by 9 bits.
 func (t *Table) key(vpn memdef.VPN) memdef.VPN { return memdef.VPN(uint64(vpn) & t.mask) }

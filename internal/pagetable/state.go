@@ -37,7 +37,8 @@ func (t *Table) RestoreState(r *checkpoint.Reader) {
 		r.Failf("pagetable: RestoreState into a non-empty table (%d resident)", n)
 		return
 	}
-	n := int(r.U32())
+	n := r.Count(20) // u64 VPN, u64 PFN, two bools, u16 Aux
+	t.Reserve(n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		vpn := memdef.VPN(r.U64())
 		pte := PTE{PFN: memdef.PFN(r.U64()), Valid: r.Bool(), Writable: r.Bool(), Aux: r.U16()}

@@ -16,23 +16,23 @@
 // the overwhelmingly common Schedule(0..k) case is an O(1) append, and
 // firing is an O(1) pop off the current cycle's bucket. Each bucket is an
 // intrusive circular singly-linked list threaded through the event nodes
-// themselves, and the ring stores only its tail pointer (tail.next is the
-// head), so an idle engine costs one word per ring slot and filling a
-// bucket never allocates. Events beyond the ring horizon wait in a binary
-// heap and migrate into buckets as the clock advances past their admission
-// point; each event migrates at most once. A per-slot occupancy bitmap —
-// one bit per non-empty bucket — lets the drain loop skip runs of empty
-// cycles 64 at a time, so sparse stretches cost a few word tests rather
-// than a per-cycle scan.
+// themselves, and the ring stores only its tail (tail.next is the head), so
+// filling a bucket never allocates. Events beyond the ring horizon wait in
+// a binary heap and migrate into buckets as the clock advances past their
+// admission point; each event migrates at most once. A per-slot occupancy
+// bitmap — one bit per non-empty bucket — lets the drain loop skip runs of
+// empty cycles 64 at a time, so sparse stretches cost a few word tests
+// rather than a per-cycle scan.
 //
-// Event nodes are pooled on a free list and recycled as soon as they fire
-// or are cancelled. EventIDs carry a generation counter that is bumped on
-// every recycle, so a stale EventID held across a node's reuse can never
-// cancel the node's next occupant.
+// Event nodes live by value in one slab and refer to each other by int32
+// slab index: the ring's tails, the bucket links, the free list and the far
+// heap hold indices, not pointers, so the garbage collector has nothing in
+// them to scan. A node returns to the free list as soon as it fires.
+// Scheduled events cannot be cancelled; a model that needs to abandon work
+// checks a flag when the event fires.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 )
@@ -48,65 +48,12 @@ type VTime int64
 const ringWindow = 4096
 
 // eventNode is a scheduled closure. seq breaks ties so that events scheduled
-// earlier at the same cycle run first (stable FIFO within a cycle). Nodes
-// live on the engine's free list between uses; gen distinguishes a node's
-// successive occupants so stale EventIDs cannot cancel a reused node.
+// earlier at the same cycle run first (stable FIFO within a cycle).
 type eventNode struct {
 	at   VTime
 	seq  uint64
 	fn   func()
-	gen  uint64
-	next *eventNode // successor in its ring bucket's circular list
-	pos  int32      // index within the far heap
-	loc  int8       // locNone, locRing, locFar
-}
-
-const (
-	locNone int8 = iota
-	locRing
-	locFar
-)
-
-// eventHeap orders far-future events by (time, sequence).
-type eventHeap []*eventNode
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = int32(i)
-	h[j].pos = int32(j)
-}
-
-func (h *eventHeap) Push(x any) {
-	n := x.(*eventNode)
-	n.pos = int32(len(*h))
-	*h = append(*h, n)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-// EventID identifies a scheduled event so it can be cancelled. The zero
-// value is inert. An EventID whose event has fired (or been cancelled) is
-// also inert: the generation check makes Cancel a no-op even if the
-// underlying node has been recycled for a different event.
-type EventID struct {
-	n   *eventNode
-	gen uint64
+	next int32 // slab index of the successor in its ring bucket's circular list
 }
 
 // EngineStats are the engine's internal counters, exposed for profiling the
@@ -120,47 +67,41 @@ type EngineStats struct {
 	FarScheduled  uint64
 	// Migrated counts heap events moved into the ring as the clock advanced.
 	Migrated uint64
-	// Cancelled counts events removed by Cancel before firing.
-	Cancelled uint64
 	// Recycled counts event nodes returned to the free list; PoolHits counts
-	// schedules served from it (allocations avoided).
+	// schedules served from it (slab growth avoided).
 	Recycled uint64
 	PoolHits uint64
 }
 
-// Engine is the discrete-event simulation core. The zero value is not usable;
-// construct with NewEngine.
+// Engine is the discrete-event simulation core. The zero value is an empty
+// engine at cycle 0, as NewEngine returns.
 type Engine struct {
+	slab []eventNode
+	free []int32 // slab indices of unused nodes
+	far  []int32 // slab indices of events at >= winStart+ringWindow, a (at, seq) min-heap
+
 	now VTime
 	seq uint64
 
 	// The ring covers cycles [winStart, winStart+ringWindow); slot is
-	// cycle & (ringWindow-1). ring[slot] is the tail of that cycle's
-	// circular FIFO, nil when empty; every live ring event lies inside the
-	// window, so a non-empty slot holds exactly one cycle's events. cursor
-	// is the lowest cycle that may still hold undrained events; it never
-	// trails winStart. occ has one bit per slot, set iff the slot is
-	// non-empty.
+	// cycle & (ringWindow-1). ring[slot] is the slab index of the tail of
+	// that cycle's circular FIFO, meaningful only while the slot's occ bit
+	// is set; every live ring event lies inside the window, so a non-empty
+	// slot holds exactly one cycle's events. cursor is the lowest cycle that
+	// may still hold undrained events; it never trails winStart. The two
+	// arrays come last: they hold no pointers, so the collector stops
+	// scanning an Engine before them.
 	winStart VTime
 	cursor   VTime
-	ring     []*eventNode
-	occ      []uint64
 	ringLive int
-
-	far eventHeap // events at >= winStart+ringWindow, live only
-
-	pool    []*eventNode
-	st      EngineStats
-	running bool
+	st       EngineStats
+	running  bool
+	ring     [ringWindow]int32
+	occ      [ringWindow / 64]uint64
 }
 
 // NewEngine returns an engine positioned at cycle 0 with an empty queue.
-func NewEngine() *Engine {
-	return &Engine{
-		ring: make([]*eventNode, ringWindow),
-		occ:  make([]uint64, ringWindow/64),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() VTime { return e.now }
@@ -177,122 +118,118 @@ func (e *Engine) Pending() int { return e.ringLive + len(e.far) }
 // Schedule runs fn delay cycles from now. A delay of 0 runs fn later in the
 // current cycle, after all previously scheduled same-cycle events. It panics
 // on negative delays, which always indicate a modelling bug.
-func (e *Engine) Schedule(delay VTime, fn func()) EventID {
+func (e *Engine) Schedule(delay VTime, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	return e.ScheduleAt(e.now+delay, fn)
+	e.ScheduleAt(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at absolute time t, which must not be in the past.
-func (e *Engine) ScheduleAt(t VTime, fn func()) EventID {
+func (e *Engine) ScheduleAt(t VTime, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	n := e.get()
+	i := e.get()
+	n := &e.slab[i]
 	n.at = t
 	n.seq = e.seq
 	n.fn = fn
 	e.seq++
 	if t < e.winStart+ringWindow {
 		e.st.RingScheduled++
-		e.pushRing(n)
+		e.pushRing(i, n)
 	} else {
 		e.st.FarScheduled++
-		n.loc = locFar
-		heap.Push(&e.far, n)
+		e.pushFar(i)
 	}
-	return EventID{n: n, gen: n.gen}
 }
 
-// get takes a node from the free list, or allocates one.
-func (e *Engine) get() *eventNode {
-	if len(e.pool) > 0 {
-		n := e.pool[len(e.pool)-1]
-		e.pool[len(e.pool)-1] = nil
-		e.pool = e.pool[:len(e.pool)-1]
+// get takes a node from the free list, or grows the slab by one.
+func (e *Engine) get() int32 {
+	if k := len(e.free) - 1; k >= 0 {
+		i := e.free[k]
+		e.free = e.free[:k]
 		e.st.PoolHits++
-		return n
+		return i
 	}
-	return &eventNode{}
+	e.slab = append(e.slab, eventNode{})
+	return int32(len(e.slab) - 1)
 }
 
-// recycle returns a node to the free list, bumping its generation so any
-// outstanding EventID for the old occupant goes inert, and dropping fn so
-// its captured state is immediately collectable.
-func (e *Engine) recycle(n *eventNode) {
-	n.fn = nil
-	n.loc = locNone
-	n.gen++
-	e.pool = append(e.pool, n)
-	e.st.Recycled++
+// before reports whether node i orders strictly before node j: earlier
+// time, then earlier schedule.
+func (e *Engine) before(i, j int32) bool {
+	a, b := &e.slab[i], &e.slab[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
-// pushRing appends n to its cycle's bucket. Only cycles inside the current
-// window reach here, so a non-empty slot already holds events of n's cycle.
-func (e *Engine) pushRing(n *eventNode) {
-	s := int(uint64(n.at) & (ringWindow - 1))
-	if tail := e.ring[s]; tail == nil {
-		n.next = n
-		e.occ[s>>6] |= 1 << (uint(s) & 63)
-	} else {
-		n.next = tail.next
-		tail.next = n
-	}
-	e.ring[s] = n
-	n.loc = locRing
-	e.ringLive++
-}
-
-// unlinkRing removes n from its bucket, given its predecessor prev in the
-// circular list (prev == n when n is the only node), and clears the slot's
-// occupancy bit if the bucket empties.
-func (e *Engine) unlinkRing(n, prev *eventNode) {
-	s := int(uint64(n.at) & (ringWindow - 1))
-	switch {
-	case prev == n:
-		e.ring[s] = nil
-		e.occ[s>>6] &^= 1 << (uint(s) & 63)
-	case e.ring[s] == n:
-		prev.next = n.next
-		e.ring[s] = prev
-	default:
-		prev.next = n.next
-	}
-	n.loc = locNone
-	e.ringLive--
-}
-
-// Cancel removes a scheduled event. The node is recycled immediately and its
-// closure released, so a cancelled event holds no memory while waiting for
-// its cycle to pass. Cancelling an already-fired or already-cancelled event
-// (or the zero EventID) is a no-op. A ring event is unlinked by walking its
-// bucket from the head to find its predecessor, so the cost is the number
-// of same-cycle events scheduled before it; the model itself never cancels,
-// and the singly-linked bucket keeps the schedule/fire path to one pointer
-// per node.
-func (e *Engine) Cancel(id EventID) {
-	n := id.n
-	if n == nil || n.gen != id.gen {
-		return
-	}
-	switch n.loc {
-	case locRing:
-		prev := e.ring[int(uint64(n.at)&(ringWindow-1))]
-		for prev.next != n {
-			prev = prev.next
+// pushFar adds node i to the far heap.
+func (e *Engine) pushFar(i int32) {
+	h := append(e.far, i)
+	k := len(h) - 1
+	for k > 0 {
+		p := (k - 1) / 2
+		if !e.before(i, h[p]) {
+			break
 		}
-		e.unlinkRing(n, prev)
-	case locFar:
-		heap.Remove(&e.far, int(n.pos))
-	default:
-		return
+		h[k] = h[p]
+		k = p
 	}
-	e.st.Cancelled++
-	e.recycle(n)
+	h[k] = i
+	e.far = h
+}
+
+// popFar removes and returns the far heap's earliest node.
+func (e *Engine) popFar() int32 {
+	h := e.far
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	k := 0
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && e.before(h[c+1], h[c]) {
+			c++
+		}
+		if !e.before(h[c], last) {
+			break
+		}
+		h[k] = h[c]
+		k = c
+	}
+	if len(h) > 0 {
+		h[k] = last
+	}
+	e.far = h
+	return top
+}
+
+// pushRing appends node i, n, to its cycle's bucket. Only cycles inside
+// the current window reach here, so a non-empty slot already holds events
+// of n's cycle.
+func (e *Engine) pushRing(i int32, n *eventNode) {
+	s := int(uint64(n.at) & (ringWindow - 1))
+	bit := uint64(1) << (uint(s) & 63)
+	if e.occ[s>>6]&bit == 0 {
+		n.next = i
+		e.occ[s>>6] |= bit
+	} else {
+		tail := &e.slab[e.ring[s]]
+		n.next = tail.next
+		tail.next = i
+	}
+	e.ring[s] = i
+	e.ringLive++
 }
 
 // advanceWindow slides the ring window forward to start at t and migrates
@@ -309,17 +246,17 @@ func (e *Engine) advanceWindow(t VTime) {
 		e.cursor = t
 	}
 	horizon := t + ringWindow
-	for len(e.far) > 0 && e.far[0].at < horizon {
-		n := heap.Pop(&e.far).(*eventNode)
-		e.pushRing(n)
+	for len(e.far) > 0 && e.slab[e.far[0]].at < horizon {
+		i := e.popFar()
+		e.pushRing(i, &e.slab[i])
 		e.st.Migrated++
 	}
 }
 
-// popRing removes and returns the earliest live ring event at time <= limit
-// (limit < 0 means no limit), or nil if the ring has none. It advances
+// popRing removes and returns the earliest ring event at time <= limit
+// (limit < 0 means no limit); ok is false if the ring has none. It advances
 // cursor past empty cycles.
-func (e *Engine) popRing(limit VTime) *eventNode {
+func (e *Engine) popRing(limit VTime) (i int32, ok bool) {
 	end := e.winStart + ringWindow
 	for e.ringLive > 0 && e.cursor < end {
 		if limit >= 0 && e.cursor > limit {
@@ -330,7 +267,7 @@ func (e *Engine) popRing(limit VTime) *eventNode {
 			// it. Cycles at or below limit were drained, so limit+1 is
 			// exact, never lossy.
 			e.cursor = limit + 1
-			return nil
+			return 0, false
 		}
 		s := int(uint64(e.cursor) & (ringWindow - 1))
 		w := e.occ[s>>6] >> (uint(s) & 63)
@@ -345,35 +282,41 @@ func (e *Engine) popRing(limit VTime) *eventNode {
 			continue // re-check limit at the new cycle
 		}
 		// The cursor stays on this cycle: the event about to fire may
-		// schedule more work into it.
-		tail := e.ring[s]
+		// schedule more work into it. Unlink the bucket's head.
+		tail := &e.slab[e.ring[s]]
 		head := tail.next
-		e.unlinkRing(head, tail)
-		return head
+		if head == e.ring[s] {
+			e.occ[s>>6] &^= 1 << (uint(s) & 63)
+		} else {
+			tail.next = e.slab[head].next
+		}
+		e.ringLive--
+		return head, true
 	}
-	return nil
+	return 0, false
 }
 
-// popNext removes and returns the earliest live event at time <= limit, or
-// nil. Ring events always precede heap events (the heap holds only times
-// beyond the window), so the ring is authoritative while it has any.
-func (e *Engine) popNext(limit VTime) *eventNode {
+// popNext removes and returns the earliest event at time <= limit; ok is
+// false if there is none. Ring events always precede heap events (the heap
+// holds only times beyond the window), so the ring is authoritative while
+// it has any.
+func (e *Engine) popNext(limit VTime) (i int32, ok bool) {
 	for {
 		if e.ringLive > 0 {
-			if n := e.popRing(limit); n != nil {
-				return n
+			if i, ok := e.popRing(limit); ok {
+				return i, true
 			}
 			if e.ringLive > 0 {
-				return nil // limit cut inside the window
+				return 0, false // limit cut inside the window
 			}
 			continue // ring went empty while scanning; consult the heap
 		}
 		if len(e.far) == 0 {
-			return nil
+			return 0, false
 		}
-		t := e.far[0].at
+		t := e.slab[e.far[0]].at
 		if limit >= 0 && t > limit {
-			return nil
+			return 0, false
 		}
 		// Jump the window to the heap's minimum; its events migrate into
 		// buckets and the next loop pass drains them in order.
@@ -381,20 +324,25 @@ func (e *Engine) popNext(limit VTime) *eventNode {
 	}
 }
 
-// fireNext executes the earliest live event with time <= limit and reports
+// fireNext executes the earliest event with time <= limit and reports
 // whether one ran. The window slides before the closure runs, so anything
 // the closure schedules sees a fully migrated ring.
 func (e *Engine) fireNext(limit VTime) bool {
-	n := e.popNext(limit)
-	if n == nil {
+	i, ok := e.popNext(limit)
+	if !ok {
 		return false
 	}
+	n := &e.slab[i]
 	if n.at != e.now {
 		e.now = n.at
 		e.advanceWindow(n.at)
 	}
+	// Recycle the node before running fn, dropping its closure so captured
+	// state is collectable as soon as fn returns.
 	fn := n.fn
-	e.recycle(n)
+	n.fn = nil
+	e.free = append(e.free, i)
+	e.st.Recycled++
 	e.st.Fired++
 	fn()
 	return true
@@ -419,7 +367,7 @@ func (e *Engine) RunUntil(limit VTime) VTime {
 	return e.now
 }
 
-// Step executes the single earliest live event, if any, and reports whether
+// Step executes the single earliest event, if any, and reports whether
 // one was executed.
 func (e *Engine) Step() bool {
 	return e.fireNext(-1)
@@ -442,17 +390,17 @@ func (e *Engine) NextAt() (VTime, bool) {
 			}
 			return c + VTime(bits.TrailingZeros64(w)), true
 		}
-		// ringLive > 0 guarantees a live event inside [cursor, end), so the
+		// ringLive > 0 guarantees an event inside [cursor, end), so the
 		// scan above cannot fall through; this is unreachable.
 		panic("sim: ring accounting out of sync")
 	}
 	if len(e.far) > 0 {
-		return e.far[0].at, true
+		return e.slab[e.far[0]].at, true
 	}
 	return 0, false
 }
 
-// RunBatch executes up to n events and reports whether live events remain.
+// RunBatch executes up to n events and reports whether events remain.
 // Events fire in exactly the order Run would fire them — batch boundaries
 // cannot reorder anything — so callers can interleave work (cancellation
 // checks, progress) between batches without perturbing determinism.

@@ -8,14 +8,13 @@ import (
 )
 
 // refEvent / refHeap / refEngine are the pre-calendar-queue engine: a single
-// binary heap ordered by (time, seq) with dead-marking Cancel. It is the
-// ordering oracle for the differential tests — any divergence between it and
-// Engine is a determinism bug in the two-tier queue.
+// binary heap ordered by (time, seq). It is the ordering oracle for the
+// differential tests — any divergence between it and Engine is a
+// determinism bug in the two-tier queue.
 type refEvent struct {
-	at   VTime
-	seq  uint64
-	fn   func()
-	dead bool
+	at  VTime
+	seq uint64
+	fn  func()
 }
 
 type refHeap []*refEvent
@@ -44,11 +43,10 @@ type refEngine struct {
 	queue refHeap
 }
 
-func (e *refEngine) Schedule(delay VTime, fn func()) *refEvent {
+func (e *refEngine) Schedule(delay VTime, fn func()) {
 	ev := &refEvent{at: e.now + delay, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return ev
 }
 
 func (e *refEngine) RunUntil(limit VTime) {
@@ -58,9 +56,6 @@ func (e *refEngine) RunUntil(limit VTime) {
 			break
 		}
 		heap.Pop(&e.queue)
-		if next.dead {
-			continue
-		}
 		e.now = next.at
 		next.fn()
 	}
@@ -71,7 +66,6 @@ func (e *refEngine) RunUntil(limit VTime) {
 type diffOp struct {
 	delay  VTime // scheduling delay for this op's event
 	nested VTime // if >= 0, the fired event schedules a child at this delay
-	cancel int   // if >= 0, cancel the id recorded under this op index
 }
 
 // genOps builds a script whose delays straddle the bucket/heap horizon:
@@ -80,12 +74,9 @@ type diffOp struct {
 func genOps(r *rand.Rand, n int) []diffOp {
 	ops := make([]diffOp, n)
 	for i := range ops {
-		ops[i] = diffOp{delay: diffDelay(r), nested: -1, cancel: -1}
+		ops[i] = diffOp{delay: diffDelay(r), nested: -1}
 		if r.Intn(4) == 0 {
 			ops[i].nested = diffDelay(r)
-		}
-		if i > 0 && r.Intn(5) == 0 {
-			ops[i].cancel = r.Intn(i)
 		}
 	}
 	return ops
@@ -112,10 +103,9 @@ func runDiff(t *testing.T, seed int64, nOps int) (got, want [][2]int64) {
 
 	{
 		e := NewEngine()
-		ids := make([]EventID, len(ops))
 		for i, op := range ops {
 			i, op := i, op
-			ids[i] = e.Schedule(op.delay, func() {
+			e.Schedule(op.delay, func() {
 				got = append(got, [2]int64{int64(i), int64(e.Now())})
 				if op.nested >= 0 {
 					e.Schedule(op.nested, func() {
@@ -123,9 +113,6 @@ func runDiff(t *testing.T, seed int64, nOps int) (got, want [][2]int64) {
 					})
 				}
 			})
-			if op.cancel >= 0 {
-				e.Cancel(ids[op.cancel])
-			}
 		}
 		// Run in limit segments so the horizon is crossed mid-run.
 		for limit := VTime(ringWindow / 2); e.Pending() > 0; limit += ringWindow / 2 {
@@ -135,10 +122,9 @@ func runDiff(t *testing.T, seed int64, nOps int) (got, want [][2]int64) {
 
 	{
 		e := &refEngine{}
-		ids := make([]*refEvent, len(ops))
 		for i, op := range ops {
 			i, op := i, op
-			ids[i] = e.Schedule(op.delay, func() {
+			e.Schedule(op.delay, func() {
 				want = append(want, [2]int64{int64(i), int64(e.now)})
 				if op.nested >= 0 {
 					e.Schedule(op.nested, func() {
@@ -146,9 +132,6 @@ func runDiff(t *testing.T, seed int64, nOps int) (got, want [][2]int64) {
 					})
 				}
 			})
-			if op.cancel >= 0 {
-				ids[op.cancel].dead = true
-			}
 		}
 		for limit := VTime(ringWindow / 2); len(e.queue) > 0; limit += ringWindow / 2 {
 			e.RunUntil(limit)
@@ -158,9 +141,9 @@ func runDiff(t *testing.T, seed int64, nOps int) (got, want [][2]int64) {
 }
 
 // TestEngineDifferentialVsHeap replays randomized schedule scripts — nested
-// schedules, cancels, delays straddling the bucket/heap horizon, segmented
-// RunUntil — through the calendar queue and the reference heap and requires
-// identical firing orders.
+// schedules, delays straddling the bucket/heap horizon, segmented RunUntil —
+// through the calendar queue and the reference heap and requires identical
+// firing orders.
 func TestEngineDifferentialVsHeap(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		got, want := runDiff(t, seed, 400)
@@ -235,120 +218,52 @@ func TestEngineStepAcrossHorizon(t *testing.T) {
 	}
 }
 
-// TestEngineCancelFarEvent cancels an event on the heap tier and one on the
-// ring tier; neither may fire and both nodes recycle eagerly.
-func TestEngineCancelFarEvent(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	near := e.Schedule(4, func() { ran = true })
-	far := e.Schedule(10*ringWindow, func() { ran = true })
-	e.Cancel(near)
-	e.Cancel(far)
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after cancelling both, want 0", e.Pending())
-	}
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	if st := e.Stats(); st.Cancelled != 2 || st.Recycled != 2 {
-		t.Fatalf("stats = %+v, want 2 cancelled, 2 recycled", st)
-	}
-}
-
-// TestEngineStaleCancelAfterReuse holds an EventID across its node's fire
-// and reuse: the stale Cancel must be a no-op and the node's new occupant
-// must still fire. This is the generation-check contract that makes eager
-// pooling safe.
-func TestEngineStaleCancelAfterReuse(t *testing.T) {
-	e := NewEngine()
-	stale := e.Schedule(1, func() {})
-	e.Run() // fires; node recycled to the pool
-
-	ran := false
-	fresh := e.Schedule(1, func() { ran = true }) // reuses the pooled node
-	if fresh.n != stale.n {
-		t.Skip("pool did not reuse the node; generation check not exercised")
-	}
-	e.Cancel(stale) // stale generation: must not touch the new occupant
-	e.Run()
-	if !ran {
-		t.Fatal("stale Cancel killed a reused node's new event")
-	}
-	if e.Stats().Cancelled != 0 {
-		t.Fatalf("stale cancel was counted: %+v", e.Stats())
-	}
-}
-
-// TestEngineDoubleCancel checks Cancel idempotence under pooling: the second
-// Cancel of the same id sees a bumped generation and is a no-op.
-func TestEngineDoubleCancel(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(5, func() {})
-	other := e.Schedule(5, func() {})
-	e.Cancel(id)
-	e.Cancel(id) // node is back in the pool; must not corrupt it
-	_ = other
-	e.Run()
-	if got := e.Stats().Cancelled; got != 1 {
-		t.Fatalf("cancelled = %d, want 1", got)
-	}
-	if e.Fired() != 1 {
-		t.Fatalf("fired = %d, want 1 (the uncancelled event)", e.Fired())
-	}
-}
-
-// TestEngineMassCancelReleasesMemory schedules a large batch of events whose
-// closures pin big buffers, cancels them all, and checks the heap shrinks
-// back before their cycle ever arrives — the eager-recycle contract.
-func TestEngineMassCancelReleasesMemory(t *testing.T) {
-	e := NewEngine()
-	const n = 2000
-	ids := make([]EventID, n)
-	for i := range ids {
-		buf := make([]byte, 64<<10)
-		ids[i] = e.Schedule(VTime(100+i%32), func() { _ = buf[0] })
-	}
-	var before runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, id := range ids {
-		e.Cancel(id)
-	}
-	var after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after mass cancel, want 0", e.Pending())
-	}
-	// The ~125 MB of closure-captured buffers must be gone without the
-	// clock having advanced at all.
-	if freed := int64(before.HeapInuse) - int64(after.HeapInuse); freed < int64(n)*(64<<10)/2 {
-		t.Fatalf("mass cancel released only %d bytes of ~%d buffered", freed, n*(64<<10))
-	}
-	if e.Now() != 0 {
-		t.Fatalf("clock moved to %d during cancel", e.Now())
-	}
-}
-
 // TestEnginePendingIsLive checks the O(1) pending counter against schedule /
-// fire / cancel transitions on both tiers.
+// fire transitions on both tiers.
 func TestEnginePendingIsLive(t *testing.T) {
 	e := NewEngine()
-	a := e.Schedule(1, func() {})
-	b := e.Schedule(2*ringWindow, func() {})
+	e.Schedule(1, func() {})
+	e.Schedule(2*ringWindow, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", e.Pending())
 	}
-	e.Cancel(b)
+	e.RunUntil(ringWindow)
 	if e.Pending() != 1 {
-		t.Fatalf("pending = %d after far cancel, want 1", e.Pending())
+		t.Fatalf("pending = %d after the near event fired, want 1", e.Pending())
 	}
 	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after run, want 0", e.Pending())
 	}
-	_ = a
+}
+
+// TestEngineFiredEventsReleaseClosures schedules a large batch of events
+// whose closures pin big buffers and fires them all: the slab keeps every
+// node for reuse, so the buffers are collectable only because firing
+// drops each node's closure.
+func TestEngineFiredEventsReleaseClosures(t *testing.T) {
+	e := NewEngine()
+	const n = 2000
+	for i := 0; i < n; i++ {
+		buf := make([]byte, 64<<10)
+		e.Schedule(VTime(100+i%32), func() { _ = buf[0] })
+	}
+	var before runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e.Run()
+	var after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if e.Pending() != 0 || e.Fired() != n {
+		t.Fatalf("pending = %d, fired = %d after run, want 0 and %d", e.Pending(), e.Fired(), n)
+	}
+	// The ~125 MB of closure-captured buffers must be gone while the engine,
+	// and its slab of n nodes, is still live.
+	if freed := int64(before.HeapInuse) - int64(after.HeapInuse); freed < int64(n)*(64<<10)/2 {
+		t.Fatalf("firing released only %d bytes of ~%d buffered", freed, n*(64<<10))
+	}
+	runtime.KeepAlive(e)
 }
 
 // TestEngineWindowLapReusesBuckets walks the clock through several full
@@ -401,5 +316,26 @@ func TestEnginePoolRoundTrip(t *testing.T) {
 	}
 	if st.Recycled != 1000 {
 		t.Fatalf("recycled = %d, want 1000", st.Recycled)
+	}
+}
+
+// TestEngineWarmScheduleFireAllocatesNothing pins the slab contract: once
+// the slab, free list and far heap have grown to a workload's high-water
+// mark, scheduling and firing events on both tiers allocates nothing.
+func TestEngineWarmScheduleFireAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	burst := func() {
+		for i := 0; i < 256; i++ {
+			e.Schedule(VTime(i%64), fn)
+		}
+		for i := 0; i < 16; i++ {
+			e.Schedule(VTime(2*ringWindow+i), fn)
+		}
+		e.Run()
+	}
+	burst() // warm: grow the slab, free list and far heap once
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("warm schedule/fire allocated %.1f times per burst, want 0", allocs)
 	}
 }

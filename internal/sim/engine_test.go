@@ -94,20 +94,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	id := e.Schedule(10, func() { ran = true })
-	e.Cancel(id)
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	if e.Fired() != 0 {
-		t.Fatalf("fired = %d, want 0", e.Fired())
-	}
-}
-
 func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -258,16 +244,6 @@ func TestEngineNextAt(t *testing.T) {
 	e.Run()
 	if _, ok := e.NextAt(); ok {
 		t.Fatal("drained engine reported a next event")
-	}
-}
-
-func TestEngineNextAtSkipsCancelled(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(3, func() {})
-	e.Schedule(9, func() {})
-	e.Cancel(id)
-	if at, ok := e.NextAt(); !ok || at != 9 {
-		t.Fatalf("NextAt = %d,%v; want 9 (cancelled slot skipped)", at, ok)
 	}
 }
 

@@ -26,11 +26,14 @@
 // differently (see DESIGN.md "Synchronization domains"):
 //
 //   - Within a window a domain touches only its own engine and state.
-//   - Cross-domain sends go through Post, which stamps each message with
-//     (deliverAt, source domain, per-source sequence number) and stages it
-//     in the sender's outbox; nothing reaches another domain mid-window.
-//   - At the barrier the coordinator drains all outboxes and injects each
-//     destination's batch in sorted (deliverAt, source, sequence) order.
+//   - Cross-domain sends go through Post, which stages each message in the
+//     sender's per-destination outbox; nothing reaches another domain
+//     mid-window.
+//   - At the barrier the coordinator injects, for each destination, every
+//     source's outbox in domain order, each in post order. An engine fires
+//     events in (time, schedule sequence) order, so the messages due in one
+//     cycle fire ordered by (source domain, post order): the order a sort
+//     by (deliverAt, source, sequence) would give, without the sort.
 //
 // Post panics if a message's delivery time lands inside the current window:
 // such a message could not have been exchanged at the previous barrier, so
@@ -50,13 +53,11 @@ import (
 // DomainID names a synchronization domain within its cluster.
 type DomainID int
 
-// message is one staged cross-domain event. src and seq implement the
-// deterministic merge order; fn runs on the destination's engine.
+// message is one staged cross-domain event: fn runs on the destination's
+// engine at time at.
 type message struct {
-	at  sim.VTime
-	src DomainID
-	seq uint64
-	fn  func()
+	at sim.VTime
+	fn func()
 }
 
 // Domain is one synchronization domain: a single-threaded engine plus
@@ -69,8 +70,7 @@ type Domain struct {
 	// out stages messages per destination domain until the next barrier.
 	// Only this domain appends (during its own window); only the
 	// coordinator drains (between windows).
-	out    [][]message
-	outSeq uint64
+	out [][]message
 }
 
 // ID reports the domain's identity.
@@ -86,13 +86,13 @@ func (d *Domain) Engine() *sim.Engine { return d.eng }
 func (d *Domain) Now() sim.VTime { return d.eng.Now() }
 
 // Schedule runs fn on this domain's engine delay cycles from its local now.
-func (d *Domain) Schedule(delay sim.VTime, fn func()) sim.EventID {
-	return d.eng.Schedule(delay, fn)
+func (d *Domain) Schedule(delay sim.VTime, fn func()) {
+	d.eng.Schedule(delay, fn)
 }
 
 // ScheduleAt runs fn on this domain's engine at absolute local time t.
-func (d *Domain) ScheduleAt(t sim.VTime, fn func()) sim.EventID {
-	return d.eng.ScheduleAt(t, fn)
+func (d *Domain) ScheduleAt(t sim.VTime, fn func()) {
+	d.eng.ScheduleAt(t, fn)
 }
 
 // Post schedules fn to run at absolute time at on domain dst. The delivery
@@ -123,8 +123,7 @@ func (d *Domain) Post(dst DomainID, at sim.VTime, fn func()) {
 				"cross-domain latency below the cluster lookahead %d breaks conservative synchronization",
 			d.id, dst, at, c.windowEnd, c.lookahead))
 	}
-	d.outSeq++
-	d.out[dst] = append(d.out[dst], message{at: at, src: d.id, seq: d.outSeq, fn: fn})
+	d.out[dst] = append(d.out[dst], message{at: at, fn: fn})
 }
 
 // ClusterStats counts the synchronization work a run performed.
@@ -142,9 +141,6 @@ type ClusterStats struct {
 type Cluster struct {
 	lookahead sim.VTime
 	domains   []*Domain
-	// stage is the coordinator's scratch for one destination's merge batch,
-	// reused across barriers so exchanges do not allocate.
-	stage []message
 	// windowEnd is the exclusive end of the window being executed. Written
 	// by the coordinator between windows; read by Post during the window.
 	windowEnd sim.VTime
@@ -210,7 +206,6 @@ func (c *Cluster) EngineStats() sim.EngineStats {
 		t.RingScheduled += es.RingScheduled
 		t.FarScheduled += es.FarScheduled
 		t.Migrated += es.Migrated
-		t.Cancelled += es.Cancelled
 		t.Recycled += es.Recycled
 		t.PoolHits += es.PoolHits
 	}
@@ -286,60 +281,29 @@ func (c *Cluster) nextEventTime() (sim.VTime, bool) {
 	return min, found
 }
 
-// exchange drains every outbox and injects each destination's messages in
-// sorted (deliverAt, source, sequence) order. It runs between windows;
-// iteration order over domains is fixed, so the injection sequence — and
-// with it each engine's internal event numbering — is a pure function of
+// exchange drains every outbox into its destination's engine. For each
+// destination it injects every source's outbox in domain order, each in
+// post order. Buckets of the engine's ring are per-cycle FIFOs and its far
+// heap orders by (time, schedule sequence), so the messages of one exchange
+// that are due in the same cycle fire in (source, post order), after every
+// event already scheduled for that cycle. Iteration order over domains is
+// fixed, so each engine's internal event numbering is a pure function of
 // the messages.
 func (c *Cluster) exchange() {
 	for dstID, dst := range c.domains {
-		batch := c.stage[:0]
+		batch := 0
 		for _, src := range c.domains {
-			if out := src.out[dstID]; len(out) > 0 {
-				batch = append(batch, out...)
-				src.out[dstID] = out[:0]
+			out := src.out[dstID]
+			for i := range out {
+				dst.eng.ScheduleAt(out[i].at, out[i].fn)
+				out[i].fn = nil
 			}
+			batch += len(out)
+			src.out[dstID] = out[:0]
 		}
-		if len(batch) == 0 {
-			continue
+		c.st.Messages += uint64(batch)
+		if batch > c.st.MaxBatch {
+			c.st.MaxBatch = batch
 		}
-		sortMessages(batch)
-		for i := range batch {
-			dst.eng.ScheduleAt(batch[i].at, batch[i].fn)
-			batch[i].fn = nil
-		}
-		c.st.Messages += uint64(len(batch))
-		if len(batch) > c.st.MaxBatch {
-			c.st.MaxBatch = len(batch)
-		}
-		c.stage = batch[:0]
 	}
-}
-
-// sortMessages orders a batch by (deliverAt, source domain, sequence).
-// Insertion sort: batches are small (one window's traffic toward one
-// domain), keys are strict-totally ordered — (src, seq) never repeats — and
-// the hand-rolled loop avoids sort.Slice's closure and interface
-// allocations on the per-window hot path.
-func sortMessages(ms []message) {
-	for i := 1; i < len(ms); i++ {
-		m := ms[i]
-		j := i - 1
-		for j >= 0 && messageAfter(ms[j], m) {
-			ms[j+1] = ms[j]
-			j--
-		}
-		ms[j+1] = m
-	}
-}
-
-// messageAfter reports whether a orders strictly after b.
-func messageAfter(a, b message) bool {
-	if a.at != b.at {
-		return a.at > b.at
-	}
-	if a.src != b.src {
-		return a.src > b.src
-	}
-	return a.seq > b.seq
 }

@@ -4,14 +4,15 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"idyll/internal/sim"
 )
 
-// TestBarrierMergeOrder pins the injection order at a barrier: messages for
-// one destination sort by (deliverAt, source domain, per-source sequence),
+// TestBarrierMergeOrder pins the delivery order at a barrier: messages for
+// one destination fire by (deliverAt, source domain, post order),
 // regardless of the order the sends happened in.
 func TestBarrierMergeOrder(t *testing.T) {
 	const L = 10
@@ -247,5 +248,153 @@ func BenchmarkExchange(b *testing.B) {
 			dom.ScheduleAt(0, hop)
 		}
 		cl.Run()
+	}
+}
+
+// sortedExchange is the barrier merge exchange used to perform: gather each
+// destination's batch from every outbox, tag each message with its source
+// and per-source post index, sort by (deliverAt, source, index) and inject
+// in that order. It is the oracle for TestExchangeMatchesSortedMerge.
+func sortedExchange(c *Cluster) {
+	type tagged struct {
+		m        message
+		src, idx int
+	}
+	for dstID, dst := range c.domains {
+		var batch []tagged
+		for srcID, src := range c.domains {
+			for i, m := range src.out[dstID] {
+				batch = append(batch, tagged{m, srcID, i})
+			}
+			src.out[dstID] = src.out[dstID][:0]
+		}
+		sort.Slice(batch, func(i, j int) bool {
+			a, b := batch[i], batch[j]
+			if a.m.at != b.m.at {
+				return a.m.at < b.m.at
+			}
+			if a.src != b.src {
+				return a.src < b.src
+			}
+			return a.idx < b.idx
+		})
+		for _, t := range batch {
+			dst.eng.ScheduleAt(t.m.at, t.m.fn)
+		}
+	}
+}
+
+// runSorted is RunCtx's windowed loop with sortedExchange at every barrier.
+func runSorted(c *Cluster) {
+	c.running = true
+	defer func() { c.running = false }()
+	sortedExchange(c)
+	for {
+		next, ok := c.nextEventTime()
+		if !ok {
+			return
+		}
+		c.windowEnd = next + c.lookahead
+		for _, d := range c.domains {
+			d.eng.RunUntil(c.windowEnd - 1)
+		}
+		sortedExchange(c)
+	}
+}
+
+// orderScript builds one random multi-domain workload on cl and returns the
+// per-domain firing logs it fills. Every event is named by a label, and all
+// of its choices derive from that label alone, so two clusters that fire the
+// same events in the same order produce the same logs however they merge.
+// Deliveries land on a coarse grid of cycles so that several sources hit
+// the same cycle of one destination, and a fifth of them go beyond the
+// engine's ring span into its far tier.
+func orderScript(cl *Cluster, seed uint64) [][]uint64 {
+	n := cl.NumDomains()
+	la := cl.Lookahead()
+	logs := make([][]uint64, n)
+	mix := func(x uint64) uint64 {
+		x += 0x9e3779b97f4a7c15
+		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+		return x ^ (x >> 31)
+	}
+	deliverAt := func(now sim.VTime, r uint64) sim.VTime {
+		at := now + la
+		if r%5 == 0 {
+			at += 4096 + sim.VTime(r>>8%512) // far tier
+		}
+		return (at + 7) &^ 7 // a coarse grid makes same-cycle collisions common
+	}
+	var event func(dom int, label uint64, depth int) func()
+	event = func(dom int, label uint64, depth int) func() {
+		return func() {
+			logs[dom] = append(logs[dom], label)
+			if depth == 0 {
+				return
+			}
+			d := cl.Domain(dom)
+			r := mix(label)
+			for k := uint64(0); k < r%4; k++ {
+				cr := mix(r + k)
+				child := mix(label ^ (k+1)<<56)
+				if cr%3 == 0 {
+					d.Schedule(sim.VTime(cr>>8%16), event(dom, child, depth-1))
+					continue
+				}
+				dst := int(cr >> 16 % uint64(n))
+				d.Post(DomainID(dst), deliverAt(d.Now(), cr>>24), event(dst, child, depth-1))
+			}
+		}
+	}
+	for dom := 0; dom < n; dom++ {
+		d := cl.Domain(dom)
+		for i := uint64(0); i < 6; i++ {
+			label := mix(seed<<16 | uint64(dom)<<8 | i)
+			if label%2 == 0 {
+				d.ScheduleAt(sim.VTime(label>>8%32), event(dom, label, 5))
+				continue
+			}
+			// A post made during setup, before any window opened.
+			dst := int(label >> 16 % uint64(n))
+			d.Post(DomainID(dst), deliverAt(0, label>>24), event(dst, label, 5))
+		}
+	}
+	return logs
+}
+
+// TestExchangeMatchesSortedMerge replays random multi-domain scripts through
+// Run and through the sorted-merge oracle and requires every destination to
+// fire the same events in the same order: injecting each source's outbox in
+// domain order, in post order, delivers exactly what sorting each batch by
+// (deliverAt, source, sequence) did.
+func TestExchangeMatchesSortedMerge(t *testing.T) {
+	fired := 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		n := 2 + int(seed%4)
+		la := sim.VTime(1 + seed%13)
+		got := NewCluster(n, la)
+		gotLogs := orderScript(got, seed)
+		got.Run()
+		want := NewCluster(n, la)
+		wantLogs := orderScript(want, seed)
+		runSorted(want)
+		if !reflect.DeepEqual(gotLogs, wantLogs) {
+			for d := range wantLogs {
+				if !reflect.DeepEqual(gotLogs[d], wantLogs[d]) {
+					t.Fatalf("seed %d: domain %d fired %d events differently from the sorted merge (%d events)",
+						seed, d, len(gotLogs[d]), len(wantLogs[d]))
+				}
+			}
+		}
+		if got.Stats().Messages == 0 {
+			t.Fatalf("seed %d: script exchanged no messages", seed)
+		}
+		for _, l := range gotLogs {
+			fired += len(l)
+		}
+	}
+	if fired < 10000 {
+		t.Fatalf("scripts fired only %d events; too few to exercise the merge", fired)
 	}
 }

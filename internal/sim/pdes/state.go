@@ -43,7 +43,6 @@ func (c *Cluster) SaveState(w *checkpoint.Writer) {
 	w.I64(int64(c.lookahead))
 	for _, d := range c.domains {
 		d.eng.SaveState(w)
-		w.U64(d.outSeq)
 	}
 	w.U64(c.st.Windows)
 	w.U64(c.st.Messages)
@@ -65,7 +64,6 @@ func (c *Cluster) RestoreState(r *checkpoint.Reader) {
 	}
 	for _, d := range c.domains {
 		d.eng.RestoreState(r)
-		d.outSeq = r.U64()
 	}
 	c.st.Windows = r.U64()
 	c.st.Messages = r.U64()

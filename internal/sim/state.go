@@ -21,12 +21,11 @@ func (e *Engine) SaveState(w *checkpoint.Writer) {
 	w.U64(e.seq)
 	// The free-list length travels so a restored engine reproduces the same
 	// pool-hit sequence; the nodes themselves are interchangeable blanks.
-	w.U32(uint32(len(e.pool)))
+	w.U32(uint32(len(e.free)))
 	w.U64(e.st.Fired)
 	w.U64(e.st.RingScheduled)
 	w.U64(e.st.FarScheduled)
 	w.U64(e.st.Migrated)
-	w.U64(e.st.Cancelled)
 	w.U64(e.st.Recycled)
 	w.U64(e.st.PoolHits)
 }
@@ -55,14 +54,14 @@ func (e *Engine) RestoreState(r *checkpoint.Reader) {
 		r.Failf("sim: implausible free-list length %d", poolLen)
 		return
 	}
-	for len(e.pool) < poolLen {
-		e.pool = append(e.pool, &eventNode{})
+	for len(e.free) < poolLen {
+		e.free = append(e.free, int32(len(e.slab)))
+		e.slab = append(e.slab, eventNode{})
 	}
 	e.st.Fired = r.U64()
 	e.st.RingScheduled = r.U64()
 	e.st.FarScheduled = r.U64()
 	e.st.Migrated = r.U64()
-	e.st.Cancelled = r.U64()
 	e.st.Recycled = r.U64()
 	e.st.PoolHits = r.U64()
 }

@@ -129,8 +129,10 @@ type Sim struct {
 	EngineRingScheduled uint64
 	EngineFarScheduled  uint64
 	EngineMigrated      uint64
-	EngineCancelled     uint64
-	EnginePoolHits      uint64
+	// EngineCancelled always reads 0: scheduled events cannot be cancelled.
+	// The field stays for the benchmark harness, which reads it.
+	EngineCancelled uint64
+	EnginePoolHits  uint64
 
 	// DemandMissHist and InvalHist capture the full latency distributions
 	// behind DemandMiss and Inval, for percentile reporting.

@@ -164,5 +164,7 @@ func (s *System) Resume(data []byte) error {
 	}
 	s.Stats.RestoreState(r)
 	s.staleWindow = r.U64()
+	// The restored state already holds a placed, partly run trace.
+	s.prepared = true
 	return r.Finish()
 }

@@ -133,13 +133,14 @@ func TestResumeRejectsMismatchedSystem(t *testing.T) {
 	if err := MustNew(m4, config.Baseline()).Resume(blob); err == nil {
 		t.Fatal("resume into a different machine succeeded")
 	}
-	// Format version 2 carried per-component counters that version 3 drops:
-	// a v2 stream must be refused at the header, not misread.
-	v2 := bytes.Clone(blob)
-	v2[len("IDYLLCKP")] = 2
-	if err := MustNew(m, config.Baseline()).Resume(v2); err == nil ||
-		!strings.Contains(err.Error(), "format version 2") {
-		t.Fatalf("resume of a v2 stream: err = %v, want a format-version error", err)
+	// Format version 3 carried each domain's message sequence counter and
+	// the engine's cancel count, which version 4 drops: a v3 stream must be
+	// refused at the header, not misread.
+	v3 := bytes.Clone(blob)
+	v3[len("IDYLLCKP")] = 3
+	if err := MustNew(m, config.Baseline()).Resume(v3); err == nil ||
+		!strings.Contains(err.Error(), "format version 3") {
+		t.Fatalf("resume of a v3 stream: err = %v, want a format-version error", err)
 	}
 }
 

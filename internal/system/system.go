@@ -43,7 +43,13 @@ type System struct {
 	CheckTranslations bool
 	// ColdStart disables the default affinity pre-placement of pages, so
 	// every page begins in CPU memory and first-touch-migrates on demand.
-	ColdStart      bool
+	ColdStart bool
+	// Placement, when non-nil, is the run's pre-placement, computed by Place
+	// from the same trace and the machine's page size. It is read, never
+	// written, so runs of one trace may share it; when nil, the run computes
+	// its own.
+	Placement      *Placement
+	prepared       bool
 	staleWindow    uint64
 	hardViolations []string
 }
@@ -152,18 +158,32 @@ func (s *System) RunCtx(ctx context.Context, trace *workload.Trace) (*stats.Sim,
 
 // prepare validates the trace against the machine, installs the optional
 // correctness probe, pre-places pages, and configures the per-GPU workload
-// shape. Called once per run (twice is harmless: pre-placement maps the same
-// pages to the same owners, shape setting is idempotent).
+// shape. A System runs one trace, so a second prepare is an error: each
+// pre-placement takes fresh frames from the driver's allocator, so placing
+// the pages again would remap every one of them to new frames and shift
+// every later allocation.
 func (s *System) prepare(trace *workload.Trace) error {
+	if s.prepared {
+		return fmt.Errorf("system: already prepared a run; a System runs one trace")
+	}
 	if trace.NumGPUs != s.Machine.NumGPUs {
 		return fmt.Errorf("system: trace has %d GPUs, machine has %d",
 			trace.NumGPUs, s.Machine.NumGPUs)
 	}
+	p := s.Placement
+	if p != nil && (p.PageSize != s.Machine.PageSize || len(p.Pages) != s.Machine.NumGPUs) {
+		return fmt.Errorf("system: placement for %d GPUs with %v pages, machine has %d with %v",
+			len(p.Pages), p.PageSize, s.Machine.NumGPUs, s.Machine.PageSize)
+	}
+	s.prepared = true
 	if s.CheckTranslations {
 		s.installChecker()
 	}
 	if !s.ColdStart {
-		s.preplace(trace)
+		if p == nil {
+			p = Place(trace, s.Machine.PageSize)
+		}
+		s.install(p)
 	}
 	s.setShape(trace)
 	return nil
@@ -216,7 +236,6 @@ func (s *System) finalize() (*stats.Sim, error) {
 	s.Stats.EngineRingScheduled = es.RingScheduled
 	s.Stats.EngineFarScheduled = es.FarScheduled
 	s.Stats.EngineMigrated = es.Migrated
-	s.Stats.EngineCancelled = es.Cancelled
 	s.Stats.EnginePoolHits = es.PoolHits
 	if vm := s.Driver.VMDirectory(); vm != nil {
 		s.Stats.VMCacheLookups = vm.Lookups()
@@ -225,23 +244,37 @@ func (s *System) finalize() (*stats.Sim, error) {
 	return s.Stats, nil
 }
 
-// preplace installs every page of the trace on the GPU that accesses it
-// most (affinity placement), modelling the staged data distribution real
-// multi-GPU applications perform before kernel launch. Runs then measure
-// steady-state sharing behaviour: migrations happen only when access
-// counters show a page is genuinely contended, which is the regime the
-// paper studies.
-func (s *System) preplace(trace *workload.Trace) {
+// Placement is the affinity pre-placement of one trace's pages: every page
+// starts on the GPU that accesses it most, modelling the staged data
+// distribution real multi-GPU applications perform before kernel launch.
+// Runs then measure steady-state sharing behaviour: migrations happen only
+// when access counters show a page is genuinely contended, which is the
+// regime the paper studies. A Placement holds no pointers into the trace
+// and is never modified after Place returns, so concurrent runs of one
+// trace share it.
+type Placement struct {
+	PageSize memdef.PageSize
+	// VPNs lists every page the trace touches, in ascending order.
+	VPNs []memdef.VPN
+	// Owners[i] is the GPU that accesses VPNs[i] most; ties go to the
+	// lowest GPU.
+	Owners []uint8
+	// Pages[g] counts the pages GPU g owns.
+	Pages []int
+}
+
+// Place computes the affinity placement of trace's pages at pageSize.
+func Place(trace *workload.Trace, pageSize memdef.PageSize) *Placement {
 	// Page i of first touch owns counts[i*n : (i+1)*n], its per-GPU access
 	// counts.
-	n := s.Machine.NumGPUs
+	n := trace.NumGPUs
 	var index pagemap.Map[memdef.VPN, int]
 	var vpns []memdef.VPN
 	var counts []int
 	for g := range trace.Accesses {
 		for _, cu := range trace.Accesses[g] {
 			for _, a := range cu {
-				vpn := memdef.PageNum(a.VA, s.Machine.PageSize)
+				vpn := memdef.PageNum(a.VA, pageSize)
 				i, added := index.Put(vpn)
 				if added {
 					*i = len(vpns)
@@ -255,7 +288,13 @@ func (s *System) preplace(trace *workload.Trace) {
 		}
 	}
 	slices.Sort(vpns)
-	for _, vpn := range vpns {
+	p := &Placement{
+		PageSize: pageSize,
+		VPNs:     vpns,
+		Owners:   make([]uint8, len(vpns)),
+		Pages:    make([]int, n),
+	}
+	for k, vpn := range vpns {
 		i, _ := index.Get(vpn)
 		c := counts[i*n : (i+1)*n]
 		owner := 0
@@ -264,6 +303,22 @@ func (s *System) preplace(trace *workload.Trace) {
 				owner = g
 			}
 		}
+		p.Owners[k] = uint8(owner)
+		p.Pages[owner]++
+	}
+	return p
+}
+
+// install maps every page of p on its owner, in ascending VPN order. The
+// host table and each GPU's table are sized for their pages first, so each
+// is allocated once.
+func (s *System) install(p *Placement) {
+	s.Driver.HostPageTable().Reserve(len(p.VPNs))
+	for g, n := range p.Pages {
+		s.GPUs[g].GMMU().PageTable().Reserve(n)
+	}
+	for i, vpn := range p.VPNs {
+		owner := int(p.Owners[i])
 		pte := s.Driver.Preinstall(vpn, owner)
 		s.GPUs[owner].Preinstall(vpn, pte)
 	}
