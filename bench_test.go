@@ -7,6 +7,7 @@
 package idyll_test
 
 import (
+	"runtime"
 	"testing"
 
 	"idyll"
@@ -161,10 +162,15 @@ func BenchmarkSuiteFig11Parallel(b *testing.B) {
 	benchSuiteFig11(b, 0)
 }
 
+// benchSuiteFig11 also reports gcs/op, the garbage collections the process
+// ran per regeneration, which ties a change in allocated bytes to the
+// collector work it saves or costs.
 func benchSuiteFig11(b *testing.B, jobs int) {
 	o := benchOptions()
 	o.Jobs = jobs
 	var headline float64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		tab, err := experiment.Figure11(o)
 		if err != nil {
@@ -172,7 +178,9 @@ func benchSuiteFig11(b *testing.B, jobs int) {
 		}
 		headline, _ = tab.Get("IDYLL", "Ave.")
 	}
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(headline, "idyll-speedup")
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }
 
 // BenchmarkSuiteFig11Warmup and BenchmarkSuiteFig11Checkpointed regenerate

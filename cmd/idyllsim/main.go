@@ -68,6 +68,7 @@ func main() {
 
 	s, err := system.New(m, scheme)
 	fatal(err)
+	defer s.Release()
 	s.CheckTranslations = *check
 	trace := workload.Generate(app, m.NumGPUs, m.CUsPerGPU, *accesses, *seed)
 	st, err := s.Run(trace)

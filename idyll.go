@@ -24,9 +24,12 @@
 package idyll
 
 import (
+	"sync"
+
 	"idyll/internal/config"
 	"idyll/internal/core"
 	"idyll/internal/experiment"
+	"idyll/internal/sim"
 	"idyll/internal/stats"
 	"idyll/internal/system"
 	"idyll/internal/workload"
@@ -116,6 +119,10 @@ type RunConfig struct {
 	Check bool
 }
 
+// recyclers holds the storage of the machines Simulate released, for the
+// next call to build its machine from (see system.NewFrom).
+var recyclers sync.Pool
+
 // Simulate builds a system, generates the workload's trace, runs it to
 // completion, and returns the measurements.
 func Simulate(m Machine, s Scheme, w Workload, rc RunConfig) (*Stats, error) {
@@ -128,17 +135,25 @@ func Simulate(m Machine, s Scheme, w Workload, rc RunConfig) (*Stats, error) {
 	if rc.Seed == 0 {
 		rc.Seed = 20231028
 	}
-	sys, err := system.New(m, s)
+	r, _ := recyclers.Get().(*sim.Recycler)
+	if r == nil {
+		r = new(sim.Recycler)
+	}
+	defer recyclers.Put(r)
+	sys, err := system.NewFrom(r, m, s)
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	sys.CheckTranslations = rc.Check
 	trace := workload.Generate(w, m.NumGPUs, m.CUsPerGPU, rc.AccessesPerCU, rc.Seed)
 	return sys.Run(trace)
 }
 
 // NewSystem assembles a machine without running it, for callers that want
-// to drive the simulation directly (custom traces, mid-run inspection).
+// to drive the simulation directly (custom traces, mid-run inspection). Call
+// the System's Release after its last use to let the next one reuse its
+// storage; a System never released is simply collected.
 func NewSystem(m Machine, s Scheme) (*System, error) { return system.New(m, s) }
 
 // DefaultExperimentOptions is the scale used to regenerate the paper's

@@ -173,11 +173,15 @@ func dropRange[V any](c *SetAssoc[uint64, V], s int, lo, hi uint64) int {
 	return len(ln) - len(kept)
 }
 
-// Flush removes every entry, keeping each set's storage for reuse.
+// Flush removes every entry, keeping each set's storage for reuse. It
+// clears each set's whole capacity, including the stale copies Invalidate
+// leaves past a set's end, so a flushed cache references nothing and
+// behaves exactly as a new one of its geometry.
 func (c *SetAssoc[K, V]) Flush() {
 	for s := range c.lines {
-		clear(c.lines[s])
-		c.lines[s] = c.lines[s][:0]
+		ln := c.lines[s][:0]
+		clear(ln[:cap(ln)])
+		c.lines[s] = ln
 	}
 	c.size = 0
 }

@@ -89,31 +89,58 @@ func log2(n int) uint {
 
 // New builds the hierarchy for numCUs compute units.
 func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
+	return NewFrom(nil, engine, numCUs, cfg, st)
+}
+
+// NewFrom is New reusing the caches and residency table of a hierarchy of
+// the same geometry released into r, if r holds one.
+func NewFrom(r *sim.Recycler, engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
 	shift := log2(cfg.LineBytes)
 	if cfg.PageBytes < cfg.LineBytes {
 		panic("datapath: page smaller than a cacheline")
 	}
-	idx := func(k uint64) uint64 { return k }
-	l1Sets := cfg.L1Bytes / cfg.LineBytes / cfg.L1Ways
-	if l1Sets < 1 {
-		l1Sets = 1
+	var h *Hierarchy
+	if v, ok := r.Take(recycleKey(numCUs, cfg)); ok {
+		h = v.(*Hierarchy)
+	} else {
+		idx := func(k uint64) uint64 { return k }
+		l1Sets, l2Sets := cfg.sets()
+		h = &Hierarchy{}
+		h.l1 = make([]*cache.SetAssoc[uint64, lineState], numCUs)
+		for i := range h.l1 {
+			h.l1[i] = cache.New[uint64, lineState](l1Sets, cfg.L1Ways, idx)
+		}
+		h.l2 = cache.New[uint64, lineState](l2Sets, cfg.L2Ways, idx)
 	}
-	l2Sets := cfg.L2Bytes / cfg.LineBytes / cfg.L2Ways
-	if l2Sets < 1 {
-		l2Sets = 1
-	}
-	h := &Hierarchy{
-		engine: engine, cfg: cfg, st: st,
-		lineShift:     shift,
-		pageLineShift: log2(cfg.PageBytes) - shift,
-	}
+	h.engine, h.cfg, h.st = engine, cfg, st
+	h.lineShift = shift
+	h.pageLineShift = log2(cfg.PageBytes) - shift
 	h.masks = h.pageLineShift <= 6
-	h.l1 = make([]*cache.SetAssoc[uint64, lineState], numCUs)
-	for i := range h.l1 {
-		h.l1[i] = cache.New[uint64, lineState](l1Sets, cfg.L1Ways, idx)
-	}
-	h.l2 = cache.New[uint64, lineState](l2Sets, cfg.L2Ways, idx)
 	return h
+}
+
+// sets reports the L1 and L2 caches' set counts.
+func (c Config) sets() (l1, l2 int) {
+	return max(c.L1Bytes/c.LineBytes/c.L1Ways, 1), max(c.L2Bytes/c.LineBytes/c.L2Ways, 1)
+}
+
+// recycleKey files a hierarchy with a sim.Recycler: the CU count and both
+// caches' shapes fix its storage.
+func recycleKey(cus int, cfg Config) sim.RecycleKey {
+	l1Sets, l2Sets := cfg.sets()
+	return sim.RecycleKey{Kind: "datapath.Hierarchy", Dims: [5]int{cus, l1Sets, cfg.L1Ways, l2Sets, cfg.L2Ways}}
+}
+
+// Release empties h to the state a new hierarchy starts in and files it with
+// r for NewFrom to reuse. The caller must not touch h afterwards.
+func (h *Hierarchy) Release(r *sim.Recycler) {
+	for _, c := range h.l1 {
+		c.Flush()
+	}
+	h.l2.Flush()
+	h.resident.Clear()
+	h.engine, h.st = nil, nil
+	r.Put(recycleKey(len(h.l1), h.cfg), h)
 }
 
 // line returns the cacheline key of a physical address.

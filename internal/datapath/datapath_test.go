@@ -159,8 +159,8 @@ func indexMatches(h *Hierarchy) bool {
 	return true
 }
 
-// Property: after any sequence of accesses, page flushes, and checkpoint
-// round trips, the residency index matches a fresh recount (indexMatches),
+// Property: after any sequence of accesses, page flushes, releases and
+// rebuilds, and checkpoint round trips, the residency index matches a fresh recount (indexMatches),
 // and a flush removes exactly the page's counted lines and leaves none of
 // them cached.
 // The caches are shrunk so evictions are frequent: with 4 KB pages a page's
@@ -204,6 +204,17 @@ func TestResidencyIndexMatchesRecountProperty(t *testing.T) {
 						}
 					}
 				case op < 4:
+					// Release and rebuild: a hierarchy reused from the
+					// pool starts as empty as a new one, so the index
+					// still matches the (now empty) caches.
+					var r sim.Recycler
+					old := h
+					h.Release(&r)
+					h = NewFrom(&r, e, 2, cfg, stats.NewSim())
+					if h != old || h.resident.Len() != 0 || h.l2.Len() != 0 {
+						return false
+					}
+				case op < 5:
 					w := checkpoint.NewWriter()
 					h.SaveState(w)
 					r, err := checkpoint.NewReader(w.Finish())

@@ -193,7 +193,8 @@ type queuedMig struct {
 	collapse bool
 }
 
-// New builds a driver on the host synchronization domain.
+// New builds a driver on the host synchronization domain. Its host page
+// table is drawn from the cluster's recycler when that holds one.
 func New(dom *pdes.Domain, machine config.Machine, scheme config.Scheme,
 	net *interconnect.Network, st *stats.Sim) *Driver {
 	if scheme.ZeroLatencyInval && dom.Cluster().NumDomains() > 1 {
@@ -210,7 +211,7 @@ func New(dom *pdes.Domain, machine config.Machine, scheme config.Scheme,
 		scheme:      scheme,
 		net:         net,
 		st:          st,
-		hostPT:      pagetable.New(machine.PageSize),
+		hostPT:      pagetable.NewFrom(dom.Cluster().Recycler(), machine.PageSize),
 		hostWalkers: sim.NewResource(engine, machine.HostWalkers, -1),
 		replicas:    make(map[memdef.VPN]map[int]memdef.PFN),
 		nextFrame:   make(map[memdef.DeviceID]uint64),
@@ -238,6 +239,15 @@ func (d *Driver) AttachGPUs(gpus []GPUPort) {
 		panic(fmt.Sprintf("driver: %d GPU ports for %d GPUs", len(gpus), d.machine.NumGPUs))
 	}
 	d.gpus = gpus
+}
+
+// Release empties the host page table and files it with the cluster's
+// recycler for the next table built to reuse, and leaves the driver without
+// one, so any later use panics. Call it once, after the run's last read of
+// d.
+func (d *Driver) Release() {
+	d.hostPT.Release(d.dom.Cluster().Recycler())
+	d.hostPT = nil
 }
 
 // HostPageTable exposes the centralized page table (used by tests and the

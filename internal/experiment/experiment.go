@@ -135,7 +135,9 @@ func RunParams(machine config.Machine, scheme config.Scheme, app workload.Params
 		m.AccessCounterThreshold = o.CounterThreshold
 	}
 	trace := workload.Generate(app, m.NumGPUs, m.CUsPerGPU, o.AccessesPerCU, o.Seed)
-	return runSystem(o, m, scheme, trace, nil)
+	r := takeRecycler()
+	defer recyclers.Put(r)
+	return runSystem(o, m, scheme, &sharedTrace{trace: trace}, r)
 }
 
 // Table is a named grid of results: one row per series (scheme), one column

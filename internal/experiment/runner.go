@@ -22,6 +22,7 @@ import (
 
 	"idyll/internal/config"
 	"idyll/internal/memdef"
+	"idyll/internal/sim"
 	"idyll/internal/stats"
 	"idyll/internal/system"
 	"idyll/internal/workload"
@@ -136,13 +137,14 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			r := takeRecycler()
+			defer recyclers.Put(r)
 			for i := range work {
 				spec := specs[i]
 				err := planErrs[i]
 				var st *stats.Sim
 				if err == nil {
-					sh := memo.take(plans[i])
-					st, err = runSystem(plans[i].o, plans[i].m, spec.Scheme, sh.trace, sh.place)
+					st, err = runSystem(plans[i].o, plans[i].m, spec.Scheme, memo.take(plans[i]), r)
 				}
 				if err != nil {
 					errs[i] = fmt.Errorf("%s: cell (app=%s, scheme=%s): %w",
@@ -171,6 +173,21 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 		return nil, err
 	}
 	return results, nil
+}
+
+// recyclers holds the sim.Recyclers of finished workers. A worker takes one
+// for its lifetime and builds every cell's machine from the storage the
+// previous cell released into it, so a pass allocates about one machine per
+// worker, and the next pass starts from what this one left. The pool lets
+// the garbage collector reclaim recyclers idle across collections.
+var recyclers sync.Pool
+
+// takeRecycler takes a recycler from recyclers, or makes one.
+func takeRecycler() *sim.Recycler {
+	if r, ok := recyclers.Get().(*sim.Recycler); ok {
+		return r
+	}
+	return new(sim.Recycler)
 }
 
 // cellPlan is one cell resolved to what it simulates: its options, its
@@ -245,12 +262,16 @@ type traceMemo struct {
 }
 
 // sharedTrace is one trace of a pass and its placement, built by the first
-// of its cells to start. users counts its cells yet to start.
+// of its cells to start. users counts its cells yet to start. enc is the
+// trace's Save encoding, made by the first cell that needs a warmup key
+// (see warmupKey).
 type sharedTrace struct {
-	once  sync.Once
-	users int
-	trace *workload.Trace
-	place *system.Placement
+	once    sync.Once
+	users   int
+	trace   *workload.Trace
+	place   *system.Placement
+	encOnce sync.Once
+	enc     []byte
 }
 
 // use registers one more cell on key's trace. It runs before any cell

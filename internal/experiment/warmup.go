@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 
 	"idyll/internal/checkpoint"
 	"idyll/internal/config"
+	"idyll/internal/sim"
 	"idyll/internal/stats"
 	"idyll/internal/system"
 	"idyll/internal/workload"
@@ -27,6 +29,22 @@ import (
 // WarmupKey returns the content-addressed store key (64 hex chars) for the
 // warmup checkpoint of (machine, scheme, warmup, trace).
 func WarmupKey(m config.Machine, scheme config.Scheme, warmup int, trace *workload.Trace) string {
+	return (&sharedTrace{trace: trace}).warmupKey(m, scheme, warmup)
+}
+
+// warmupKey is WarmupKey for the shared trace. The trace's Save encoding,
+// the part of the key every cell replaying it shares, is made once and kept
+// for the trace's other cells.
+func (e *sharedTrace) warmupKey(m config.Machine, scheme config.Scheme, warmup int) string {
+	e.encOnce.Do(func() {
+		var b bytes.Buffer
+		if err := e.trace.Save(&b); err != nil {
+			// Buffer writes never fail; a Save error here means the
+			// trace itself is malformed, which Generate cannot produce.
+			panic(fmt.Sprintf("experiment: encoding trace: %v", err))
+		}
+		e.enc = b.Bytes()
+	})
 	h := sha256.New()
 	fmt.Fprintf(h, "ckpt-v%d\n", checkpoint.Version)
 	// %#v, not %+v: it ignores String() methods (workload.Params has one
@@ -37,16 +55,12 @@ func WarmupKey(m config.Machine, scheme config.Scheme, warmup int, trace *worklo
 	// Trace params include fields Save does not carry (e.g. ThresholdFactor,
 	// which scales the counter threshold at run time), so hash them
 	// explicitly before the access stream.
-	fmt.Fprintf(h, "params %#v\n", trace.Params)
-	if err := trace.Save(h); err != nil {
-		// Hash writers never fail; a Save error here means the trace itself
-		// is malformed, which Generate cannot produce.
-		panic(fmt.Sprintf("experiment: hashing trace: %v", err))
-	}
+	fmt.Fprintf(h, "params %#v\n", e.trace.Params)
+	h.Write(e.enc)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runSystem executes one cell's trace under o's warmup policy:
+// runSystem executes one cell's trace, sh.trace, under o's warmup policy:
 //
 //   - no warmup: the straight single-phase run (every pre-existing output is
 //     byte-for-byte unchanged);
@@ -54,44 +68,63 @@ func WarmupKey(m config.Machine, scheme config.Scheme, warmup int, trace *worklo
 //   - warmup + store: fetch or compute the warmup checkpoint, fork a fresh
 //     system from it, and run only the remainder.
 //
-// place, when non-nil, is trace's placement at m's page size, shared by
-// every system built here; when nil, each system computes its own.
-func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workload.Trace, place *system.Placement) (*stats.Sim, error) {
+// sh.place, when non-nil, is the trace's placement at m's page size, shared
+// by every system built here; when nil, each system computes its own. Every
+// system is built from r and released into it once its run returns.
+func runSystem(o Options, m config.Machine, scheme config.Scheme, sh *sharedTrace, r *sim.Recycler) (*stats.Sim, error) {
+	trace, place := sh.trace, sh.place
 	newSystem := func() (*system.System, error) {
-		s, err := system.New(m, scheme)
+		s, err := system.NewFrom(r, m, scheme)
 		if err == nil {
 			s.Placement = place
 		}
 		return s, err
 	}
 	warmup := o.WarmupAccessesPerCU
-	if warmup <= 0 {
+	// straight runs trace on a new system: whole, or in the two phases
+	// around the warmup drain barrier.
+	straight := func() (*stats.Sim, error) {
 		s, err := newSystem()
 		if err != nil {
 			return nil, err
 		}
-		return s.RunCtx(o.Context(), trace)
-	}
-	if o.CheckpointStore == nil {
-		s, err := newSystem()
-		if err != nil {
-			return nil, err
+		defer s.Release()
+		if warmup <= 0 {
+			return s.RunCtx(o.Context(), trace)
 		}
 		if err := s.RunWarmupCtx(o.Context(), trace, warmup); err != nil {
 			return nil, err
 		}
 		return s.RunRemainderCtx(o.Context(), trace, warmup)
 	}
-	key := WarmupKey(m, scheme, warmup, trace)
+	if warmup <= 0 || o.CheckpointStore == nil {
+		return straight()
+	}
+	key := sh.warmupKey(m, scheme, warmup)
 	compute := func() ([]byte, error) {
 		scratch, err := newSystem()
 		if err != nil {
 			return nil, err
 		}
+		defer scratch.Release()
 		if err := scratch.RunWarmupCtx(o.Context(), trace, warmup); err != nil {
 			return nil, err
 		}
 		return scratch.Checkpoint()
+	}
+	// resume forks a new system from blob and runs the remainder; ok is
+	// false when blob does not decode.
+	resume := func(blob []byte) (st *stats.Sim, ok bool, err error) {
+		s, err := newSystem()
+		if err != nil {
+			return nil, true, err
+		}
+		defer s.Release()
+		if err := s.Resume(blob); err != nil {
+			return nil, false, nil
+		}
+		st, err = s.RunRemainderCtx(o.Context(), trace, warmup)
+		return st, true, err
 	}
 	// A stored checkpoint that fails to decode must cost a recompute, never
 	// the job: quarantine it and retry once (the store recomputes on the
@@ -102,21 +135,10 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, trace *workloa
 		if err != nil {
 			return nil, err
 		}
-		s, err := newSystem()
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Resume(blob); err == nil {
-			return s.RunRemainderCtx(o.Context(), trace, warmup)
+		if st, ok, err := resume(blob); ok {
+			return st, err
 		}
 		o.CheckpointStore.Quarantine(key)
 	}
-	s, err := newSystem()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.RunWarmupCtx(o.Context(), trace, warmup); err != nil {
-		return nil, err
-	}
-	return s.RunRemainderCtx(o.Context(), trace, warmup)
+	return straight()
 }

@@ -2,11 +2,17 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"idyll/internal/blobstore"
+	"idyll/internal/checkpoint"
 	"idyll/internal/config"
+	"idyll/internal/stats"
 	"idyll/internal/workload"
 )
 
@@ -174,4 +180,64 @@ func mustApp(t *testing.T, abbr string) workload.Params {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// formulaKey is the warmup key computed the way WarmupKey always has, with
+// the trace streamed through Save into the hash for every cell.
+func formulaKey(t *testing.T, m config.Machine, scheme config.Scheme, warmup int, trace *workload.Trace) string {
+	t.Helper()
+	h := sha256.New()
+	fmt.Fprintf(h, "ckpt-v%d\n", checkpoint.Version)
+	fmt.Fprintf(h, "machine %#v\n", m)
+	fmt.Fprintf(h, "scheme %#v\n", scheme)
+	fmt.Fprintf(h, "warmup %d\n", warmup)
+	fmt.Fprintf(h, "params %#v\n", trace.Params)
+	if err := trace.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// A pass encodes each trace once and hashes the encoding for every cell's
+// warmup key. The keys must equal the formula's byte for byte, or existing
+// checkpoint stores would stop hitting: checked on every fig11 cell at quick
+// scale with a 100-access warmup.
+func TestSharedWarmupKeyMatchesFormula(t *testing.T) {
+	defer func() { runPass = RunCells }()
+	errCaptured := errors.New("captured")
+	var specs []CellSpec
+	runPass = func(o Options, s []CellSpec) ([]*stats.Sim, error) {
+		specs = append(specs, s...)
+		return nil, errCaptured
+	}
+	o := QuickOptions()
+	o.WarmupAccessesPerCU = 100
+	if _, err := Figure11(o); !errors.Is(err, errCaptured) {
+		t.Fatalf("Figure11: %v", err)
+	}
+	if len(specs) != 54 {
+		t.Fatalf("fig11 planned %d cells, want 54", len(specs))
+	}
+	traces := map[traceKey]*sharedTrace{}
+	for _, spec := range specs {
+		p, err := planCell(spec, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := traces[p.key]
+		if sh == nil {
+			sh = &sharedTrace{trace: workload.Generate(p.params, p.m.NumGPUs, p.m.CUsPerGPU, p.o.AccessesPerCU, p.o.Seed)}
+			traces[p.key] = sh
+		}
+		want := formulaKey(t, p.m, spec.Scheme, o.WarmupAccessesPerCU, sh.trace)
+		if got := sh.warmupKey(p.m, spec.Scheme, o.WarmupAccessesPerCU); got != want {
+			t.Errorf("%s/%s: shared-trace key %s, formula %s", spec.App, spec.Scheme.Name, got, want)
+		}
+		if got := WarmupKey(p.m, spec.Scheme, o.WarmupAccessesPerCU, sh.trace); got != want {
+			t.Errorf("%s/%s: WarmupKey %s, formula %s", spec.App, spec.Scheme.Name, got, want)
+		}
+	}
+	if len(traces) != 9 {
+		t.Fatalf("fig11 replays %d traces, want 9", len(traces))
+	}
 }

@@ -114,6 +114,34 @@ type waiter struct {
 	missStart sim.VTime
 }
 
+// pageMaps holds a GPU's per-page tables. They live in one record so that a
+// released GPU hands them back together and the next GPU built reuses their
+// slot arrays (see GPU.Release).
+type pageMaps struct {
+	// counters holds the access counter of each region with remote
+	// accesses (see region); irmbReceipt the arrival time of each
+	// invalidation buffered in the IRMB.
+	counters    pagemap.Map[memdef.VPN, int]
+	irmbReceipt pagemap.Map[memdef.VPN, sim.VTime]
+	// pendingWB marks VPNs whose buffered invalidation left the IRMB for a
+	// write-back walk that has not yet reached them: the local PTE is still
+	// stale, so demand misses must keep treating them as IRMB hits.
+	pendingWB pagemap.Map[memdef.VPN, struct{}]
+	// shotDown is the shootdown fence: VPNs whose TLB shootdown has been
+	// performed but whose PTE invalidation has not yet retired. In-flight
+	// demand walks must not refill the TLBs for these pages — real
+	// shootdowns fence new fills until the invalidation completes.
+	shotDown pagemap.Map[memdef.VPN, struct{}]
+	// invalEpoch counts invalidations received per page; queued PTE
+	// updates carry the epoch they were issued under and abort if a newer
+	// invalidation arrived while they waited in the walk queue.
+	invalEpoch pagemap.Map[memdef.VPN, uint32]
+}
+
+// pageMapsKey files released pageMaps with a sim.Recycler: they fit every
+// GPU.
+var pageMapsKey = sim.RecycleKey{Kind: "gpu.pageMaps"}
+
 // GPU is one device. Every piece of its state — TLBs, GMMU, IRMB, counters —
 // belongs to its synchronization domain and is touched only by events on
 // that domain's engine; peers and the driver reach it exclusively through
@@ -143,27 +171,11 @@ type GPU struct {
 	// config.RemoteEnginePorts).
 	remoteService *sim.Resource
 
-	// counters holds the access counter of each region with remote
-	// accesses (see region); irmbReceipt the arrival time of each
-	// invalidation buffered in the IRMB.
-	counters    pagemap.Map[memdef.VPN, int]
-	irmbReceipt pagemap.Map[memdef.VPN, sim.VTime]
-	// pendingWB marks VPNs whose buffered invalidation left the IRMB for a
-	// write-back walk that has not yet reached them: the local PTE is still
-	// stale, so demand misses must keep treating them as IRMB hits.
-	pendingWB pagemap.Map[memdef.VPN, struct{}]
+	// The per-page tables, recycled as one record (see pageMaps).
+	*pageMaps
 	// wbCancelled and wbLanded are the write-back batch hooks, bound once.
 	wbCancelled func(memdef.VPN) bool
 	wbLanded    func(memdef.VPN, bool)
-	// shotDown is the shootdown fence: VPNs whose TLB shootdown has been
-	// performed but whose PTE invalidation has not yet retired. In-flight
-	// demand walks must not refill the TLBs for these pages — real
-	// shootdowns fence new fills until the invalidation completes.
-	shotDown pagemap.Map[memdef.VPN, struct{}]
-	// invalEpoch counts invalidations received per page; queued PTE
-	// updates carry the epoch they were issued under and abort if a newer
-	// invalidation arrived while they waited in the walk queue.
-	invalEpoch pagemap.Map[memdef.VPN, uint32]
 
 	trace          [][]workload.Access
 	cuNext         []int
@@ -185,32 +197,42 @@ type GPU struct {
 
 // New builds a GPU on its synchronization domain. The host domain defaults
 // to the GPU's own (the single-domain layout); SetHostDomain overrides it.
+// The GPU's TLBs, page-walk cache, local page table, data caches and
+// per-page tables are drawn from the cluster's recycler when it holds them.
 func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 	net *interconnect.Network, st *stats.Sim) *GPU {
 	engine := dom.Engine()
+	r := dom.Cluster().Recycler()
+	var maps *pageMaps
+	if v, ok := r.Take(pageMapsKey); ok {
+		maps = v.(*pageMaps)
+	} else {
+		maps = new(pageMaps)
+	}
 	g := &GPU{
-		ID:      id,
-		dom:     dom,
-		engine:  engine,
-		hostDom: dom,
-		machine: machine,
-		scheme:  scheme,
-		net:     net,
-		st:      st,
+		ID:       id,
+		dom:      dom,
+		engine:   engine,
+		hostDom:  dom,
+		machine:  machine,
+		scheme:   scheme,
+		net:      net,
+		st:       st,
+		pageMaps: maps,
 	}
 	g.l1tlbs = make([]*tlb.TLB, machine.CUsPerGPU)
 	for i := range g.l1tlbs {
-		g.l1tlbs[i] = tlb.New(tlb.Config{
+		g.l1tlbs[i] = tlb.NewFrom(r, tlb.Config{
 			Entries: machine.L1TLBEntries, Ways: machine.L1TLBEntries,
 			Latency: machine.L1TLBLatency,
 		})
 	}
-	g.l2tlb = tlb.New(tlb.Config{
+	g.l2tlb = tlb.NewFrom(r, tlb.Config{
 		Entries: machine.L2TLBEntries, Ways: machine.L2TLBWays,
 		Latency: machine.L2TLBLatency,
 	})
 	g.mshr = tlb.NewMSHR[waiter](machine.L2MSHREntries)
-	g.gmmu = walker.New(engine, pagetable.New(machine.PageSize), walker.Config{
+	g.gmmu = walker.NewFrom(r, engine, pagetable.NewFrom(r, machine.PageSize), walker.Config{
 		Threads:       machine.PTWThreads,
 		QueueCapacity: machine.WalkQueueDepth,
 		LevelLatency:  machine.PTWLevelLatency,
@@ -219,7 +241,7 @@ func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 		PWCWays:       machine.PWCWays,
 		RetryDelay:    8,
 	}, st)
-	g.data = datapath.New(engine, machine.CUsPerGPU, datapath.Config{
+	g.data = datapath.NewFrom(r, engine, machine.CUsPerGPU, datapath.Config{
 		L1Bytes: machine.L1CacheBytes, L1Ways: machine.L1CacheWays, L1HitLatency: machine.L1CacheLatency,
 		L2Bytes: machine.L2CacheBytes, L2Ways: machine.L2CacheWays, L2HitLatency: machine.L2CacheLatency,
 		DRAMLatency: machine.DRAMLatency,
@@ -244,6 +266,28 @@ func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 		g.remoteService = sim.NewResource(engine, machine.RemoteEnginePorts, -1)
 	}
 	return g
+}
+
+// Release empties the GPU's TLBs, page-walk cache, local page table, data
+// caches and per-page tables and files them with the cluster's recycler for
+// the next GPU built to reuse, and leaves those fields nil so any later use
+// panics. Call it once, after the run's last read of g.
+func (g *GPU) Release() {
+	r := g.dom.Cluster().Recycler()
+	for _, t := range g.l1tlbs {
+		t.Release(r)
+	}
+	g.l2tlb.Release(r)
+	g.gmmu.Release(r)
+	g.data.Release(r)
+	m := g.pageMaps
+	m.counters.Clear()
+	m.irmbReceipt.Clear()
+	m.pendingWB.Clear()
+	m.shotDown.Clear()
+	m.invalEpoch.Clear()
+	r.Put(pageMapsKey, m)
+	g.l1tlbs, g.l2tlb, g.gmmu, g.data, g.pageMaps = nil, nil, nil, nil, nil
 }
 
 // SetHost attaches the UVM driver.

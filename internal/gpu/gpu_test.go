@@ -40,7 +40,13 @@ func (h *fakeHost) RecordResidency(gpu int, vpn memdef.VPN) {
 // domain plumbing degenerates to the plain engine the assertions drive.
 func rig(t *testing.T, scheme config.Scheme) (*sim.Engine, *GPU, *fakeHost, *stats.Sim) {
 	t.Helper()
-	cl := pdes.NewCluster(1, 1)
+	return rigFrom(t, nil, scheme)
+}
+
+// rigFrom is rig building the GPU from the storage released into r.
+func rigFrom(t *testing.T, r *sim.Recycler, scheme config.Scheme) (*sim.Engine, *GPU, *fakeHost, *stats.Sim) {
+	t.Helper()
+	cl := pdes.NewClusterFrom(r, 1, 1)
 	dom := cl.Domain(0)
 	e := dom.Engine()
 	m := config.Default()
@@ -133,6 +139,36 @@ func TestRemoteAccessCountsTowardMigration(t *testing.T) {
 		t.Fatalf("remote accesses = %d", st.RemoteAccesses)
 	}
 	if len(h.migrations) != 1 || h.migrations[0] != 7 {
+		t.Fatalf("migration requests = %v, want one for page 7", h.migrations)
+	}
+}
+
+// A GPU built after another was released starts with empty per-page
+// tables: an access counter left below the threshold by the released GPU
+// must not carry over and fire a migration request early.
+func TestReleasedGPUStartsEmpty(t *testing.T) {
+	remote := pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(1), 1), Valid: true, Writable: true}
+	var r sim.Recycler
+	e, g, _, _ := rigFrom(t, &r, config.Baseline())
+	g.Preinstall(7, remote)
+	g.Run(accessesTo(1, []memdef.VPN{7}, 3, false), nil) // threshold is 4
+	e.Run()
+	maps := g.pageMaps
+	g.Release()
+	if g.gmmu != nil || g.data != nil || g.pageMaps != nil {
+		t.Fatal("released GPU keeps its storage")
+	}
+	e, g, h, _ := rigFrom(t, &r, config.Baseline())
+	if g.pageMaps != maps {
+		t.Fatal("the released GPU's per-page tables were not reused")
+	}
+	if g.counters.Len()+g.irmbReceipt.Len()+g.pendingWB.Len()+g.shotDown.Len()+g.invalEpoch.Len() != 0 {
+		t.Fatal("reused per-page tables are not empty")
+	}
+	g.Preinstall(7, remote)
+	g.Run(accessesTo(1, []memdef.VPN{7}, 6, false), nil)
+	e.Run()
+	if len(h.migrations) != 1 {
 		t.Fatalf("migration requests = %v, want one for page 7", h.migrations)
 	}
 }

@@ -19,6 +19,7 @@ package pagetable
 import (
 	"idyll/internal/memdef"
 	"idyll/internal/pagemap"
+	"idyll/internal/sim"
 )
 
 // PTE is a page-table entry. The GPU-local tables use PFN/Valid/Writable;
@@ -61,15 +62,39 @@ type Table struct {
 	valid    int // number of valid PTEs
 }
 
-// New creates an empty page table for the given page size. Its tables are
+// New creates an empty page table for the given page size. Its maps are
 // allocated on the first insert.
-func New(pageSize memdef.PageSize) *Table {
-	levels := pageSize.Levels()
-	return &Table{
-		pageSize: pageSize,
-		levels:   levels,
-		mask:     1<<(9*uint(levels)) - 1, // 9 index bits per level
+func New(pageSize memdef.PageSize) *Table { return NewFrom(nil, pageSize) }
+
+// recycleKey files released tables with a sim.Recycler: a table's maps fit
+// every page size.
+var recycleKey = sim.RecycleKey{Kind: "pagetable.Table"}
+
+// NewFrom is New reusing the maps of a table released into r, if r holds
+// one. A reused table's maps may have more slots than a new one's; nothing
+// depends on slot order (Range sorts), so only memory differs.
+func NewFrom(r *sim.Recycler, pageSize memdef.PageSize) *Table {
+	var t *Table
+	if v, ok := r.Take(recycleKey); ok {
+		t = v.(*Table)
+	} else {
+		t = new(Table)
 	}
+	t.pageSize = pageSize
+	t.levels = pageSize.Levels()
+	t.mask = 1<<(9*uint(t.levels)) - 1 // 9 index bits per level
+	return t
+}
+
+// Release empties t and files it with r for NewFrom to reuse. The caller
+// must not touch t afterwards.
+func (t *Table) Release(r *sim.Recycler) {
+	t.ptes.Clear()
+	for i := range t.prefixes {
+		t.prefixes[i].Clear()
+	}
+	t.valid = 0
+	r.Put(recycleKey, t)
 }
 
 // PageSize reports the table's page size.

@@ -322,7 +322,8 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	return keys
 }
 
-// Property: over random Map / Invalidate / Entry sequences, the flat table
+// Property: over random Map / Invalidate / Entry / Release sequences, the
+// flat table
 // answers every question exactly as the radix reference does — Walk's
 // visits, PTE and ok (early stops included), Lookup, the resident and valid
 // counts, and Range's order. VPNs come from a few dense clusters, a sparse
@@ -350,6 +351,19 @@ func TestTableMatchesRadixReference(t *testing.T) {
 			pt, ref := New(size), newRef(size)
 			for i := 0; i < 400; i++ {
 				v := vpn()
+				if rng.Intn(100) == 0 {
+					// Release and rebuild: the reused table must start
+					// as empty as the reference, whatever page size it
+					// had.
+					var r sim.Recycler
+					pt.Release(&r)
+					other := memdef.Page2M
+					if size == other {
+						other = memdef.Page4K
+					}
+					NewFrom(&r, other).Release(&r)
+					pt, ref = NewFrom(&r, size), newRef(size)
+				}
 				switch op := rng.Intn(10); {
 				case op < 4:
 					pte := PTE{PFN: memdef.PFN(rng.Intn(1 << 20)), Valid: rng.Intn(3) != 0, Writable: rng.Intn(2) == 0}

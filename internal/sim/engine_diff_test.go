@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -100,26 +101,7 @@ func diffDelay(r *rand.Rand) VTime {
 // index, time); nested children record (parent index + offset, time).
 func runDiff(t *testing.T, seed int64, nOps int) (got, want [][2]int64) {
 	ops := genOps(rand.New(rand.NewSource(seed)), nOps)
-
-	{
-		e := NewEngine()
-		for i, op := range ops {
-			i, op := i, op
-			e.Schedule(op.delay, func() {
-				got = append(got, [2]int64{int64(i), int64(e.Now())})
-				if op.nested >= 0 {
-					e.Schedule(op.nested, func() {
-						got = append(got, [2]int64{int64(i) + 1_000_000, int64(e.Now())})
-					})
-				}
-			})
-		}
-		// Run in limit segments so the horizon is crossed mid-run.
-		for limit := VTime(ringWindow / 2); e.Pending() > 0; limit += ringWindow / 2 {
-			e.RunUntil(limit)
-		}
-	}
-
+	got = runScript(NewEngine(), ops)
 	{
 		e := &refEngine{}
 		for i, op := range ops {
@@ -138,6 +120,26 @@ func runDiff(t *testing.T, seed int64, nOps int) (got, want [][2]int64) {
 		}
 	}
 	return got, want
+}
+
+// runScript replays ops on e in RunUntil segments, so the horizon is crossed
+// mid-run, and returns the firing-order trace runDiff compares.
+func runScript(e *Engine, ops []diffOp) (got [][2]int64) {
+	for i, op := range ops {
+		i, op := i, op
+		e.Schedule(op.delay, func() {
+			got = append(got, [2]int64{int64(i), int64(e.Now())})
+			if op.nested >= 0 {
+				e.Schedule(op.nested, func() {
+					got = append(got, [2]int64{int64(i) + 1_000_000, int64(e.Now())})
+				})
+			}
+		})
+	}
+	for limit := VTime(ringWindow / 2); e.Pending() > 0; limit += ringWindow / 2 {
+		e.RunUntil(limit)
+	}
+	return got
 }
 
 // TestEngineDifferentialVsHeap replays randomized schedule scripts — nested
@@ -337,5 +339,86 @@ func TestEngineWarmScheduleFireAllocatesNothing(t *testing.T) {
 	burst() // warm: grow the slab, free list and far heap once
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
 		t.Fatalf("warm schedule/fire allocated %.1f times per burst, want 0", allocs)
+	}
+}
+
+// A released engine is emptied to the state of a new one: replaying a script
+// on it fires every event in the order, at the times, and with the counters
+// of a new engine, whatever the engine ran before.
+func TestReleasedEngineMatchesNew(t *testing.T) {
+	var r Recycler
+	for seed := int64(1); seed <= 20; seed++ {
+		ops := genOps(rand.New(rand.NewSource(seed)), 400)
+		fresh := NewEngine()
+		want := runScript(fresh, ops)
+		dirty := NewEngineFrom(&r)
+		runScript(dirty, genOps(rand.New(rand.NewSource(seed+1000)), 600))
+		dirty.Release(&r)
+		e := NewEngineFrom(&r)
+		if e != dirty {
+			t.Fatalf("seed %d: NewEngineFrom did not reuse the released engine", seed)
+		}
+		if e.now != 0 || e.seq != 0 || e.Pending() != 0 || len(e.slab) != 0 || len(e.free) != 0 ||
+			e.winStart != 0 || e.cursor != 0 || e.st != (EngineStats{}) ||
+			e.ring != [ringWindow]int32{} || e.occ != [ringWindow / 64]uint64{} {
+			t.Fatalf("seed %d: reused engine is not in NewEngine's state", seed)
+		}
+		if got := runScript(e, ops); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reused engine fires %d events differently from a new one", seed, len(want))
+		}
+		if e.Stats() != fresh.Stats() || e.Now() != fresh.Now() {
+			t.Fatalf("seed %d: reused engine ends at %d with %+v, new one at %d with %+v",
+				seed, e.Now(), e.Stats(), fresh.Now(), fresh.Stats())
+		}
+		e.Release(&r)
+	}
+}
+
+// An engine with pending events, as a cancelled run leaves it, is not
+// recycled: its queue still references the run's closures.
+func TestEngineWithPendingEventsIsNotRecycled(t *testing.T) {
+	var r Recycler
+	e := NewEngine()
+	e.Schedule(3, func() {})
+	e.Schedule(2*ringWindow, func() {})
+	e.Release(&r)
+	if _, ok := r.Take(engineKey); ok {
+		t.Fatal("an engine with pending events was recycled")
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("release emptied an engine with pending events: %d pending", e.Pending())
+	}
+}
+
+// A recycler hands a value back only under the key it was filed with, last
+// in first out; a nil recycler holds nothing.
+func TestRecyclerKeys(t *testing.T) {
+	keyA := func(n int) RecycleKey { return RecycleKey{Kind: "a", Dims: [5]int{n}} }
+	keyB := RecycleKey{Kind: "b", Dims: [5]int{1}}
+	var r Recycler
+	r.Put(keyA(1), "a1")
+	r.Put(keyA(1), "a1'")
+	r.Put(keyB, "b1")
+	if _, ok := r.Take(keyA(2)); ok {
+		t.Fatal("took a value filed under another geometry")
+	}
+	for _, want := range []string{"a1'", "a1"} {
+		if v, ok := r.Take(keyA(1)); !ok || v != want {
+			t.Fatalf("Take(keyA(1)) = %v, %v; want %s", v, ok, want)
+		}
+	}
+	if _, ok := r.Take(keyA(1)); ok {
+		t.Fatal("took more values than were filed")
+	}
+	if v, ok := r.Take(keyB); !ok || v != "b1" {
+		t.Fatalf("Take(keyB) = %v, %v; want b1", v, ok)
+	}
+	var none *Recycler
+	none.Put(keyA(1), "dropped")
+	if _, ok := none.Take(keyA(1)); ok {
+		t.Fatal("a nil recycler handed out a value")
+	}
+	if NewEngineFrom(none) == nil {
+		t.Fatal("NewEngineFrom(nil) returned no engine")
 	}
 }

@@ -146,6 +146,9 @@ type Cluster struct {
 	windowEnd sim.VTime
 	running   bool
 	st        ClusterStats
+	// recycler supplied the domains' engines; the components built on the
+	// cluster draw their storage from it and release it back (nil: none).
+	recycler *sim.Recycler
 }
 
 // NewCluster builds n domains with the given lookahead (cycles). With more
@@ -153,23 +156,45 @@ type Cluster struct {
 // domains may interact within the same cycle, which conservative windows
 // cannot express — merge such components into one domain instead.
 func NewCluster(n int, lookahead sim.VTime) *Cluster {
+	return NewClusterFrom(nil, n, lookahead)
+}
+
+// NewClusterFrom is NewCluster drawing the domains' engines from r (see
+// sim.NewEngineFrom). The components built on the cluster find r through
+// Recycler.
+func NewClusterFrom(r *sim.Recycler, n int, lookahead sim.VTime) *Cluster {
 	if n < 1 {
 		panic("pdes: cluster needs at least one domain")
 	}
 	if n > 1 && lookahead < 1 {
 		panic(fmt.Sprintf("pdes: lookahead %d with %d domains; conservative windows need lookahead >= 1", lookahead, n))
 	}
-	c := &Cluster{lookahead: lookahead}
+	c := &Cluster{lookahead: lookahead, recycler: r}
 	c.domains = make([]*Domain, n)
 	for i := range c.domains {
 		c.domains[i] = &Domain{
 			id:  DomainID(i),
 			cl:  c,
-			eng: sim.NewEngine(),
+			eng: sim.NewEngineFrom(r),
 			out: make([][]message, n),
 		}
 	}
 	return c
+}
+
+// Recycler reports the recycler the cluster was built from, or nil.
+func (c *Cluster) Recycler() *sim.Recycler { return c.recycler }
+
+// Release returns every domain's engine to the cluster's recycler (see
+// sim.Engine.Release, which keeps an engine with pending events out of it)
+// and leaves the cluster without domains, so any later use panics. Call it
+// once, after the last read of the cluster's state.
+func (c *Cluster) Release() {
+	for _, d := range c.domains {
+		d.eng.Release(c.recycler)
+		d.eng = nil
+	}
+	c.domains = nil
 }
 
 // NumDomains reports the cluster's domain count.

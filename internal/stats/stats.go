@@ -208,6 +208,15 @@ func NewSharing() *Sharing {
 	return &Sharing{pages: make(map[memdef.VPN]pageShare)}
 }
 
+// Reserve sizes an empty tracker for n pages, so a run that knows how many
+// pages it will touch grows the map once instead of by doubling. It does
+// nothing once a page is recorded.
+func (sh *Sharing) Reserve(n int) {
+	if len(sh.pages) == 0 {
+		sh.pages = make(map[memdef.VPN]pageShare, n)
+	}
+}
+
 // Record notes one access to vpn by gpu.
 func (sh *Sharing) Record(vpn memdef.VPN, gpu int) {
 	p := sh.pages[vpn]

@@ -64,6 +64,9 @@ func (s *System) RunRemainderCtx(ctx context.Context, trace *workload.Trace, war
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if s.released {
+		return nil, errReleased
+	}
 	if trace.NumGPUs != s.Machine.NumGPUs {
 		return nil, fmt.Errorf("system: trace has %d GPUs, machine has %d",
 			trace.NumGPUs, s.Machine.NumGPUs)
@@ -116,6 +119,9 @@ func traceSuffix(cus [][]workload.Access, n int) [][]workload.Access {
 // installed cannot be checkpointed, because the probe's closures reference
 // this instance and would not survive a restore into another.
 func (s *System) Checkpoint() ([]byte, error) {
+	if s.released {
+		return nil, errReleased
+	}
 	if n := s.Cluster.Pending(); n != 0 {
 		return nil, fmt.Errorf("system: checkpoint with %d pending events", n)
 	}
@@ -142,6 +148,9 @@ func (s *System) Checkpoint() ([]byte, error) {
 // Resume restores a Checkpoint into s, which must be freshly constructed
 // from the same machine and scheme and never run.
 func (s *System) Resume(data []byte) error {
+	if s.released {
+		return errReleased
+	}
 	r, err := checkpoint.NewReader(data)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ package system
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -21,7 +22,8 @@ import (
 	"idyll/internal/workload"
 )
 
-// System is one assembled machine instance. Build with New, use once.
+// System is one assembled machine instance. Build with New, use once, then
+// call Release (see there).
 type System struct {
 	Cluster *pdes.Cluster
 	Machine config.Machine
@@ -50,6 +52,7 @@ type System struct {
 	// its own.
 	Placement      *Placement
 	prepared       bool
+	released       bool
 	staleWindow    uint64
 	hardViolations []string
 }
@@ -64,6 +67,15 @@ type System struct {
 // express: those schemes collapse to a single shared domain, where the
 // cluster degenerates to the plain serial engine.
 func New(machine config.Machine, scheme config.Scheme) (*System, error) {
+	return NewFrom(nil, machine, scheme)
+}
+
+// NewFrom is New building the machine from the storage of earlier systems
+// released into r, where r holds storage of the right geometry: engines,
+// TLBs, page-walk caches, page tables, data caches and per-page tables.
+// Release files the machine's storage with r again. r must not be used by
+// another goroutine until the system is released.
+func NewFrom(r *sim.Recycler, machine config.Machine, scheme config.Scheme) (*System, error) {
 	if err := machine.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +88,7 @@ func New(machine config.Machine, scheme config.Scheme) (*System, error) {
 	if scheme.ZeroLatencyInval {
 		numDomains, lookahead = 1, 1
 	}
-	cl := pdes.NewCluster(numDomains, lookahead)
+	cl := pdes.NewClusterFrom(r, numDomains, lookahead)
 	hostDom := cl.Domain(numDomains - 1)
 	gpuDom := func(i int) *pdes.Domain {
 		if numDomains == 1 {
@@ -126,6 +138,37 @@ func MustNew(machine config.Machine, scheme config.Scheme) *System {
 	return s
 }
 
+// errReleased is what every run and checkpoint method of a released System
+// returns.
+var errReleased = errors.New("system: released; build a new System")
+
+// Release empties the machine's storage and files it with the recycler the
+// system was built from (see NewFrom; a system built by New has none, and
+// its storage is left to the garbage collector): each domain's engine
+// (unless a cancelled run left events pending), every GPU's TLBs, page-walk
+// cache, local page table, data caches and per-page tables, and the host
+// page table. Whoever builds a System calls Release once, after its last
+// read of the System's components; the Stats a run returned stay valid.
+// Afterwards every run and checkpoint method returns an error and the
+// component fields are nil, so other use panics. Releasing twice does
+// nothing.
+//
+// Reused storage is emptied to exactly the state a new component starts in;
+// only capacity can be larger, and no result depends on capacity (see
+// DESIGN.md "Storage lifecycle").
+func (s *System) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	for _, g := range s.GPUs {
+		g.Release()
+	}
+	s.Driver.Release()
+	s.Cluster.Release()
+	s.Cluster, s.Net, s.Driver, s.GPUs = nil, nil, nil, nil
+}
+
 // Run executes the trace to completion and returns the collected stats. It
 // panics if the simulation deadlocks (a blocked CU that never retires would
 // otherwise silently truncate the run).
@@ -163,6 +206,9 @@ func (s *System) RunCtx(ctx context.Context, trace *workload.Trace) (*stats.Sim,
 // the pages again would remap every one of them to new frames and shift
 // every later allocation.
 func (s *System) prepare(trace *workload.Trace) error {
+	if s.released {
+		return errReleased
+	}
 	if s.prepared {
 		return fmt.Errorf("system: already prepared a run; a System runs one trace")
 	}
@@ -184,6 +230,11 @@ func (s *System) prepare(trace *workload.Trace) error {
 			p = Place(trace, s.Machine.PageSize)
 		}
 		s.install(p)
+	}
+	if p != nil {
+		// The run records every page the trace touches, which is exactly
+		// the placement's pages.
+		s.Stats.Sharing().Reserve(len(p.VPNs))
 	}
 	s.setShape(trace)
 	return nil

@@ -41,7 +41,11 @@ type Config struct {
 }
 
 // New builds a TLB. A fully associative TLB has Ways == Entries (one set).
-func New(cfg Config) *TLB {
+func New(cfg Config) *TLB { return NewFrom(nil, cfg) }
+
+// NewFrom is New reusing a TLB of the same geometry released into r, if r
+// holds one.
+func NewFrom(r *sim.Recycler, cfg Config) *TLB {
 	sets := cfg.Entries / cfg.Ways
 	if sets < 1 {
 		sets = 1
@@ -53,11 +57,30 @@ func New(cfg Config) *TLB {
 	for 1<<bits < 4*cfg.Entries {
 		bits++
 	}
-	return &TLB{
-		c:       cache.New[memdef.VPN, Entry](sets, cfg.Ways, func(v memdef.VPN) uint64 { return uint64(v) }),
-		latency: cfg.Latency,
-		shift:   64 - bits,
+	var t *TLB
+	if v, ok := r.Take(recycleKey(sets, cfg.Ways, 64-bits)); ok {
+		t = v.(*TLB)
+	} else {
+		t = &TLB{
+			c:     cache.New[memdef.VPN, Entry](sets, cfg.Ways, func(v memdef.VPN) uint64 { return uint64(v) }),
+			shift: 64 - bits,
+		}
 	}
+	t.latency = cfg.Latency
+	return t
+}
+
+// recycleKey files a TLB with a sim.Recycler: its sets, ways and filter
+// size fix its storage.
+func recycleKey(sets, ways int, shift uint) sim.RecycleKey {
+	return sim.RecycleKey{Kind: "tlb.TLB", Dims: [5]int{sets, ways, int(shift)}}
+}
+
+// Release empties t and files it with r for NewFrom to reuse. The caller
+// must not touch t afterwards.
+func (t *TLB) Release(r *sim.Recycler) {
+	t.Flush()
+	r.Put(recycleKey(t.c.Sets(), t.c.Ways(), t.shift), t)
 }
 
 // bucket hashes vpn to its filter bucket (Fibonacci hashing: the top bits

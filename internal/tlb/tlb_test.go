@@ -90,6 +90,37 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// A released TLB comes back from NewFrom as empty as a new one: no entry,
+// every filter bucket zero, and shootdowns of its old pages find nothing.
+// It comes back only for its own geometry.
+func TestReleasedTLBStartsEmpty(t *testing.T) {
+	var r sim.Recycler
+	l2cfg := Config{Entries: 512, Ways: 16, Latency: 10}
+	var prev *TLB
+	for i := 0; i < 4; i++ {
+		l2 := NewFrom(&r, l2cfg)
+		if prev != nil && l2 != prev {
+			t.Fatalf("round %d: the released TLB was not reused", i)
+		}
+		if l2.Len() != 0 || slices.ContainsFunc(l2.counts, func(c uint16) bool { return c != 0 }) {
+			t.Fatalf("round %d: new TLB holds %d entries", i, l2.Len())
+		}
+		for v := memdef.VPN(0); v < 1800; v++ {
+			if l2.Shootdown(v) {
+				t.Fatalf("round %d: shootdown of page %d found a stale entry", i, v)
+			}
+		}
+		for v := memdef.VPN(0); v < 600; v++ {
+			l2.Fill(v*3, Entry{PFN: memdef.PFN(v)})
+		}
+		l2.Release(&r)
+		if l1 := NewFrom(&r, Config{Entries: 32, Ways: 32, Latency: 1}); l1 == l2 {
+			t.Fatal("an L2 TLB was reused for an L1 geometry")
+		}
+		prev = l2
+	}
+}
+
 func TestMSHRMergesSamePage(t *testing.T) {
 	m := NewMSHR[int](8)
 	if got := m.Add(5, 1); got != Allocated {

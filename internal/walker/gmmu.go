@@ -131,21 +131,45 @@ func (g *GMMU) recycle(w *walk) {
 // New builds a GMMU over the GPU's local page table. st may be shared with
 // other components of the same system.
 func New(engine *sim.Engine, pt *pagetable.Table, cfg Config, st *stats.Sim) *GMMU {
-	sets := cfg.PWCEntries / cfg.PWCWays
-	if sets < 1 {
-		sets = 1
-	}
-	g := &GMMU{
-		engine: engine,
-		pt:     pt,
-		cfg:    cfg,
-		pwc: cache.New[pwcKey, struct{}](sets, cfg.PWCWays, func(k pwcKey) uint64 {
+	return NewFrom(nil, engine, pt, cfg, st)
+}
+
+// pwcRecycleKey files a released page-walk cache with a sim.Recycler by its
+// sets and ways.
+func pwcRecycleKey(sets, ways int) sim.RecycleKey {
+	return sim.RecycleKey{Kind: "walker.PWC", Dims: [5]int{sets, ways}}
+}
+
+// NewFrom is New reusing a page-walk cache of the same geometry released
+// into r, if r holds one. The GMMU owns pt from here on: Release files it
+// with r too.
+func NewFrom(r *sim.Recycler, engine *sim.Engine, pt *pagetable.Table, cfg Config, st *stats.Sim) *GMMU {
+	sets := max(cfg.PWCEntries/cfg.PWCWays, 1)
+	var pwc *cache.SetAssoc[pwcKey, struct{}]
+	if v, ok := r.Take(pwcRecycleKey(sets, cfg.PWCWays)); ok {
+		pwc = v.(*cache.SetAssoc[pwcKey, struct{}])
+	} else {
+		pwc = cache.New[pwcKey, struct{}](sets, cfg.PWCWays, func(k pwcKey) uint64 {
 			return k.prefix*31 + uint64(k.level)
-		}),
+		})
+	}
+	return &GMMU{
+		engine:  engine,
+		pt:      pt,
+		cfg:     cfg,
+		pwc:     pwc,
 		walkers: sim.NewResource(engine, cfg.Threads, cfg.QueueCapacity),
 		st:      st,
 	}
-	return g
+}
+
+// Release empties the GMMU's page table and page-walk cache and files them
+// with r for reuse, leaving the GMMU without them so any later use panics.
+func (g *GMMU) Release(r *sim.Recycler) {
+	g.pt.Release(r)
+	g.pwc.Flush()
+	r.Put(pwcRecycleKey(g.pwc.Sets(), g.pwc.Ways()), g.pwc)
+	g.pt, g.pwc = nil, nil
 }
 
 // PageTable exposes the GPU's local page table.
