@@ -91,8 +91,8 @@ func main() {
 		fmt.Printf("  invalidations: recv=%d necessary=%d unnecessary=%d mean latency %.0f cy\n",
 			st.InvalReceived, st.InvalNecessary, st.InvalUnnecessary, st.Inval.Mean())
 		fmt.Printf("  demand-miss distribution: p50=%d p90=%d p99=%d max=%d cy\n",
-			st.DemandMissHist.Percentile(50), st.DemandMissHist.Percentile(90),
-			st.DemandMissHist.Percentile(99), st.DemandMissHist.Max())
+			st.DemandMiss.Percentile(50), st.DemandMiss.Percentile(90),
+			st.DemandMiss.Percentile(99), st.DemandMiss.Max)
 		if st.IRMBInserts > 0 {
 			fmt.Printf("  IRMB: inserts=%d merges=%d evictions=%d drains=%d lookup hits=%d writebacks=%d\n",
 				st.IRMBInserts, st.IRMBMergeHits, st.IRMBEvictions, st.IRMBDrains,
@@ -111,8 +111,9 @@ func main() {
 				st.Replications, st.WriteCollapses)
 		}
 		fmt.Printf("  traffic: NVLink %d B, PCIe %d B\n", st.NVLinkBytes, st.PCIeBytes)
+		sh := trace.Sharing(m.PageSize)
 		fmt.Printf("  sharing: %.1f%% of accesses to multi-GPU pages over %d pages\n",
-			st.Sharing().SharedAccessRatio()*100, st.Sharing().Pages())
+			sh.SharedAccessRatio()*100, sh.Pages())
 		if *check {
 			fmt.Printf("  stale-window accesses: %.4f%%\n", s.StaleWindowFraction()*100)
 		}

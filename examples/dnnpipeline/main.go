@@ -17,7 +17,7 @@ func main() {
 	machine := idyll.DefaultMachine()
 	machine.CUsPerGPU = 16
 	machine.AccessCounterThreshold = 2
-	rc := idyll.RunConfig{AccessesPerCU: 600}
+	rc := idyll.RunConfig{AccessesPerCU: 600, Seed: 20231028}
 
 	for _, name := range []string{"VGG16", "ResNet18"} {
 		app, err := idyll.App(name)
@@ -28,11 +28,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		trace := idyll.GenerateTrace(app, machine.NumGPUs, machine.CUsPerGPU, rc.AccessesPerCU, rc.Seed)
 		fmt.Printf("%s, layer-parallel across %d GPUs (%d layers)\n",
 			app.Name, machine.NumGPUs, len(app.DNNLayers))
 		fmt.Printf("  baseline: %d cycles, %d migrations, %d invalidations, %.1f%% shared accesses\n",
 			base.ExecCycles, base.Migrations, base.InvalReceived,
-			base.Sharing().SharedAccessRatio()*100)
+			trace.Sharing(machine.PageSize).SharedAccessRatio()*100)
 		for _, s := range []idyll.Scheme{idyll.IDYLL(), idyll.IDYLLTransFW()} {
 			st, err := idyll.Simulate(machine, s, app, rc)
 			if err != nil {

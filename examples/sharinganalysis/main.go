@@ -18,7 +18,7 @@ func main() {
 	machine := idyll.DefaultMachine()
 	machine.CUsPerGPU = 8
 	machine.AccessCounterThreshold = 2
-	rc := idyll.RunConfig{AccessesPerCU: 400}
+	rc := idyll.RunConfig{AccessesPerCU: 400, Seed: 20231028}
 
 	fmt.Println("Multi-GPU page sharing and invalidation pressure (baseline, 4 GPUs)")
 	fmt.Printf("\n%-4s %-14s | %6s %6s %6s %6s | %7s %7s | %8s %8s\n",
@@ -29,7 +29,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dist := st.Sharing().AccessDistribution(machine.NumGPUs)
+		// Sharing is a property of the trace the run replayed.
+		trace := idyll.GenerateTrace(app, machine.NumGPUs, machine.CUsPerGPU, rc.AccessesPerCU, rc.Seed)
+		dist := trace.Sharing(machine.PageSize).AccessDistribution(machine.NumGPUs)
 		total := float64(st.WalkerDemand + st.WalkerInval + st.WalkerUpdate)
 		invalShare := float64(st.WalkerInval) / total * 100
 		fmt.Printf("%-4s %-14s | %5.1f%% %5.1f%% %5.1f%% %5.1f%% | %6.1f%% %6.1f%% | %8.0f %8.0f\n",

@@ -24,12 +24,9 @@
 package idyll
 
 import (
-	"sync"
-
 	"idyll/internal/config"
 	"idyll/internal/core"
 	"idyll/internal/experiment"
-	"idyll/internal/sim"
 	"idyll/internal/stats"
 	"idyll/internal/system"
 	"idyll/internal/workload"
@@ -119,10 +116,6 @@ type RunConfig struct {
 	Check bool
 }
 
-// recyclers holds the storage of the machines Simulate released, for the
-// next call to build its machine from (see system.NewFrom).
-var recyclers sync.Pool
-
 // Simulate builds a system, generates the workload's trace, runs it to
 // completion, and returns the measurements.
 func Simulate(m Machine, s Scheme, w Workload, rc RunConfig) (*Stats, error) {
@@ -135,11 +128,10 @@ func Simulate(m Machine, s Scheme, w Workload, rc RunConfig) (*Stats, error) {
 	if rc.Seed == 0 {
 		rc.Seed = 20231028
 	}
-	r, _ := recyclers.Get().(*sim.Recycler)
-	if r == nil {
-		r = new(sim.Recycler)
-	}
-	defer recyclers.Put(r)
+	// The machine is built from, and released into, a recycler of the
+	// experiment runner's free list (see system.NewFrom).
+	r := experiment.TakeRecycler()
+	defer experiment.PutRecycler(r)
 	sys, err := system.NewFrom(r, m, s)
 	if err != nil {
 		return nil, err

@@ -62,24 +62,13 @@ type Machine struct {
 	PCIeLatency         sim.VTime
 
 	// Data path.
-	L1CacheBytes    int
-	L1CacheWays     int
-	L1CacheLatency  sim.VTime
-	L2CacheBytes    int
-	L2CacheWays     int
-	L2CacheLatency  sim.VTime
-	DRAMLatency     sim.VTime
-	RemoteDRAMExtra sim.VTime
-	// RemoteEnginePorts/RemoteEngineOccupancy model the remote-access
-	// transaction engines at each GPU: fine-grained (cacheline) remote
-	// reads over NVLink are engine-limited far below link peak bandwidth,
-	// which is exactly the NUMA penalty page migration exists to avoid
-	// (§2). Effective fine-grained throughput ≈ ports/occupancy accesses
-	// per cycle. Ports = 0 disables the engine model (the default: at the
-	// calibrated trace scale the engine constraint and the trace-scaled
-	// migration threshold interact badly; see EXPERIMENTS.md).
-	RemoteEnginePorts     int
-	RemoteEngineOccupancy sim.VTime
+	L1CacheBytes   int
+	L1CacheWays    int
+	L1CacheLatency sim.VTime
+	L2CacheBytes   int
+	L2CacheWays    int
+	L2CacheLatency sim.VTime
+	DRAMLatency    sim.VTime
 }
 
 // Default returns the Table 2 baseline: a 4-GPU system, 4 KB pages,
@@ -119,22 +108,19 @@ func Default() Machine {
 		PCIeBytesPerCycle:   32,
 		PCIeLatency:         300,
 
-		L1CacheBytes:          16 << 10,
-		L1CacheWays:           4,
-		L1CacheLatency:        4,
-		L2CacheBytes:          256 << 10,
-		L2CacheWays:           16,
-		L2CacheLatency:        30,
-		DRAMLatency:           200,
-		RemoteDRAMExtra:       0,
-		RemoteEnginePorts:     0,
-		RemoteEngineOccupancy: 32,
+		L1CacheBytes:   16 << 10,
+		L1CacheWays:    4,
+		L1CacheLatency: 4,
+		L2CacheBytes:   256 << 10,
+		L2CacheWays:    16,
+		L2CacheLatency: 30,
+		DRAMLatency:    200,
 	}
 }
 
 // MaxGPUs is the largest NumGPUs a machine may have. Per-page GPU sets are
-// 64-bit masks, one bit per GPU: the sharing tracker's accessor mask
-// (Figure 4) and the invalidation directory's target mask.
+// 64-bit masks, one bit per GPU: a trace's per-page accessor mask (Figure
+// 4, workload.Sharing) and the invalidation directory's target mask.
 const MaxGPUs = 64
 
 // Validate reports configuration errors.

@@ -12,7 +12,7 @@ import (
 
 func newHier(cus int) (*sim.Engine, *Hierarchy, *stats.Sim) {
 	e := sim.NewEngine()
-	st := stats.NewSim()
+	st := new(stats.Sim)
 	return e, New(e, cus, DefaultConfig(), st), st
 }
 
@@ -182,7 +182,7 @@ func TestResidencyIndexMatchesRecountProperty(t *testing.T) {
 		prop := func(seed uint64) bool {
 			rng := sim.NewRand(seed)
 			e := sim.NewEngine()
-			h := New(e, 2, cfg, stats.NewSim())
+			h := New(e, 2, cfg, new(stats.Sim))
 			for i := 0; i < 600; i++ {
 				page := uint64(rng.Intn(pages))
 				pa := memdef.PAddr(page*uint64(cfg.PageBytes) + uint64(rng.Intn(lines)*cfg.LineBytes))
@@ -210,7 +210,7 @@ func TestResidencyIndexMatchesRecountProperty(t *testing.T) {
 					var r sim.Recycler
 					old := h
 					h.Release(&r)
-					h = NewFrom(&r, e, 2, cfg, stats.NewSim())
+					h = NewFrom(&r, e, 2, cfg, new(stats.Sim))
 					if h != old || h.resident.Len() != 0 || h.l2.Len() != 0 {
 						return false
 					}
@@ -221,7 +221,7 @@ func TestResidencyIndexMatchesRecountProperty(t *testing.T) {
 					if err != nil {
 						return false
 					}
-					h = New(e, 2, cfg, stats.NewSim())
+					h = New(e, 2, cfg, new(stats.Sim))
 					h.RestoreState(r)
 					if r.Finish() != nil {
 						return false

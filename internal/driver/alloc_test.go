@@ -45,7 +45,7 @@ func domainRig(t testing.TB, scheme config.Scheme, multi bool) (*pdes.Cluster, *
 		PCIeBytesPerCycle:   m.PCIeBytesPerCycle,
 		PCIeLatency:         m.PCIeLatency,
 	})
-	d := New(cl.Domain(n-1), m, scheme, net, stats.NewSim())
+	d := New(cl.Domain(n-1), m, scheme, net, new(stats.Sim))
 	gpus := make([]*ackGPU, m.NumGPUs)
 	ports := make([]GPUPort, m.NumGPUs)
 	for i := range gpus {

@@ -49,7 +49,7 @@ func rig(t *testing.T, scheme config.Scheme) (*sim.Engine, *Driver, []*fakeGPU, 
 	e := dom.Engine()
 	m := config.Default()
 	m.MigrationBlockPages = 1 // page-granular for precise assertions
-	st := stats.NewSim()
+	st := new(stats.Sim)
 	net := interconnect.NewNetwork(cl, interconnect.Config{
 		NumGPUs:             m.NumGPUs,
 		NVLinkBytesPerCycle: m.NVLinkBytesPerCycle,
@@ -317,7 +317,7 @@ func TestBlockMigrationMovesWholeRegion(t *testing.T) {
 	e := dom.Engine()
 	m := config.Default()
 	m.MigrationBlockPages = 4
-	st := stats.NewSim()
+	st := new(stats.Sim)
 	net := interconnect.NewNetwork(cl, interconnect.Config{
 		NumGPUs: m.NumGPUs, NVLinkBytesPerCycle: 300, NVLinkLatency: 100,
 		PCIeBytesPerCycle: 32, PCIeLatency: 300,

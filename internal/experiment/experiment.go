@@ -17,8 +17,6 @@ import (
 	"strings"
 
 	"idyll/internal/blobstore"
-	"idyll/internal/config"
-	"idyll/internal/stats"
 	"idyll/internal/workload"
 )
 
@@ -75,8 +73,8 @@ type Options struct {
 }
 
 // WithContext returns a copy of o whose runs are cancellable through ctx:
-// Run, RunParams, and RunCells all return ctx.Err() once it is done, and
-// in-flight cells stop at the next event-loop batch boundary. Cancellation
+// RunCells and every figure return ctx.Err() once it is done, and in-flight
+// cells stop at the next event-loop batch boundary. Cancellation
 // never perturbs results — a run either completes identically or errors.
 func (o Options) WithContext(ctx context.Context) Options {
 	o.ctx = ctx
@@ -114,30 +112,6 @@ func (o Options) apps() []string {
 		return o.Apps
 	}
 	return workload.AppAbbrs()
-}
-
-// Run executes one (machine, scheme, app) cell and returns its stats.
-func Run(machine config.Machine, scheme config.Scheme, appAbbr string, o Options) (*stats.Sim, error) {
-	app, err := workload.App(appAbbr)
-	if err != nil {
-		return nil, err
-	}
-	return RunParams(machine, scheme, app, o)
-}
-
-// RunParams is Run with explicit workload parameters.
-func RunParams(machine config.Machine, scheme config.Scheme, app workload.Params, o Options) (*stats.Sim, error) {
-	m := machine
-	if o.CUsPerGPU > 0 {
-		m.CUsPerGPU = o.CUsPerGPU
-	}
-	if o.CounterThreshold > 0 {
-		m.AccessCounterThreshold = o.CounterThreshold
-	}
-	trace := workload.Generate(app, m.NumGPUs, m.CUsPerGPU, o.AccessesPerCU, o.Seed)
-	r := takeRecycler()
-	defer recyclers.Put(r)
-	return runSystem(o, m, scheme, &sharedTrace{trace: trace}, r)
 }
 
 // Table is a named grid of results: one row per series (scheme), one column

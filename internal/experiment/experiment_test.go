@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"idyll/internal/config"
+	"idyll/internal/memdef"
+	"idyll/internal/stats"
 	"idyll/internal/workload"
 )
 
@@ -16,18 +18,23 @@ func quick() Options {
 	return o
 }
 
+// cell returns the spec of one (figure, app) cell on the default machine.
+func cell(fig, app string, s config.Scheme) CellSpec {
+	return CellSpec{Figure: fig, App: app, Machine: config.Default(), Scheme: s}
+}
+
 func TestRunProducesStats(t *testing.T) {
-	st, err := Run(config.Default(), config.Baseline(), "PR", quick())
+	res, err := RunCells(quick(), []CellSpec{cell("figA", "PR", config.Baseline())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ExecCycles == 0 || st.Accesses == 0 {
+	if st := res[0]; st.ExecCycles == 0 || st.Accesses == 0 {
 		t.Fatal("empty run")
 	}
 }
 
 func TestRunUnknownApp(t *testing.T) {
-	if _, err := Run(config.Default(), config.Baseline(), "nope", quick()); err == nil {
+	if _, err := RunCells(quick(), []CellSpec{cell("figA", "nope", config.Baseline())}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
@@ -210,5 +217,33 @@ func TestFigure20ThresholdRelationship(t *testing.T) {
 	if i512/b512 >= i256 {
 		t.Logf("note: 512 improvement %.2f not below 256 improvement %.2f (scale-sensitive)",
 			i512/b512, i256)
+	}
+}
+
+// Figure 4 simulates no cells: each column is the sharing distribution of
+// the trace the app's baseline cell replays, its 4 KB pages on 4 GPUs.
+func TestFigure4ComputedFromTraces(t *testing.T) {
+	defer func() { runPass = RunCells }()
+	runPass = func(Options, []CellSpec) ([]*stats.Sim, error) {
+		t.Fatal("Figure 4 dispatched simulation cells")
+		return nil, nil
+	}
+	o := quick()
+	tab, err := Figure4(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, abbr := range o.Apps {
+		app, err := workload.App(abbr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := workload.Generate(app, 4, o.CUsPerGPU, o.AccessesPerCU, CellSeed(o.Seed, "fig4", abbr))
+		dist := tr.Sharing(memdef.Page4K).AccessDistribution(4)
+		for k, row := range tab.Rows {
+			if got, _ := tab.Get(row.Label, abbr); got != dist[k+1] {
+				t.Errorf("%s %q = %v, want %v", abbr, row.Label, got, dist[k+1])
+			}
+		}
 	}
 }

@@ -102,6 +102,8 @@ func Table3(o Options) (*Table, error) {
 }
 
 // Figure4 reports the distribution of accesses to pages shared by k GPUs.
+// Page sharing is a property of the workload, so each app's column is
+// computed from the trace its baseline cell would replay; no cell runs.
 func Figure4(o Options) (*Table, error) {
 	m := config.Default()
 	apps := o.apps()
@@ -110,13 +112,17 @@ func Figure4(o Options) (*Table, error) {
 		Caption: "fraction of accesses to pages accessed by k GPUs",
 		Columns: appColumns(apps),
 	}
-	res, err := baselineRuns("fig4", o, m, apps)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([][]float64, m.NumGPUs)
-	for j := range apps {
-		dist := res[j].Sharing().AccessDistribution(m.NumGPUs)
+	for _, abbr := range apps {
+		if err := o.Context().Err(); err != nil {
+			return nil, err
+		}
+		spec := CellSpec{Figure: "fig4", App: abbr, Machine: m, Scheme: config.Baseline()}
+		p, err := planCell(spec, o)
+		if err != nil {
+			return nil, cellError(spec, err)
+		}
+		dist := p.trace().Sharing(m.PageSize).AccessDistribution(m.NumGPUs)
 		for k := 1; k <= m.NumGPUs; k++ {
 			rows[k-1] = append(rows[k-1], dist[k])
 		}

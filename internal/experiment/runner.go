@@ -137,8 +137,8 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := takeRecycler()
-			defer recyclers.Put(r)
+			r := TakeRecycler()
+			defer PutRecycler(r)
 			for i := range work {
 				spec := specs[i]
 				err := planErrs[i]
@@ -147,8 +147,7 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 					st, err = runSystem(plans[i].o, plans[i].m, spec.Scheme, memo.take(plans[i]), r)
 				}
 				if err != nil {
-					errs[i] = fmt.Errorf("%s: cell (app=%s, scheme=%s): %w",
-						spec.Figure, spec.App, spec.Scheme.Name, err)
+					errs[i] = cellError(spec, err)
 					stopOnce.Do(func() { close(stop) })
 					continue
 				}
@@ -175,19 +174,46 @@ func RunCells(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 	return results, nil
 }
 
-// recyclers holds the sim.Recyclers of finished workers. A worker takes one
-// for its lifetime and builds every cell's machine from the storage the
-// previous cell released into it, so a pass allocates about one machine per
-// worker, and the next pass starts from what this one left. The pool lets
-// the garbage collector reclaim recyclers idle across collections.
-var recyclers sync.Pool
+// cellError names the cell a failure belongs to.
+func cellError(spec CellSpec, err error) error {
+	return fmt.Errorf("%s: cell (app=%s, scheme=%s): %w", spec.Figure, spec.App, spec.Scheme.Name, err)
+}
 
-// takeRecycler takes a recycler from recyclers, or makes one.
-func takeRecycler() *sim.Recycler {
-	if r, ok := recyclers.Get().(*sim.Recycler); ok {
+// recyclers is the free list of the sim.Recyclers that RunCells workers and
+// the facade's Simulate are done with. A worker takes one for its lifetime
+// and builds every cell's machine from the storage the previous cell
+// released into it, so a pass allocates about one machine per worker, and
+// the next pass starts from what this one left. Unlike a sync.Pool, the list
+// survives garbage collections, so whether a pass finds a recycler never
+// depends on when the collector ran; it keeps at most GOMAXPROCS of them
+// and drops the rest to the collector.
+var recyclers struct {
+	mu   sync.Mutex
+	free []*sim.Recycler
+}
+
+// TakeRecycler takes a recycler from the free list, or makes one. Give it
+// back with PutRecycler once the last system built from it is released.
+func TakeRecycler() *sim.Recycler {
+	recyclers.mu.Lock()
+	defer recyclers.mu.Unlock()
+	if n := len(recyclers.free); n > 0 {
+		r := recyclers.free[n-1]
+		recyclers.free[n-1] = nil
+		recyclers.free = recyclers.free[:n-1]
 		return r
 	}
 	return new(sim.Recycler)
+}
+
+// PutRecycler returns r to the free list, or drops it when the list already
+// holds GOMAXPROCS recyclers.
+func PutRecycler(r *sim.Recycler) {
+	recyclers.mu.Lock()
+	defer recyclers.mu.Unlock()
+	if len(recyclers.free) < runtime.GOMAXPROCS(0) {
+		recyclers.free = append(recyclers.free, r)
+	}
 }
 
 // cellPlan is one cell resolved to what it simulates: its options, its
@@ -198,6 +224,15 @@ type cellPlan struct {
 	m      config.Machine
 	params workload.Params
 	key    traceKey
+}
+
+// trace returns the trace the cell replays: the one its spec gives, or a new
+// one generated from its parameters.
+func (p cellPlan) trace() *workload.Trace {
+	if p.key.given != nil {
+		return p.key.given
+	}
+	return workload.Generate(p.params, p.m.NumGPUs, p.m.CUsPerGPU, p.o.AccessesPerCU, p.o.Seed)
 }
 
 // traceKey names a cell's trace and the page size it is placed at. A
@@ -296,10 +331,7 @@ func (m *traceMemo) take(p cellPlan) *sharedTrace {
 	}
 	m.mu.Unlock()
 	e.once.Do(func() {
-		e.trace = p.key.given
-		if e.trace == nil {
-			e.trace = workload.Generate(p.params, p.m.NumGPUs, p.m.CUsPerGPU, p.o.AccessesPerCU, p.o.Seed)
-		}
+		e.trace = p.trace()
 		e.place = system.Place(e.trace, p.m.PageSize)
 	})
 	return e

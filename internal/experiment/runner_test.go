@@ -3,11 +3,16 @@ package experiment
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"idyll/internal/config"
+	"idyll/internal/sim"
+	"idyll/internal/stats"
+	"idyll/internal/workload"
 )
 
 func TestCellSeedDeterministicAndDistinct(t *testing.T) {
@@ -244,47 +249,104 @@ func TestRunCellsCancellation(t *testing.T) {
 func TestCellTracePairing(t *testing.T) {
 	o := quick()
 	o.CUsPerGPU, o.AccessesPerCU = 2, 50
-	m := config.Default()
-	// The page-sharing distribution is a pure function of the trace (which
-	// pages each GPU touches), untouched by the scheme's timing — a
-	// fingerprint of which trace a cell actually ran.
-	run := func(fig string, s config.Scheme) []float64 {
-		res, err := RunCells(o, []CellSpec{
-			{Figure: fig, App: "PR", Machine: m, Scheme: s}})
+	// trace returns the trace a cell replays, built the way the runner's
+	// trace memo builds it.
+	trace := func(fig string, s config.Scheme) *workload.Trace {
+		p, err := planCell(cell(fig, "PR", s), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res[0].Sharing().AccessDistribution(m.NumGPUs)
-	}
-	equal := func(a, b []float64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		return p.trace()
 	}
 	// Same cell, different scheme: same trace.
-	if !equal(run("figA", config.Baseline()), run("figA", config.IDYLL())) {
+	if !reflect.DeepEqual(trace("figA", config.Baseline()), trace("figA", config.IDYLL())) {
 		t.Fatal("schemes of one cell did not share the trace")
 	}
 	// Different figure: an independent trace.
-	if equal(run("figA", config.Baseline()), run("figB", config.Baseline())) {
+	if reflect.DeepEqual(trace("figA", config.Baseline()), trace("figB", config.Baseline())) {
 		t.Fatal("different figures drew the same trace")
 	}
-	// Baseline runs of the same cell are bit-repeatable.
-	a, err := RunCells(o, []CellSpec{{Figure: "figA", App: "PR", Machine: m, Scheme: config.Baseline()}})
-	if err != nil {
-		t.Fatal(err)
+	// Baseline runs of the same cell are bit-repeatable, and replay that
+	// trace: running it as an explicit trace gives the same stats.
+	spec := cell("figA", "PR", config.Baseline())
+	given := spec
+	given.Trace = trace("figA", config.Baseline())
+	var res [3]*stats.Sim
+	for i, sp := range []CellSpec{spec, spec, given} {
+		st, err := runCell(o, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = st
 	}
-	b, err := RunCells(o, []CellSpec{{Figure: "figA", App: "PR", Machine: m, Scheme: config.Baseline()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0].ExecCycles != b[0].ExecCycles || a[0].Accesses != b[0].Accesses {
+	if !reflect.DeepEqual(res[0], res[1]) {
 		t.Fatal("repeated cell not deterministic")
+	}
+	if !reflect.DeepEqual(res[0], res[2]) {
+		t.Fatal("the cell did not replay its planned trace")
+	}
+}
+
+// A pass leaves its worker's recycler on the free list, and the next pass
+// takes it back even when collections ran in between: whether a pass reuses
+// storage never depends on the garbage collector.
+func TestRecyclerSurvivesCollections(t *testing.T) {
+	o := quick()
+	o.Jobs = 1
+	o.CUsPerGPU, o.AccessesPerCU = 1, 20
+	spec := cell("figA", "PR", config.IDYLL())
+	if _, err := runCell(o, spec); err != nil {
+		t.Fatal(err)
+	}
+	r := TakeRecycler()
+	PutRecycler(r)
+	runtime.GC()
+	runtime.GC()
+	if got := TakeRecycler(); got != r {
+		t.Fatal("the free list lost the previous pass's recycler")
+	}
+	PutRecycler(r)
+	if _, err := runCell(o, spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := TakeRecycler(); got != r {
+		t.Fatal("a pass did not return the recycler it took")
+	}
+	PutRecycler(r)
+}
+
+// The free list keeps at most GOMAXPROCS recyclers, however many
+// goroutines return them at once.
+func TestRecyclerListIsBounded(t *testing.T) {
+	var taken []*sim.Recycler
+	for {
+		recyclers.mu.Lock()
+		n := len(recyclers.free)
+		recyclers.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		taken = append(taken, TakeRecycler())
+	}
+	limit := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for i := 0; i < limit+2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			PutRecycler(TakeRecycler())
+			PutRecycler(new(sim.Recycler))
+		}()
+	}
+	wg.Wait()
+	recyclers.mu.Lock()
+	n := len(recyclers.free)
+	recyclers.free = recyclers.free[:0]
+	recyclers.mu.Unlock()
+	if n != limit {
+		t.Fatalf("free list holds %d recyclers, want GOMAXPROCS = %d", n, limit)
+	}
+	for _, r := range taken {
+		PutRecycler(r)
 	}
 }

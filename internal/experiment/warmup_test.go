@@ -21,16 +21,15 @@ import (
 func TestWarmupStoreMatchesStraightLine(t *testing.T) {
 	o := QuickOptions()
 	o.WarmupAccessesPerCU = 50
-	o.Apps = []string{"PR"}
-	m := config.Default()
+	spec := cell("figA", "PR", config.IDYLL())
 
-	straight, err := Run(m, config.IDYLL(), "PR", o)
+	straight, err := runCell(o, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := newCkptStore(t)
 	o.CheckpointStore = st
-	forked, err := Run(m, config.IDYLL(), "PR", o)
+	forked, err := runCell(o, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func TestWarmupStoreMatchesStraightLine(t *testing.T) {
 		t.Fatalf("first run: %d hits, %d misses; want 0/1", s.Hits, s.Misses)
 	}
 	// A second identical run reuses the warmup checkpoint.
-	again, err := Run(m, config.IDYLL(), "PR", o)
+	again, err := runCell(o, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,26 +120,21 @@ func TestCanonicalJSONOmitsZeroWarmup(t *testing.T) {
 func TestCorruptCheckpointRecoversAndMatches(t *testing.T) {
 	o := QuickOptions()
 	o.WarmupAccessesPerCU = 50
-	o.Apps = []string{"PR"}
-	m := config.Default()
+	spec := cell("figA", "PR", config.IDYLL())
 
 	st := newCkptStore(t)
 	o.CheckpointStore = st
-	clean, err := Run(m, config.IDYLL(), "PR", o)
+	clean, err := runCell(o, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Reconstruct the key exactly as RunParams derives it.
-	mm := m
-	if o.CUsPerGPU > 0 {
-		mm.CUsPerGPU = o.CUsPerGPU
+	// Reconstruct the key exactly as the runner derives it.
+	p, err := planCell(spec, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if o.CounterThreshold > 0 {
-		mm.AccessCounterThreshold = o.CounterThreshold
-	}
-	trace := workload.Generate(mustApp(t, "PR"), mm.NumGPUs, mm.CUsPerGPU, o.AccessesPerCU, o.Seed)
-	key := WarmupKey(mm, config.IDYLL(), o.WarmupAccessesPerCU, trace)
+	key := WarmupKey(p.m, spec.Scheme, o.WarmupAccessesPerCU, p.trace())
 	if _, ok := st.Get(key); !ok {
 		t.Fatal("reconstructed warmup key not in store; test setup is wrong")
 	}
@@ -148,7 +142,7 @@ func TestCorruptCheckpointRecoversAndMatches(t *testing.T) {
 	// Poison the stored checkpoint with bytes Resume cannot decode.
 	st.Put(key, []byte("not a checkpoint"))
 
-	again, err := Run(m, config.IDYLL(), "PR", o)
+	again, err := runCell(o, spec)
 	if err != nil {
 		t.Fatalf("run with poisoned checkpoint failed instead of recovering: %v", err)
 	}
@@ -162,6 +156,15 @@ func TestCorruptCheckpointRecoversAndMatches(t *testing.T) {
 	if blob, ok := st.Get(key); !ok || len(blob) <= len("not a checkpoint") {
 		t.Fatalf("store not repaired: ok=%v len=%d", ok, len(blob))
 	}
+}
+
+// runCell runs one cell through RunCells.
+func runCell(o Options, spec CellSpec) (*stats.Sim, error) {
+	res, err := RunCells(o, []CellSpec{spec})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 func newCkptStore(t *testing.T) *blobstore.Store {
@@ -226,7 +229,7 @@ func TestSharedWarmupKeyMatchesFormula(t *testing.T) {
 		}
 		sh := traces[p.key]
 		if sh == nil {
-			sh = &sharedTrace{trace: workload.Generate(p.params, p.m.NumGPUs, p.m.CUsPerGPU, p.o.AccessesPerCU, p.o.Seed)}
+			sh = &sharedTrace{trace: p.trace()}
 			traces[p.key] = sh
 		}
 		want := formulaKey(t, p.m, spec.Scheme, o.WarmupAccessesPerCU, sh.trace)

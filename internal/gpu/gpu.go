@@ -50,10 +50,8 @@ type slot struct {
 	// L2 TLB lookup latencies have elapsed.
 	issue, retire, afterL1, afterL2 func()
 	// The remote data path: remoteRead runs on delivery of the request at
-	// the owner GPU, remoteServe holds one of its remote-access engines,
-	// and the reply ends in retire.
+	// the owner GPU, and the reply ends in retire.
 	remoteRead, remoteReply func()
-	remoteServe             func(release func())
 }
 
 // newSlot binds a slot's continuations.
@@ -64,7 +62,6 @@ func (g *GPU) newSlot(s *slot, cu int) {
 	s.afterL1 = s.probeL1
 	s.afterL2 = s.probeL2
 	s.remoteRead = s.readRemote
-	s.remoteServe = s.serveRemote
 	s.remoteReply = func() { g.net.GPUToGPU(s.owner, g.ID, 2*memdef.CachelineBytes, s.retire, nil) }
 }
 
@@ -166,10 +163,6 @@ type GPU struct {
 	data   *datapath.Hierarchy
 	irmb   *core.IRMB
 	prt    *transfw.PRT
-	// remoteService is this GPU's remote-access transaction engine pool:
-	// incoming fine-grained reads from peers serialize here (see
-	// config.RemoteEnginePorts).
-	remoteService *sim.Resource
 
 	// The per-page tables, recycled as one record (see pageMaps).
 	*pageMaps
@@ -261,9 +254,6 @@ func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 	}
 	if scheme.TransFW {
 		g.prt = transfw.New(scheme.PRTCapacity)
-	}
-	if machine.RemoteEnginePorts > 0 {
-		g.remoteService = sim.NewResource(engine, machine.RemoteEnginePorts, -1)
 	}
 	return g
 }
@@ -363,7 +353,6 @@ func (s *slot) issueNext() {
 	s.acc = g.trace[s.cu][idx]
 	g.st.Accesses++
 	g.st.Instructions += uint64(maxInt(1, g.traceInstrPerAccess()))
-	g.st.Sharing().Record(memdef.PageNum(s.acc.VA, g.machine.PageSize), g.ID)
 	g.access(s)
 }
 
@@ -565,7 +554,6 @@ func (g *GPU) translationReady(vpn memdef.VPN, e tlb.Entry) {
 	g.l2tlb.Fill(vpn, e)
 	for _, w := range waiters {
 		g.st.DemandMiss.Add(g.engine.Now() - w.missStart)
-		g.st.DemandMissHist.Add(g.engine.Now() - w.missStart)
 		if w.s.acc.Write && !e.Writable {
 			// Write to a read-only mapping (a replica): permission fault.
 			w := w
@@ -612,10 +600,8 @@ func (g *GPU) dataAccess(s *slot, e tlb.Entry) {
 		}, nil)
 		return
 	}
-	// Request goes out on NVLink; the owner's remote-access engine serves
-	// it from DRAM (remote data is not cached locally, §3.2). The engine
-	// pool serializes fine-grained remote reads — the NUMA throughput
-	// penalty that makes page migration worthwhile.
+	// Request goes out on NVLink; the owner serves it from DRAM (remote
+	// data is not cached locally, §3.2).
 	s.owner, s.peer = dev.GPUIndex(), g
 	if g.peers != nil && s.owner < len(g.peers) && g.peers[s.owner] != nil {
 		s.peer = g.peers[s.owner]
@@ -623,27 +609,10 @@ func (g *GPU) dataAccess(s *slot, e tlb.Entry) {
 	g.net.GPUToGPU(g.ID, s.owner, memdef.ControlMsgBytes, s.remoteRead, nil)
 }
 
-// readRemote runs in the owner's domain: its DRAM timing, its remote-access
-// engine pool, and the reply send all belong to the owner's engine.
+// readRemote runs in the owner's domain: its DRAM read and the reply send
+// belong to the owner's engine.
 func (s *slot) readRemote() {
-	if s.peer.remoteService == nil {
-		s.respondRemote()
-		return
-	}
-	s.peer.remoteService.Acquire(s.remoteServe)
-}
-
-// serveRemote holds one of the owner's remote-access engines for the
-// configured occupancy while the read proceeds.
-func (s *slot) serveRemote(release func()) {
-	s.peer.engine.Schedule(s.g.machine.RemoteEngineOccupancy, release)
-	s.respondRemote()
-}
-
-// respondRemote reads the owner's DRAM and then sends the reply.
-func (s *slot) respondRemote() {
-	m := s.g.machine
-	s.peer.engine.Schedule(m.DRAMLatency+m.RemoteDRAMExtra, s.remoteReply)
+	s.peer.engine.Schedule(s.g.machine.DRAMLatency, s.remoteReply)
 }
 
 // countRemote advances the access counter and fires a migration request at
@@ -737,7 +706,6 @@ func (r *walkReq) invalidated(bool) {
 	r.free()
 	g.shotDown.Delete(vpn)
 	g.st.Inval.Add(g.engine.Now() - receipt)
-	g.st.InvalHist.Add(g.engine.Now() - receipt)
 	ack()
 }
 
@@ -780,7 +748,6 @@ func (g *GPU) writebackLanded(v memdef.VPN, _ bool) {
 	g.pendingWB.Delete(v)
 	if t, ok := g.irmbReceipt.Get(v); ok {
 		g.st.Inval.Add(g.engine.Now() - t)
-		g.st.InvalHist.Add(g.engine.Now() - t)
 		g.irmbReceipt.Delete(v)
 	}
 }
@@ -813,7 +780,6 @@ func (g *GPU) ReceiveMapping(vpn memdef.VPN, pte pagetable.PTE) {
 				// The buffered invalidation was annihilated by the new
 				// mapping: its whole cost was the IRMB insert.
 				g.st.Inval.Add(g.engine.Now() - t)
-				g.st.InvalHist.Add(g.engine.Now() - t)
 				g.irmbReceipt.Delete(vpn)
 			}
 		}

@@ -54,7 +54,7 @@ func rigFrom(t *testing.T, r *sim.Recycler, scheme config.Scheme) (*sim.Engine, 
 	m.OutstandingPerCU = 2
 	m.AccessCounterThreshold = 4
 	m.MigrationBlockPages = 1
-	st := stats.NewSim()
+	st := new(stats.Sim)
 	net := interconnect.NewNetwork(cl, interconnect.Config{
 		NumGPUs: m.NumGPUs, NVLinkBytesPerCycle: 300, NVLinkLatency: 100,
 		PCIeBytesPerCycle: 32, PCIeLatency: 300,
@@ -338,12 +338,16 @@ func TestPRTInsertAndInvalidate(t *testing.T) {
 	}
 }
 
+// The GPU issues exactly its trace's accesses, so the trace's sharing
+// profile describes the run.
 func TestSharingRecorded(t *testing.T) {
 	e, g, _, st := rig(t, config.Baseline())
 	g.Preinstall(2, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(0), 1), Valid: true, Writable: true})
-	g.Run(accessesTo(1, []memdef.VPN{2}, 4, false), nil)
+	acc := accessesTo(1, []memdef.VPN{2}, 4, false)
+	g.Run(acc, nil)
 	e.Run()
-	if st.Sharing().Pages() != 1 {
-		t.Fatalf("sharing tracker pages = %d", st.Sharing().Pages())
+	sh := workload.FromAccesses("t", [][][]workload.Access{acc}, 0, 1).Sharing(memdef.Page4K)
+	if st.Accesses != 4 || sh.Pages() != 1 || sh[0].Accesses != st.Accesses {
+		t.Fatalf("issued %d accesses; trace sharing %+v", st.Accesses, sh)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // (the MSHR's own SaveState asserts it), so its state is the translation and
 // data structures plus the per-page bookkeeping tables. Tables are serialized
 // in ascending VPN order so the byte stream is deterministic. Optional
-// components (IRMB, PRT, remote-access engine) are presence-gated: the flag
-// in the stream must agree with the scheme the restoring system was built
-// from, which the content-addressed checkpoint key guarantees.
+// components (IRMB, PRT) are presence-gated: the flag in the stream must
+// agree with the scheme the restoring system was built from, which the
+// content-addressed checkpoint key guarantees.
 
 // SaveState writes the GPU's full architectural state to w.
 func (g *GPU) SaveState(w *checkpoint.Writer) {
@@ -32,10 +32,6 @@ func (g *GPU) SaveState(w *checkpoint.Writer) {
 	w.Bool(g.prt != nil)
 	if g.prt != nil {
 		g.prt.SaveState(w)
-	}
-	w.Bool(g.remoteService != nil)
-	if g.remoteService != nil {
-		g.remoteService.SaveState(w)
 	}
 
 	w.U32(uint32(g.counters.Len()))
@@ -95,14 +91,6 @@ func (g *GPU) RestoreState(r *checkpoint.Reader) {
 	}
 	if g.prt != nil {
 		g.prt.RestoreState(r)
-	}
-	if has := r.Bool(); has != (g.remoteService != nil) {
-		r.Failf("gpu: remote-engine presence %v in checkpoint, %v configured",
-			has, g.remoteService != nil)
-		return
-	}
-	if g.remoteService != nil {
-		g.remoteService.RestoreState(r)
 	}
 
 	g.counters.Clear()

@@ -79,17 +79,14 @@ type Metrics struct {
 
 	counters map[string]uint64
 	// latency holds completed-job wall time in microseconds; the power-of-
-	// two bucketing of stats.Histogram is plenty for p50/p99 of jobs whose
+	// two bucketing of stats.Latency is plenty for p50/p99 of jobs whose
 	// durations span micro- (cache hit) to many seconds (figure run).
-	latency *stats.Histogram
+	latency stats.Latency
 }
 
 // NewMetrics returns an empty metrics set.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		counters: make(map[string]uint64),
-		latency:  stats.NewHistogram(),
-	}
+	return &Metrics{counters: make(map[string]uint64)}
 }
 
 // Inc adds delta to the named counter.
@@ -167,7 +164,7 @@ func (m *Metrics) Render(gauges map[string]int) string {
 	for name, v := range gauges {
 		vals[name] = fmt.Sprintf("%d", v)
 	}
-	vals["job_latency_count"] = fmt.Sprintf("%d", m.latency.Count())
+	vals["job_latency_count"] = fmt.Sprintf("%d", m.latency.Count)
 	vals["job_latency_mean_us"] = fmt.Sprintf("%.0f", m.latency.Mean())
 	vals["job_latency_p50_us"] = fmt.Sprintf("%d", m.latency.Percentile(50))
 	vals["job_latency_p99_us"] = fmt.Sprintf("%d", m.latency.Percentile(99))

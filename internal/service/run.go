@@ -117,7 +117,7 @@ func marshalCellResult(spec CanonicalSpec, st *stats.Sim) ([]byte, error) {
 		Migrations:     st.Migrations,
 		InvalReceived:  st.InvalReceived,
 		DemandMissMean: st.DemandMiss.Mean(),
-		DemandMissP99:  int64(st.DemandMissHist.Percentile(99)),
+		DemandMissP99:  int64(st.DemandMiss.Percentile(99)),
 		MigWaitMean:    st.MigrationWait.Mean(),
 		NVLinkBytes:    st.NVLinkBytes,
 		PCIeBytes:      st.PCIeBytes,

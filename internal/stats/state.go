@@ -2,7 +2,6 @@ package stats
 
 import (
 	"idyll/internal/checkpoint"
-	"idyll/internal/memdef"
 	"idyll/internal/sim"
 )
 
@@ -11,11 +10,15 @@ import (
 // reflectively and round-trips it, so a counter added to Sim but forgotten
 // here fails loudly.
 
-// SaveState writes one latency accumulator.
+// SaveState writes one latency accumulator: its summary fields, then every
+// histogram bucket.
 func (l *Latency) SaveState(w *checkpoint.Writer) {
 	w.U64(l.Count)
 	w.I64(int64(l.Sum))
 	w.I64(int64(l.Max))
+	for _, n := range l.buckets {
+		w.U64(n)
+	}
 }
 
 // RestoreState reads one latency accumulator.
@@ -23,54 +26,8 @@ func (l *Latency) RestoreState(r *checkpoint.Reader) {
 	l.Count = r.U64()
 	l.Sum = sim.VTime(r.I64())
 	l.Max = sim.VTime(r.I64())
-}
-
-// SaveState writes the histogram's buckets and summary fields.
-func (h *Histogram) SaveState(w *checkpoint.Writer) {
-	w.U32(uint32(len(h.buckets)))
-	for _, n := range h.buckets {
-		w.U64(n)
-	}
-	w.U64(h.count)
-	w.I64(int64(h.sum))
-	w.I64(int64(h.max))
-}
-
-// RestoreState reads the state written by SaveState.
-func (h *Histogram) RestoreState(r *checkpoint.Reader) {
-	if n := int(r.U32()); n != len(h.buckets) {
-		r.Failf("stats: %d histogram buckets in checkpoint, %d configured", n, len(h.buckets))
-		return
-	}
-	for i := range h.buckets {
-		h.buckets[i] = r.U64()
-	}
-	h.count = r.U64()
-	h.sum = sim.VTime(r.I64())
-	h.max = sim.VTime(r.I64())
-}
-
-// SaveState writes the sharing tracker's per-page records in ascending VPN
-// order: each page's VPN, accessor mask and access count.
-func (sh *Sharing) SaveState(w *checkpoint.Writer) {
-	vpns := sh.sortedVPNs()
-	w.U32(uint32(len(vpns)))
-	for _, vpn := range vpns {
-		w.U64(uint64(vpn))
-		p := sh.pages[vpn]
-		w.U64(p.accessors)
-		w.U64(p.accesses)
-	}
-}
-
-// RestoreState reads the state written by SaveState into sh, replacing its
-// contents.
-func (sh *Sharing) RestoreState(r *checkpoint.Reader) {
-	n := r.Count(24)
-	clear(sh.pages)
-	for i := 0; i < n; i++ {
-		vpn := memdef.VPN(r.U64())
-		sh.pages[vpn] = pageShare{accessors: r.U64(), accesses: r.U64()}
+	for i := range l.buckets {
+		l.buckets[i] = r.U64()
 	}
 }
 
@@ -142,10 +99,6 @@ func (s *Sim) SaveState(w *checkpoint.Writer) {
 	w.U64(s.EngineMigrated)
 	w.U64(s.EngineCancelled)
 	w.U64(s.EnginePoolHits)
-
-	s.DemandMissHist.SaveState(w)
-	s.InvalHist.SaveState(w)
-	s.sharing.SaveState(w)
 }
 
 // RestoreState reads the state written by SaveState into s.
@@ -216,8 +169,4 @@ func (s *Sim) RestoreState(r *checkpoint.Reader) {
 	s.EngineMigrated = r.U64()
 	s.EngineCancelled = r.U64()
 	s.EnginePoolHits = r.U64()
-
-	s.DemandMissHist.RestoreState(r)
-	s.InvalHist.RestoreState(r)
-	s.sharing.RestoreState(r)
 }

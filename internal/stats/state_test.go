@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idyll/internal/checkpoint"
+	"idyll/internal/sim"
 )
 
 // fillNumericFields sets every settable numeric leaf field of v (recursing
@@ -34,17 +35,17 @@ func fillNumericFields(v reflect.Value, next *uint64) {
 // added to Sim but missing from the state methods stays zero after restore
 // and fails here by name.
 func TestSaveRestoreCoversAllFields(t *testing.T) {
-	orig := NewSim()
+	orig := new(Sim)
 	var next uint64
 	fillNumericFields(reflect.ValueOf(orig).Elem(), &next)
 	if next == 0 {
 		t.Fatal("fillNumericFields found no fields")
 	}
-	orig.DemandMissHist.Add(17)
-	orig.InvalHist.Add(33)
-	orig.Sharing().Record(7, 1)
-	orig.Sharing().Record(7, 2)
-	orig.Sharing().Record(9, 0)
+	// The histogram buckets are unexported: fill them through Add.
+	for i, l := range []*Latency{&orig.DemandMiss, &orig.Inval, &orig.MigrationWait, &orig.MigrationTotal} {
+		l.Add(sim.VTime(17 << i))
+		l.Add(0)
+	}
 
 	w := checkpoint.NewWriter()
 	orig.SaveState(w)
@@ -52,7 +53,7 @@ func TestSaveRestoreCoversAllFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewSim()
+	restored := new(Sim)
 	restored.RestoreState(r)
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestSaveRestoreCoversAllFields(t *testing.T) {
 	for i := 0; i < ov.NumField(); i++ {
 		of, rf := ov.Field(i), rv.Field(i)
 		if !of.CanSet() {
-			continue // unexported: checked through accessors below
+			continue
 		}
 		switch of.Kind() {
 		case reflect.Uint64, reflect.Uint32, reflect.Uint,
@@ -75,18 +76,6 @@ func TestSaveRestoreCoversAllFields(t *testing.T) {
 			}
 		}
 	}
-	if restored.DemandMissHist.Count() != 1 || restored.DemandMissHist.Max() != 17 {
-		t.Errorf("DemandMissHist not restored: count=%d max=%d",
-			restored.DemandMissHist.Count(), restored.DemandMissHist.Max())
-	}
-	if restored.InvalHist.Count() != 1 || restored.InvalHist.Max() != 33 {
-		t.Errorf("InvalHist not restored: count=%d max=%d",
-			restored.InvalHist.Count(), restored.InvalHist.Max())
-	}
-	if restored.Sharing().Pages() != 2 {
-		t.Errorf("Sharing not restored: pages=%d, want 2", restored.Sharing().Pages())
-	}
-
 	// A second save of the restored collector must reproduce the bytes exactly —
 	// the property the whole-machine byte-identity gate composes from.
 	w2 := checkpoint.NewWriter()

@@ -1,32 +1,49 @@
 // Package stats collects the measurements every experiment in the paper is
-// built from: latency accumulators for demand TLB misses, invalidations and
-// migrations; request-mix counters at the page walker; and the page-sharing
-// tracker behind Figure 4.
+// built from: latency distributions for demand TLB misses, invalidations and
+// migrations, and request-mix counters at the page walker. A Sim holds no
+// pointers; its zero value is an empty measurement set ready to use.
 package stats
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
 
-	"idyll/internal/memdef"
 	"idyll/internal/sim"
 )
 
-// Latency accumulates a latency distribution: count, sum, and max.
+// latencyBuckets is the number of power-of-two histogram buckets a Latency
+// keeps; samples of 2^39 cycles and more share the last one.
+const latencyBuckets = 40
+
+// Latency accumulates a latency distribution: count, sum, max, and a
+// power-of-two histogram for percentiles (the paper's figures report means;
+// the tail of demand-miss latency under invalidation bursts is where the
+// contention actually lives). The zero value is empty and ready to use.
 type Latency struct {
 	Count uint64
 	Sum   sim.VTime
 	Max   sim.VTime
+	// buckets[i] counts the samples in [2^i, 2^(i+1)); bucket 0 also holds
+	// the zero samples.
+	buckets [latencyBuckets]uint64
 }
 
-// Add records one sample.
+// Add records one sample (negative samples are clamped to zero).
 func (l *Latency) Add(v sim.VTime) {
+	if v < 0 {
+		v = 0
+	}
 	l.Count++
 	l.Sum += v
 	if v > l.Max {
 		l.Max = v
 	}
+	b := 0
+	if v > 0 {
+		b = bits.Len64(uint64(v)) - 1 // floor(log2 v)
+	}
+	l.buckets[min(b, latencyBuckets-1)]++
 }
 
 // Mean reports the average sample, or 0 with no samples.
@@ -35,6 +52,35 @@ func (l *Latency) Mean() float64 {
 		return 0
 	}
 	return float64(l.Sum) / float64(l.Count)
+}
+
+// Percentile reports an upper bound for the p-th percentile (0 < p <= 100):
+// the upper edge of the bucket containing that rank, capped at Max.
+// Bucketed storage makes this approximate within a factor of two, which is
+// enough to compare schemes' tails.
+func (l *Latency) Percentile(p float64) sim.VTime {
+	if l.Count == 0 {
+		return 0
+	}
+	if p <= 0 {
+		p = 1e-9
+	}
+	if p > 100 {
+		p = 100
+	}
+	rank := uint64(math.Ceil(p / 100 * float64(l.Count)))
+	var seen uint64
+	for i, n := range l.buckets {
+		seen += n
+		if seen >= rank {
+			upper := sim.VTime(1) << uint(i+1)
+			if upper > l.Max && l.Max > 0 {
+				return l.Max
+			}
+			return upper
+		}
+	}
+	return l.Max
 }
 
 // Sim is the full set of measurements for one simulation run.
@@ -133,26 +179,7 @@ type Sim struct {
 	// The field stays for the benchmark harness, which reads it.
 	EngineCancelled uint64
 	EnginePoolHits  uint64
-
-	// DemandMissHist and InvalHist capture the full latency distributions
-	// behind DemandMiss and Inval, for percentile reporting.
-	DemandMissHist *Histogram
-	InvalHist      *Histogram
-
-	sharing *Sharing
 }
-
-// NewSim returns a zeroed measurement set with a sharing tracker attached.
-func NewSim() *Sim {
-	return &Sim{
-		sharing:        NewSharing(),
-		DemandMissHist: NewHistogram(),
-		InvalHist:      NewHistogram(),
-	}
-}
-
-// Sharing exposes the run's page-sharing tracker.
-func (s *Sim) Sharing() *Sharing { return s.sharing }
 
 // MPKI reports L2 TLB misses per kilo-instruction (Table 3's metric).
 func (s *Sim) MPKI() float64 {
@@ -188,126 +215,6 @@ func (s *Sim) UnnecessaryInvalFraction() float64 {
 		return 0
 	}
 	return float64(s.InvalUnnecessary) / float64(total)
-}
-
-// Sharing tracks, per page, which GPUs accessed it and how many accesses it
-// received — the data behind Figure 4's "distribution of accesses
-// referencing shared pages".
-type Sharing struct {
-	pages map[memdef.VPN]pageShare
-}
-
-// pageShare is one page's sharing record.
-type pageShare struct {
-	accessors uint64 // bitmask of GPUs
-	accesses  uint64
-}
-
-// NewSharing returns an empty tracker.
-func NewSharing() *Sharing {
-	return &Sharing{pages: make(map[memdef.VPN]pageShare)}
-}
-
-// Reserve sizes an empty tracker for n pages, so a run that knows how many
-// pages it will touch grows the map once instead of by doubling. It does
-// nothing once a page is recorded.
-func (sh *Sharing) Reserve(n int) {
-	if len(sh.pages) == 0 {
-		sh.pages = make(map[memdef.VPN]pageShare, n)
-	}
-}
-
-// Record notes one access to vpn by gpu.
-func (sh *Sharing) Record(vpn memdef.VPN, gpu int) {
-	p := sh.pages[vpn]
-	p.accessors |= 1 << uint(gpu)
-	p.accesses++
-	sh.pages[vpn] = p
-}
-
-// Pages reports the number of distinct pages touched.
-func (sh *Sharing) Pages() int { return len(sh.pages) }
-
-// sortedVPNs returns the tracked pages in ascending VPN order. Every
-// reducer below iterates this slice rather than the maps directly so that
-// accumulation order — which matters for the float sums in
-// AccessDistribution — is independent of Go's randomized map iteration.
-func (sh *Sharing) sortedVPNs() []memdef.VPN {
-	vpns := make([]memdef.VPN, 0, len(sh.pages))
-	for vpn := range sh.pages {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	return vpns
-}
-
-// AccessDistribution returns, indexed by sharer count k (1-based up to
-// maxGPUs), the fraction of all accesses that went to pages accessed by
-// exactly k GPUs. Index 0 is unused.
-func (sh *Sharing) AccessDistribution(maxGPUs int) []float64 {
-	dist := make([]float64, maxGPUs+1)
-	var total uint64
-	for _, vpn := range sh.sortedVPNs() {
-		p := sh.pages[vpn]
-		k := bits.OnesCount64(p.accessors)
-		if k > maxGPUs {
-			k = maxGPUs
-		}
-		n := p.accesses
-		dist[k] += float64(n)
-		total += n
-	}
-	if total > 0 {
-		for i := range dist {
-			dist[i] /= float64(total)
-		}
-	}
-	return dist
-}
-
-// SharedAccessRatio reports the paper's "page access sharing ratio": shared
-// page accesses / total accesses, where a shared page is one accessed by
-// more than one GPU (§5.1).
-func (sh *Sharing) SharedAccessRatio() float64 {
-	var shared, total uint64
-	for _, vpn := range sh.sortedVPNs() {
-		p := sh.pages[vpn]
-		n := p.accesses
-		total += n
-		if bits.OnesCount64(p.accessors) > 1 {
-			shared += n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(shared) / float64(total)
-}
-
-// HottestPages returns the n most-accessed pages, hottest first.
-func (sh *Sharing) HottestPages(n int) []memdef.VPN {
-	type pc struct {
-		vpn memdef.VPN
-		n   uint64
-	}
-	all := make([]pc, 0, len(sh.pages))
-	for vpn, p := range sh.pages {
-		all = append(all, pc{vpn, p.accesses})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].vpn < all[j].vpn
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]memdef.VPN, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].vpn
-	}
-	return out
 }
 
 // Summary renders the headline numbers of a run for CLI output.

@@ -2,10 +2,10 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
-	"idyll/internal/memdef"
 	"idyll/internal/sim"
 )
 
@@ -27,29 +27,29 @@ func TestLatencyAccumulator(t *testing.T) {
 }
 
 func TestMPKI(t *testing.T) {
-	s := NewSim()
+	var s Sim
 	s.Instructions = 10000
 	s.L2TLBLookups = 600
 	s.L2TLBHits = 100
 	if got := s.MPKI(); got != 50 {
 		t.Fatalf("MPKI = %v, want 50", got)
 	}
-	if (NewSim()).MPKI() != 0 {
+	if new(Sim).MPKI() != 0 {
 		t.Fatal("MPKI with no instructions should be 0")
 	}
 }
 
 func TestSpeedup(t *testing.T) {
-	base, opt := NewSim(), NewSim()
+	var base, opt Sim
 	base.ExecCycles = 2000
 	opt.ExecCycles = 1000
-	if got := opt.Speedup(base); got != 2 {
+	if got := opt.Speedup(&base); got != 2 {
 		t.Fatalf("speedup = %v", got)
 	}
 }
 
 func TestUnnecessaryInvalFraction(t *testing.T) {
-	s := NewSim()
+	var s Sim
 	s.InvalNecessary = 68
 	s.InvalUnnecessary = 32
 	if got := s.UnnecessaryInvalFraction(); math.Abs(got-0.32) > 1e-12 {
@@ -57,66 +57,8 @@ func TestUnnecessaryInvalFraction(t *testing.T) {
 	}
 }
 
-func TestSharingDistribution(t *testing.T) {
-	sh := NewSharing()
-	// Page 1: GPUs 0,1,2,3 access it, 4 accesses total.
-	for g := 0; g < 4; g++ {
-		sh.Record(1, g)
-	}
-	// Page 2: only GPU 0, 6 accesses.
-	for i := 0; i < 6; i++ {
-		sh.Record(2, 0)
-	}
-	dist := sh.AccessDistribution(4)
-	if math.Abs(dist[4]-0.4) > 1e-12 {
-		t.Fatalf("shared-by-4 = %v, want 0.4", dist[4])
-	}
-	if math.Abs(dist[1]-0.6) > 1e-12 {
-		t.Fatalf("one-GPU = %v, want 0.6", dist[1])
-	}
-	if got := sh.SharedAccessRatio(); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("shared ratio = %v", got)
-	}
-	if sh.Pages() != 2 {
-		t.Fatalf("pages = %d", sh.Pages())
-	}
-}
-
-func TestSharingDistributionSums(t *testing.T) {
-	sh := NewSharing()
-	for i := 0; i < 100; i++ {
-		sh.Record(memdef.VPN(i%7), i%3)
-	}
-	dist := sh.AccessDistribution(4)
-	sum := 0.0
-	for _, f := range dist {
-		sum += f
-	}
-	if math.Abs(sum-1.0) > 1e-9 {
-		t.Fatalf("distribution sums to %v", sum)
-	}
-}
-
-func TestHottestPages(t *testing.T) {
-	sh := NewSharing()
-	for i := 0; i < 5; i++ {
-		sh.Record(100, 0)
-	}
-	for i := 0; i < 3; i++ {
-		sh.Record(200, 0)
-	}
-	sh.Record(300, 0)
-	hot := sh.HottestPages(2)
-	if len(hot) != 2 || hot[0] != 100 || hot[1] != 200 {
-		t.Fatalf("hottest = %v", hot)
-	}
-	if got := sh.HottestPages(10); len(got) != 3 {
-		t.Fatalf("clamped hottest = %v", got)
-	}
-}
-
 func TestSummaryMentionsKeyNumbers(t *testing.T) {
-	s := NewSim()
+	var s Sim
 	s.ExecCycles = 12345
 	s.Migrations = 7
 	out := s.Summary()
@@ -125,4 +67,24 @@ func TestSummaryMentionsKeyNumbers(t *testing.T) {
 			t.Fatalf("summary %q missing %q", out, want)
 		}
 	}
+}
+
+// A Sim is a plain value: copying one copies every measurement, and a
+// finished run's Sim keeps nothing else alive.
+func TestSimHoldsNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.Map, reflect.Slice, reflect.Interface,
+			reflect.Func, reflect.Chan, reflect.String, reflect.UnsafePointer:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		}
+	}
+	walk("Sim", reflect.TypeOf(Sim{}))
 }

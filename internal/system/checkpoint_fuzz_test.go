@@ -31,7 +31,7 @@ func FuzzResume(f *testing.F) {
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add(checkpoint.NewWriter().Finish())    // valid header, no state
-	f.Add([]byte("IDYLLCKP\x03\x00\x00\x00")) // stale format version 3
+	f.Add([]byte("IDYLLCKP\x04\x00\x00\x00")) // stale format version 4
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := MustNew(m, scheme)

@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -168,6 +169,32 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	// A flipped byte may or may not be semantically detectable, but it must
 	// not panic; recovering systems are discarded on error anyway.
 	_ = MustNew(m, config.IDYLL()).Resume(garbled)
+}
+
+// A checkpoint of an older format version is refused, even when the rest of
+// its bytes are a valid current checkpoint: version 4 still carried the
+// per-page sharing tracker and the remote-engine flag.
+func TestResumeRejectsStaleVersion(t *testing.T) {
+	const gpus, accesses, warmup = 2, 80, 30
+	m := smallMachine(gpus)
+	trace := workload.Generate(smallApp(), gpus, m.CUsPerGPU, accesses, 3)
+	warm := MustNew(m, config.IDYLL())
+	if err := warm.RunWarmupCtx(nil, trace, warmup); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := warm.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := MustNew(m, config.IDYLL()).Resume(blob); err != nil {
+		t.Fatalf("current checkpoint refused: %v", err)
+	}
+	stale := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(stale[len("IDYLLCKP"):], 4)
+	err = MustNew(m, config.IDYLL()).Resume(stale)
+	if err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("v4 checkpoint: err = %v, want a format-version error", err)
+	}
 }
 
 // Checkpointing with the correctness probe installed is refused: its

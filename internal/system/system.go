@@ -96,7 +96,7 @@ func NewFrom(r *sim.Recycler, machine config.Machine, scheme config.Scheme) (*Sy
 		}
 		return cl.Domain(i)
 	}
-	st := stats.NewSim()
+	st := new(stats.Sim)
 	net := interconnect.NewNetwork(cl, interconnect.Config{
 		NumGPUs:             machine.NumGPUs,
 		NVLinkBytesPerCycle: machine.NVLinkBytesPerCycle,
@@ -230,11 +230,6 @@ func (s *System) prepare(trace *workload.Trace) error {
 			p = Place(trace, s.Machine.PageSize)
 		}
 		s.install(p)
-	}
-	if p != nil {
-		// The run records every page the trace touches, which is exactly
-		// the placement's pages.
-		s.Stats.Sharing().Reserve(len(p.VPNs))
 	}
 	s.setShape(trace)
 	return nil

@@ -262,10 +262,19 @@ func TestTraceGPUMismatchErrors(t *testing.T) {
 
 func TestSharingTrackerSeesMultiGPUSharing(t *testing.T) {
 	_, st := runSmall(t, config.Baseline(), 4, 300)
-	if st.Sharing().SharedAccessRatio() < 0.2 {
-		t.Fatalf("PR-like workload shared ratio = %.2f", st.Sharing().SharedAccessRatio())
+	m := smallMachine(4)
+	sh := workload.Generate(smallApp(), 4, m.CUsPerGPU, 300, 42).Sharing(m.PageSize)
+	var total uint64
+	for _, p := range sh {
+		total += p.Accesses
 	}
-	dist := st.Sharing().AccessDistribution(4)
+	if total != st.Accesses {
+		t.Fatalf("trace sharing counts %d accesses, the run issued %d", total, st.Accesses)
+	}
+	if sh.SharedAccessRatio() < 0.2 {
+		t.Fatalf("PR-like workload shared ratio = %.2f", sh.SharedAccessRatio())
+	}
+	dist := sh.AccessDistribution(4)
 	if dist[4] == 0 {
 		t.Fatal("no 4-GPU-shared accesses in a PR-like workload")
 	}

@@ -12,7 +12,7 @@ import (
 func newGMMU(threads int) (*sim.Engine, *GMMU, *pagetable.Table, *stats.Sim) {
 	e := sim.NewEngine()
 	pt := pagetable.New(memdef.Page4K)
-	st := stats.NewSim()
+	st := new(stats.Sim)
 	cfg := DefaultConfig()
 	cfg.Threads = threads
 	g := New(e, pt, cfg, st)
@@ -210,7 +210,7 @@ func TestUpdateInstallsMapping(t *testing.T) {
 func TestQueueBackpressureRetries(t *testing.T) {
 	e := sim.NewEngine()
 	pt := pagetable.New(memdef.Page4K)
-	st := stats.NewSim()
+	st := new(stats.Sim)
 	cfg := DefaultConfig()
 	cfg.Threads = 1
 	cfg.QueueCapacity = 2

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/bits"
 	"testing"
 
 	"idyll/internal/memdef"
@@ -75,32 +74,11 @@ func TestAccessesStayInFootprint(t *testing.T) {
 	}
 }
 
-// sharingProfile computes the fraction of accesses to pages touched by >1 GPU
+// sharingProfile returns the fraction of accesses to pages touched by >1 GPU
 // and the fraction touched by all GPUs.
 func sharingProfile(tr *Trace, numGPUs int) (shared, byAll float64) {
-	mask := map[memdef.VPN]uint64{}
-	count := map[memdef.VPN]int{}
-	total := 0
-	for g := range tr.Accesses {
-		for c := range tr.Accesses[g] {
-			for _, a := range tr.Accesses[g][c] {
-				vpn := memdef.PageNum(a.VA, memdef.Page4K)
-				mask[vpn] |= 1 << uint(g)
-				count[vpn]++
-				total++
-			}
-		}
-	}
-	for vpn, m := range mask {
-		k := bits.OnesCount64(m)
-		if k > 1 {
-			shared += float64(count[vpn])
-		}
-		if k == numGPUs {
-			byAll += float64(count[vpn])
-		}
-	}
-	return shared / float64(total), byAll / float64(total)
+	sh := tr.Sharing(memdef.Page4K)
+	return sh.SharedAccessRatio(), sh.AccessDistribution(numGPUs)[numGPUs]
 }
 
 // Figure 4 regimes: PR/MM/KM dominated by all-GPU sharing; MT mostly

@@ -3,11 +3,11 @@
 #
 #   scripts/bench.sh run [count]       # run benchmarks, print + save output
 #   scripts/bench.sh check [count]     # run, then gate allocs/op + B/op
-#                                      # against BENCH_PR21.json (wall-clock is
+#                                      # against BENCH_PR24.json (wall-clock is
 #                                      # machine-dependent, so it is NOT gated
 #                                      # against the committed baseline)
 #   scripts/bench.sh record [count]    # run count>=3 times, rewrite
-#                                      # BENCH_PR21.json from the per-benchmark
+#                                      # BENCH_PR24.json from the per-benchmark
 #                                      # MINIMUM (noise only ever adds time)
 #   scripts/bench.sh compare OLD NEW   # diff two saved bench outputs
 #                                      # (10% ns/op + allocs/op thresholds,
@@ -25,14 +25,14 @@
 # BenchmarkSuiteFig11Parallel, where cells run concurrently and so the
 # garbage collector's cost shows) and the warmup-checkpoint path
 # (BenchmarkSuiteFig11Warmup vs BenchmarkSuiteFig11Checkpointed is the
-# warmup-sharing speedup); see BENCH_PR21.json for the committed baseline and
+# warmup-sharing speedup); see BENCH_PR24.json for the committed baseline and
 # DESIGN.md "Engine internals & profiling" / "Checkpoint format & forking"
 # for how these numbers are used.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkTLBShootdown|BenchmarkPageTableWalk|BenchmarkDriverMigration|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11Parallel|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
-BASELINE=BENCH_PR21.json
+BASELINE=BENCH_PR24.json
 OUT=${BENCH_OUT:-/tmp/idyll_bench.txt}
 PROFILE=${BENCH_PROFILE:-/tmp/idyll_cpu.pprof}
 
