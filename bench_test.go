@@ -192,7 +192,7 @@ func benchSuiteFig11(b *testing.B, jobs int) {
 
 // BenchmarkSuiteFig11Warmup and BenchmarkSuiteFig11Checkpointed regenerate
 // the headline matrix with a warmup drain barrier at 80% of the trace
-// (-warmup). Warmup runs the two-phase schedule straight through every time;
+// (WarmupAccessesPerCU). Warmup runs the two-phase schedule straight through every time;
 // Checkpointed forks each cell's warmup from a pre-populated checkpoint
 // store, so each regeneration simulates only the post-warmup remainder —
 // the repeated-sweep case the store exists for (parameter studies, idylld

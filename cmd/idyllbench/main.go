@@ -27,7 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"idyll/internal/blobstore"
 	"idyll/internal/experiment"
 	"idyll/internal/profiling"
 )
@@ -42,8 +41,6 @@ func main() {
 		appsFlag = flag.String("apps", "", "comma-separated app subset (default: all)")
 		format   = flag.String("format", "text", "output format: text, csv, json")
 		jobs     = flag.Int("jobs", 0, "concurrent simulation cells (0 = all cores)")
-		warmup   = flag.Int("warmup", 0, "warmup accesses per CU before the drain barrier (0 = single-phase run; changes results)")
-		ckptDir  = flag.String("ckpt-dir", "", "persist warmup checkpoints to this directory (with -warmup; empty = memory only)")
 		quiet    = flag.Bool("quiet", false, "suppress the stderr progress display")
 		prof     profiling.Flags
 	)
@@ -91,20 +88,6 @@ func main() {
 		o.Apps = splitCSV(*appsFlag)
 	}
 	o.Jobs = *jobs
-	// The drain barrier is semantic (see experiment.Options), so tables at
-	// -warmup N differ from the default single-phase tables. The store is an
-	// execution knob: with -ckpt-dir, cells fork from cached warmup
-	// checkpoints (byte-identical to the two-phase straight-line run, which
-	// an empty -ckpt-dir keeps; CI diffs the two).
-	o.WarmupAccessesPerCU = *warmup
-	if *warmup > 0 && *ckptDir != "" {
-		st, err := blobstore.New("ckpt", 64, *ckptDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "idyllbench:", err)
-			os.Exit(1)
-		}
-		o.CheckpointStore = st
-	}
 
 	// Ctrl-C / SIGTERM cancels the suite cooperatively: workers stop at
 	// their next event-loop batch instead of running their cell to the end.

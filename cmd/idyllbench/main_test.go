@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -36,68 +35,5 @@ func TestUnknownFormatRejected(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("an experiment ran before the format was rejected: %q", stdout.String())
-	}
-}
-
-// TestUnusableCkptDirRejected: a -ckpt-dir that cannot be a directory (here
-// a regular file) exits 1 naming the path, instead of running with nothing
-// persisted.
-func TestUnusableCkptDirRejected(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(os.Args[0], "-fig", "fig11", "-cus", "2", "-accesses", "40",
-		"-warmup", "20", "-quiet", "-ckpt-dir", file)
-	cmd.Env = append(os.Environ(), "IDYLLBENCH_RUN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("exit = %v, want status 1 (stderr: %s)", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), file) {
-		t.Fatalf("stderr does not name the path: %q", stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Fatalf("an experiment ran despite the unusable -ckpt-dir: %q", stdout.String())
-	}
-}
-
-// runMain runs the idyllbench CLI with args and returns its stdout, failing
-// the test on a non-zero exit.
-func runMain(t *testing.T, args ...string) []byte {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "IDYLLBENCH_RUN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("idyllbench %s: %v (stderr: %s)", strings.Join(args, " "), err, stderr.String())
-	}
-	return stdout.Bytes()
-}
-
-// TestForkFromCheckpointIdentity is the checkpoint contract end to end
-// through the CLI: fig11 regenerated by forking every cell from a warmup
-// checkpoint renders the same bytes as the straight-line two-phase run
-// (-warmup without -ckpt-dir), both when the checkpoints are computed cold
-// and when a second process restarts from the on-disk checkpoints alone. A
-// difference is a save/restore hole in some component's state methods.
-func TestForkFromCheckpointIdentity(t *testing.T) {
-	ckpts := filepath.Join(t.TempDir(), "ckpts")
-	args := []string{"-fig", "fig11", "-cus", "4", "-accesses", "200", "-warmup", "100", "-quiet"}
-	straight := runMain(t, args...)
-	forked := runMain(t, append(args, "-ckpt-dir", ckpts)...)
-	if !bytes.Equal(straight, forked) {
-		t.Fatalf("cold forked run differs from straight-line:\n--- straight\n%s\n--- forked\n%s", straight, forked)
-	}
-	if ents, err := os.ReadDir(ckpts); err != nil || len(ents) == 0 {
-		t.Fatalf("no checkpoints persisted to -ckpt-dir (%d entries, err %v)", len(ents), err)
-	}
-	warm := runMain(t, append(args, "-ckpt-dir", ckpts)...)
-	if !bytes.Equal(straight, warm) {
-		t.Fatalf("disk warm-start run differs from straight-line:\n--- straight\n%s\n--- warm\n%s", straight, warm)
 	}
 }

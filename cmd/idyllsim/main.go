@@ -17,19 +17,21 @@ import (
 	"os"
 
 	"idyll/internal/config"
+	"idyll/internal/experiment"
 	"idyll/internal/system"
 	"idyll/internal/workload"
 )
 
 func main() {
+	def, machine := experiment.DefaultOptions(), config.Default()
 	var (
 		appName    = flag.String("app", "PR", "application abbreviation (see -list)")
 		schemeName = flag.String("scheme", "idyll", "scheme to simulate")
-		gpus       = flag.Int("gpus", 4, "number of GPUs")
-		cus        = flag.Int("cus", 16, "compute units per GPU")
-		accesses   = flag.Int("accesses", 600, "memory accesses per CU")
-		threshold  = flag.Int("threshold", 2, "access-counter threshold (paper's 256 scaled, see EXPERIMENTS.md)")
-		seed       = flag.Uint64("seed", 20231028, "workload seed")
+		gpus       = flag.Int("gpus", machine.NumGPUs, "number of GPUs")
+		cus        = flag.Int("cus", def.CUsPerGPU, "compute units per GPU")
+		accesses   = flag.Int("accesses", def.AccessesPerCU, "memory accesses per CU")
+		threshold  = flag.Int("threshold", def.CounterThreshold, "access-counter threshold (paper's 256 scaled, see EXPERIMENTS.md)")
+		seed       = flag.Uint64("seed", def.Seed, "workload seed")
 		list       = flag.Bool("list", false, "list applications and exit")
 		check      = flag.Bool("check", true, "enable the translation-coherence checker")
 		verbose    = flag.Bool("v", false, "print extended statistics")
@@ -61,7 +63,7 @@ func main() {
 	scheme, err := config.SchemeByName(*schemeName)
 	fatal(err)
 
-	m := config.Default()
+	m := machine
 	m.NumGPUs = *gpus
 	m.CUsPerGPU = *cus
 	m.AccessCounterThreshold = *threshold

@@ -19,7 +19,6 @@ import (
 	"os"
 	"strings"
 
-	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/experiment"
 	"idyll/internal/memdef"
@@ -47,17 +46,18 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   idylltrace gen  -app <abbr> [-gpus N] [-cus N] [-accesses N] [-seed N] -out FILE
   idylltrace info FILE
-  idylltrace run  [-scheme NAME[,NAME...]|all] [-threshold N] [-jobs N] [-warmup N [-ckpt-dir DIR]] FILE`)
+  idylltrace run  [-scheme NAME[,NAME...]|all] [-threshold N] [-jobs N] FILE`)
 	os.Exit(2)
 }
 
 func cmdGen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	app := fs.String("app", "PR", "application abbreviation")
-	gpus := fs.Int("gpus", 4, "GPUs")
-	cus := fs.Int("cus", 16, "CUs per GPU")
-	accesses := fs.Int("accesses", 600, "accesses per CU")
-	seed := fs.Uint64("seed", 20231028, "seed")
+	def := experiment.DefaultOptions()
+	gpus := fs.Int("gpus", config.Default().NumGPUs, "GPUs")
+	cus := fs.Int("cus", def.CUsPerGPU, "CUs per GPU")
+	accesses := fs.Int("accesses", def.AccessesPerCU, "accesses per CU")
+	seed := fs.Uint64("seed", def.Seed, "seed")
 	out := fs.String("out", "", "output file (required)")
 	fs.Parse(args)
 	if *out == "" {
@@ -128,10 +128,8 @@ func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	schemeNames := fs.String("scheme", "idyll",
 		"scheme, comma-separated scheme list, or 'all'")
-	threshold := fs.Int("threshold", 2, "access-counter threshold")
+	threshold := fs.Int("threshold", experiment.DefaultOptions().CounterThreshold, "access-counter threshold")
 	jobs := fs.Int("jobs", 0, "concurrent scheme runs (0 = all cores)")
-	warmup := fs.Int("warmup", 0, "warmup accesses per CU before the drain barrier (0 = single-phase run; changes results)")
-	ckptDir := fs.String("ckpt-dir", "", "cache warmup checkpoints (with -warmup): schemes sharing a warmup fork from it; empty string keeps the per-run two-phase path")
 	quiet := fs.Bool("quiet", false, "suppress the stderr progress display")
 	engineStats := fs.Bool("enginestats", false,
 		"also print the event engine's internal counters per scheme")
@@ -155,16 +153,7 @@ func cmdRun(args []string) {
 	// Each scheme is one cell of the pool; every cell replays the same
 	// loaded trace (read-only during runs), so the sweep parallelizes
 	// without re-reading or regenerating anything.
-	o := experiment.Options{Jobs: *jobs, CounterThreshold: *threshold,
-		WarmupAccessesPerCU: *warmup}
-	if *warmup > 0 && *ckptDir != "" {
-		// Fork-from-checkpoint replays byte-identically to the two-phase
-		// straight-line run (CI diffs the two), so the store only changes
-		// wall-clock: a repeated sweep reloads its warmup state from disk.
-		st, err := blobstore.New("ckpt", 64, *ckptDir)
-		fatal(err)
-		o.CheckpointStore = st
-	}
+	o := experiment.Options{Jobs: *jobs, CounterThreshold: *threshold}
 	if !*quiet {
 		o.Progress = experiment.ProgressPrinter(os.Stderr, t.Params.Abbr)
 	}

@@ -101,30 +101,3 @@ func TestInfoEmptyTrace(t *testing.T) {
 		t.Fatalf("info on an empty trace:\n%s", out)
 	}
 }
-
-// TestTraceReplayForkIdentity is the checkpoint contract through trace
-// replay, which sweeps every scheme over one shared trace: each scheme's
-// warmup runs under that scheme, so this exercises one checkpoint per
-// scheme. Forking every scheme from a warmup checkpoint renders the same
-// bytes as the straight-line two-phase run (-warmup without -ckpt-dir),
-// both when the checkpoints are computed cold and when a second process
-// restarts from the on-disk checkpoints alone.
-func TestTraceReplayForkIdentity(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "pr.trace")
-	ckpts := filepath.Join(dir, "ckpts")
-	runMain(t, "gen", "-app", "PR", "-cus", "4", "-accesses", "200", "-out", trace)
-	args := []string{"run", "-scheme", "all", "-warmup", "60", "-jobs", "1", "-quiet"}
-	straight := runMain(t, append(args, trace)...)
-	forked := runMain(t, append(args, "-ckpt-dir", ckpts, trace)...)
-	if !bytes.Equal(straight, forked) {
-		t.Fatalf("cold forked run differs from straight-line:\n--- straight\n%s\n--- forked\n%s", straight, forked)
-	}
-	if ents, err := os.ReadDir(ckpts); err != nil || len(ents) == 0 {
-		t.Fatalf("no checkpoints persisted to -ckpt-dir (%d entries, err %v)", len(ents), err)
-	}
-	warm := runMain(t, append(args, "-ckpt-dir", ckpts, trace)...)
-	if !bytes.Equal(straight, warm) {
-		t.Fatalf("disk warm-start run differs from straight-line:\n--- straight\n%s\n--- warm\n%s", straight, warm)
-	}
-}

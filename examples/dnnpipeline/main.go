@@ -17,7 +17,7 @@ func main() {
 	machine := idyll.DefaultMachine()
 	machine.CUsPerGPU = 16
 	machine.AccessCounterThreshold = 2
-	rc := idyll.RunConfig{AccessesPerCU: 600, Seed: 20231028}
+	rc := idyll.RunConfig{AccessesPerCU: 600, Seed: idyll.DefaultExperimentOptions().Seed}
 
 	for _, name := range []string{"VGG16", "ResNet18"} {
 		app, err := idyll.App(name)

@@ -18,7 +18,7 @@ func main() {
 	machine := idyll.DefaultMachine()
 	machine.CUsPerGPU = 8
 	machine.AccessCounterThreshold = 2
-	rc := idyll.RunConfig{AccessesPerCU: 400, Seed: 20231028}
+	rc := idyll.RunConfig{AccessesPerCU: 400, Seed: idyll.DefaultExperimentOptions().Seed}
 
 	fmt.Println("Multi-GPU page sharing and invalidation pressure (baseline, 4 GPUs)")
 	fmt.Printf("\n%-4s %-14s | %6s %6s %6s %6s | %7s %7s | %8s %8s\n",

@@ -108,7 +108,7 @@ func GenerateTrace(w Workload, numGPUs, cusPerGPU, accessesPerCU int, seed uint6
 type RunConfig struct {
 	// CUsPerGPU overrides the machine's CU count (0 = machine default).
 	CUsPerGPU int
-	// AccessesPerCU is the trace length per CU (0 = 600).
+	// AccessesPerCU is the trace length per CU (0 = the suite default).
 	AccessesPerCU int
 	// Seed is the workload seed (0 = the suite default).
 	Seed uint64
@@ -122,11 +122,12 @@ func Simulate(m Machine, s Scheme, w Workload, rc RunConfig) (*Stats, error) {
 	if rc.CUsPerGPU > 0 {
 		m.CUsPerGPU = rc.CUsPerGPU
 	}
+	def := experiment.DefaultOptions()
 	if rc.AccessesPerCU == 0 {
-		rc.AccessesPerCU = 600
+		rc.AccessesPerCU = def.AccessesPerCU
 	}
 	if rc.Seed == 0 {
-		rc.Seed = 20231028
+		rc.Seed = def.Seed
 	}
 	// The machine is built from, and released into, a recycler of the
 	// experiment runner's free list (see system.NewFrom).

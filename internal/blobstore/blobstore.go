@@ -1,10 +1,9 @@
 // Package blobstore is idylld's content-addressed byte store: a bounded
 // in-memory LRU with optional disk persistence, singleflight computation
 // dedupe and an optional remote-fill hook. The daemon keeps two instances —
-// whole-job results ("cache") and warmup checkpoints ("ckpt") — and the
-// CLIs use a "ckpt" instance for -ckpt-dir. Keys are SHA-256 hex content
-// addresses; identical keys name identical bytes, which is what makes every
-// tier (memory, disk, a peer) interchangeable.
+// whole-job results ("cache") and warmup checkpoints ("ckpt"). Keys are
+// SHA-256 hex content addresses; identical keys name identical bytes, which
+// is what makes every tier (memory, disk, a peer) interchangeable.
 //
 // Disk blobs are wrapped in the integrity checksum envelope. A blob that
 // fails to verify on read is quarantined to <key>.corrupt and reported as a

@@ -198,9 +198,8 @@ type Scheme struct {
 	Name      string
 	Policy    MigrationPolicy
 	Directory DirectoryKind
-	// Lazy enables the IRMB (lazy invalidation, §6.3).
-	Lazy bool
-	// IRMB is the buffer geometry when Lazy is set.
+	// IRMB is the lazy-invalidation buffer's geometry (§6.3); the zero
+	// geometry means no IRMB, so invalidations are applied eagerly.
 	IRMB core.Geometry
 	// UnusedBits is the in-PTE hash width m (11 default; §7.2 studies 4).
 	UnusedBits int
@@ -210,8 +209,6 @@ type Scheme struct {
 	ZeroLatencyInval bool
 	// TransFW enables fingerprint-based remote fault forwarding (§7.5).
 	TransFW bool
-	// PRTCapacity sizes the Trans-FW PRT (default 443 per §7.5).
-	PRTCapacity int
 	// NoIdleDrain disables the IRMB's idle-time write-back, leaving only
 	// eviction-driven write-back — an ablation of §6.3's design choice.
 	NoIdleDrain bool
@@ -227,7 +224,7 @@ func Baseline() Scheme {
 // OnlyLazy enables only the IRMB ("Only Lazy" in Figure 11).
 func OnlyLazy() Scheme {
 	s := Baseline()
-	s.Name, s.Lazy, s.IRMB = "Only Lazy", true, core.DefaultGeometry
+	s.Name, s.IRMB = "Only Lazy", core.DefaultGeometry
 	return s
 }
 
@@ -241,7 +238,7 @@ func OnlyInPTE() Scheme {
 // IDYLL is the full design: in-PTE directory + lazy invalidation.
 func IDYLL() Scheme {
 	s := Baseline()
-	s.Name, s.Directory, s.Lazy, s.IRMB = "IDYLL", InPTE, true, core.DefaultGeometry
+	s.Name, s.Directory, s.IRMB = "IDYLL", InPTE, core.DefaultGeometry
 	return s
 }
 
@@ -283,13 +280,13 @@ func ReplicationScheme() Scheme {
 // TransFWScheme is Trans-FW on the baseline (§7.5).
 func TransFWScheme() Scheme {
 	s := Baseline()
-	s.Name, s.TransFW, s.PRTCapacity = "Trans-FW", true, 443
+	s.Name, s.TransFW = "Trans-FW", true
 	return s
 }
 
 // IDYLLTransFW combines IDYLL with Trans-FW (§7.5).
 func IDYLLTransFW() Scheme {
 	s := IDYLL()
-	s.Name, s.TransFW, s.PRTCapacity = "IDYLL+Trans-FW", true, 443
+	s.Name, s.TransFW = "IDYLL+Trans-FW", true
 	return s
 }

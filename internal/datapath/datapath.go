@@ -26,9 +26,9 @@ type Config struct {
 	L2Ways       int
 	L2HitLatency sim.VTime
 	DRAMLatency  sim.VTime
-	LineBytes    int
 	// PageBytes is the granule InvalidatePage flushes: the machine's page
-	// size. Both sizes must be powers of two, PageBytes >= LineBytes.
+	// size. It must be a power of two no smaller than a cacheline
+	// (memdef.CachelineBytes, the caches' line size).
 	PageBytes int
 }
 
@@ -38,7 +38,6 @@ func DefaultConfig() Config {
 		L1Bytes: 16 << 10, L1Ways: 4, L1HitLatency: 4,
 		L2Bytes: 256 << 10, L2Ways: 16, L2HitLatency: 30,
 		DRAMLatency: 200,
-		LineBytes:   memdef.CachelineBytes,
 		PageBytes:   int(memdef.Page4K.Bytes()),
 	}
 }
@@ -95,8 +94,8 @@ func New(engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
 // NewFrom is New reusing the caches and residency table of a hierarchy of
 // the same geometry released into r, if r holds one.
 func NewFrom(r *sim.Recycler, engine *sim.Engine, numCUs int, cfg Config, st *stats.Sim) *Hierarchy {
-	shift := log2(cfg.LineBytes)
-	if cfg.PageBytes < cfg.LineBytes {
+	shift := log2(memdef.CachelineBytes)
+	if cfg.PageBytes < memdef.CachelineBytes {
 		panic("datapath: page smaller than a cacheline")
 	}
 	var h *Hierarchy
@@ -121,7 +120,7 @@ func NewFrom(r *sim.Recycler, engine *sim.Engine, numCUs int, cfg Config, st *st
 
 // sets reports the L1 and L2 caches' set counts.
 func (c Config) sets() (l1, l2 int) {
-	return max(c.L1Bytes/c.LineBytes/c.L1Ways, 1), max(c.L2Bytes/c.LineBytes/c.L2Ways, 1)
+	return max(c.L1Bytes/memdef.CachelineBytes/c.L1Ways, 1), max(c.L2Bytes/memdef.CachelineBytes/c.L2Ways, 1)
 }
 
 // recycleKey files a hierarchy with a sim.Recycler: the CU count and both

@@ -172,7 +172,7 @@ func TestResidencyIndexMatchesRecountProperty(t *testing.T) {
 		cfg.L1Bytes, cfg.L1Ways = 2<<10, 2
 		cfg.L2Bytes, cfg.L2Ways = 16<<10, 2
 		cfg.PageBytes = int(size.Bytes())
-		linesPerPage := cfg.PageBytes / cfg.LineBytes
+		linesPerPage := cfg.PageBytes / memdef.CachelineBytes
 		// 1024 distinct lines over a few pages, four times the L2's
 		// capacity.
 		pages, lines := 16, linesPerPage
@@ -185,7 +185,7 @@ func TestResidencyIndexMatchesRecountProperty(t *testing.T) {
 			h := New(e, 2, cfg, new(stats.Sim))
 			for i := 0; i < 600; i++ {
 				page := uint64(rng.Intn(pages))
-				pa := memdef.PAddr(page*uint64(cfg.PageBytes) + uint64(rng.Intn(lines)*cfg.LineBytes))
+				pa := memdef.PAddr(page*uint64(cfg.PageBytes) + uint64(rng.Intn(lines)*memdef.CachelineBytes))
 				switch op := rng.Intn(40); {
 				case op < 3:
 					want := int(recounted(h)[page].n)

@@ -9,23 +9,6 @@ import (
 	"idyll/internal/workload"
 )
 
-// canonicalOptions is the result-identity subset of Options in a fixed field
-// order. Jobs, Progress, and the context are deliberately excluded: they
-// steer execution, never results (the determinism guarantee — see
-// runner.go), so two submissions differing only in them must hash
-// identically.
-type canonicalOptions struct {
-	CUsPerGPU        int      `json:"cus_per_gpu"`
-	AccessesPerCU    int      `json:"accesses_per_cu"`
-	Seed             uint64   `json:"seed"`
-	Apps             []string `json:"apps,omitempty"`
-	CounterThreshold int      `json:"counter_threshold"`
-	// omitempty: the default (no warmup phase) encodes to the same bytes as
-	// before the field existed, so all pre-existing canonical hashes — and
-	// the result caches keyed by them — remain valid.
-	WarmupAccessesPerCU int `json:"warmup_accesses_per_cu,omitempty"`
-}
-
 // Canonical validates o and returns a normalized copy suitable for hashing:
 // every zero-valued scale field is filled from DefaultOptions, so all
 // spellings of "the default" collapse to one representation, and negative or
@@ -112,31 +95,17 @@ func (o Options) CanonicalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(canonicalOptions{
-		CUsPerGPU:           c.CUsPerGPU,
-		AccessesPerCU:       c.AccessesPerCU,
-		Seed:                c.Seed,
-		Apps:                c.Apps,
-		CounterThreshold:    c.CounterThreshold,
-		WarmupAccessesPerCU: c.WarmupAccessesPerCU,
-	})
+	return json.Marshal(c)
 }
 
 // OptionsFromCanonicalJSON decodes a CanonicalJSON payload back into
-// Options. Unknown fields are rejected — a spec naming a knob this version
-// does not understand must not silently hash to an existing result.
+// Options. Unknown fields, the execution fields included, are rejected — a
+// spec naming a knob this version does not understand must not silently
+// hash to an existing result.
 func OptionsFromCanonicalJSON(raw []byte) (Options, error) {
-	var c canonicalOptions
-	if err := strictUnmarshal(raw, &c); err != nil {
+	var o Options
+	if err := strictUnmarshal(raw, &o); err != nil {
 		return Options{}, fmt.Errorf("experiment: options JSON: %w", err)
-	}
-	o := Options{
-		CUsPerGPU:           c.CUsPerGPU,
-		AccessesPerCU:       c.AccessesPerCU,
-		Seed:                c.Seed,
-		Apps:                c.Apps,
-		CounterThreshold:    c.CounterThreshold,
-		WarmupAccessesPerCU: c.WarmupAccessesPerCU,
 	}
 	return o.Canonical()
 }

@@ -100,8 +100,12 @@ func TestCanonicalJSONByteStable(t *testing.T) {
 }
 
 func TestOptionsFromCanonicalJSONRejectsUnknownField(t *testing.T) {
-	_, err := OptionsFromCanonicalJSON([]byte(`{"cus_per_gpu":4,"warp_width":32}`))
-	if err == nil {
-		t.Error("unknown field accepted — it would alias a different result")
+	// Execution fields are not part of the encoding either: accepting one
+	// would suggest it changes the result.
+	for _, field := range []string{`"warp_width":32`, `"jobs":2`, `"Jobs":2`,
+		`"CheckpointStore":null`, `"Progress":null`, `"ctx":null`} {
+		if _, err := OptionsFromCanonicalJSON([]byte(`{"cus_per_gpu":4,` + field + `}`)); err == nil {
+			t.Errorf("unknown field %s accepted — it would alias a different result", field)
+		}
 	}
 }

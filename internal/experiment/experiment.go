@@ -20,51 +20,57 @@ import (
 	"idyll/internal/workload"
 )
 
-// Options sets the execution scale of the experiment suite.
+// Options sets the execution scale of the experiment suite. The fields
+// with a JSON name are the result identity, in their canonical-JSON field
+// order (see CanonicalJSON); the `json:"-"` fields steer execution, never
+// results (the determinism guarantee — see runner.go), so two submissions
+// differing only in them hash identically.
 type Options struct {
 	// CUsPerGPU scales each GPU's compute (Table 2 machine: 64; the default
 	// experiment scale uses fewer so the full suite regenerates quickly —
 	// contention ratios are preserved because walker/TLB geometry is
 	// unchanged and trace pressure is set per CU).
-	CUsPerGPU int
+	CUsPerGPU int `json:"cus_per_gpu"`
 	// AccessesPerCU is the trace length per CU.
-	AccessesPerCU int
+	AccessesPerCU int `json:"accesses_per_cu"`
 	// Seed makes the whole suite deterministic.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Apps restricts the application list (nil = all of Table 3).
-	Apps []string
+	Apps []string `json:"apps,omitempty"`
 	// CounterThreshold is the access-counter threshold applied during the
 	// suite, expressed in the paper's units scaled by TraceScaleFactor:
 	// the paper's 256 divided by the factor. Our traces are ~128× shorter
 	// per hot page than the full application runs the paper simulates, so
 	// a threshold of 2 reproduces the paper's migrations-per-kiloaccess
 	// regime at default scale (see EXPERIMENTS.md "Calibration").
-	CounterThreshold int
+	CounterThreshold int `json:"counter_threshold"`
 	// Jobs bounds how many simulation cells run concurrently
 	// (0 = runtime.GOMAXPROCS(0)). Results are independent of Jobs: every
 	// cell seeds its trace from (Seed, figure, app) alone — see CellSeed —
 	// so Jobs=1 and Jobs=N render byte-identical tables.
-	Jobs int
+	Jobs int `json:"-"`
 	// WarmupAccessesPerCU, when positive, splits every run into two phases:
 	// each CU executes its first WarmupAccessesPerCU accesses, the system
 	// drains to a barrier, and the remainder runs from there. The drain
 	// barrier is part of the simulated schedule, so this is a *semantic*
 	// parameter — results at W>0 differ from W=0 — and it is part of result
-	// identity (canonical field warmup_accesses_per_cu). Its payoff: the
+	// identity. It is omitted from the canonical JSON when zero, so the
+	// default encodes to the same bytes as before the field existed and
+	// every earlier content address stays valid. Its payoff: the
 	// post-warmup state is checkpointable, so sweep cells sharing a warmup
 	// prefix can fork from one cached checkpoint (see CheckpointStore).
-	WarmupAccessesPerCU int
+	WarmupAccessesPerCU int `json:"warmup_accesses_per_cu,omitempty"`
 	// CheckpointStore, when non-nil and WarmupAccessesPerCU is positive,
-	// caches warmup checkpoints content-addressed by WarmupKey, so repeated
+	// caches warmup checkpoints content-addressed by warmupKey, so repeated
 	// or concurrent runs sharing a warmup prefix compute it once. Forking
 	// from the store is byte-identical to running straight through
 	// (CI-enforced), so like Jobs it is an execution knob, never part of
 	// result identity.
-	CheckpointStore *blobstore.Store
+	CheckpointStore *blobstore.Store `json:"-"`
 	// Progress, when non-nil, is called after each cell a runner pass
 	// completes, with the finished count, the pass total, and a
 	// "figure app/scheme" label. Calls are serialized, never concurrent.
-	Progress func(done, total int, cell string)
+	Progress func(done, total int, cell string) `json:"-"`
 
 	// ctx, when non-nil, cancels runs cooperatively: the event loop stops
 	// between batches and RunCells stops dispatching cells. Set through

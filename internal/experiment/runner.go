@@ -280,7 +280,7 @@ func planCell(spec CellSpec, o Options) (cellPlan, error) {
 		m.CUsPerGPU = co.CUsPerGPU
 	}
 	return cellPlan{o: co, m: m, params: *params, key: traceKey{
-		// %#v, as in WarmupKey: every field, and no String() method.
+		// %#v, as in warmupKey: every field, and no String() method.
 		params:    fmt.Sprintf("%#v", *params),
 		gpus:      m.NumGPUs,
 		cusPerGPU: m.CUsPerGPU,

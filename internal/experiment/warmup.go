@@ -8,10 +8,11 @@ import (
 
 	"idyll/internal/checkpoint"
 	"idyll/internal/config"
+	"idyll/internal/core"
 	"idyll/internal/sim"
 	"idyll/internal/stats"
 	"idyll/internal/system"
-	"idyll/internal/workload"
+	"idyll/internal/transfw"
 )
 
 // Warmup sharing: sweep cells that agree on (machine, scheme, warmup depth,
@@ -26,15 +27,10 @@ import (
 // byte-identically to a straight-line run (CI-enforced; see
 // internal/system/checkpoint_test.go).
 
-// WarmupKey returns the content-addressed store key (64 hex chars) for the
-// warmup checkpoint of (machine, scheme, warmup, trace).
-func WarmupKey(m config.Machine, scheme config.Scheme, warmup int, trace *workload.Trace) string {
-	return (&sharedTrace{trace: trace}).warmupKey(m, scheme, warmup)
-}
-
-// warmupKey is WarmupKey for the shared trace. The trace's Save encoding,
-// the part of the key every cell replaying it shares, is made once and kept
-// for the trace's other cells.
+// warmupKey returns the content-addressed store key (64 hex chars) for the
+// warmup checkpoint of (machine, scheme, warmup) on the shared trace. The
+// trace's Save encoding, the part of the key every cell replaying it
+// shares, is made once and kept for the trace's other cells.
 func (e *sharedTrace) warmupKey(m config.Machine, scheme config.Scheme, warmup int) string {
 	e.encOnce.Do(func() {
 		var b bytes.Buffer
@@ -50,7 +46,19 @@ func (e *sharedTrace) warmupKey(m config.Machine, scheme config.Scheme, warmup i
 	// %#v, not %+v: it ignores String() methods (workload.Params has one
 	// that prints only a display label) and includes every field.
 	fmt.Fprintf(h, "machine %#v\n", m)
-	fmt.Fprintf(h, "scheme %#v\n", scheme)
+	// The scheme is hashed in the layout %#v gave it while lazy
+	// invalidation (now: a non-zero IRMB) and the Trans-FW PRT capacity were
+	// Scheme fields, so checkpoints stored under those keys keep hitting.
+	// TestWarmupKeyGolden pins the keys and fails when Scheme gains a field
+	// this line does not hash.
+	prtCapacity := 0
+	if scheme.TransFW {
+		prtCapacity = transfw.Capacity
+	}
+	fmt.Fprintf(h, "scheme config.Scheme{Name:%#v, Policy:%#v, Directory:%#v, Lazy:%#v, "+
+		"IRMB:%#v, UnusedBits:%#v, ZeroLatencyInval:%#v, TransFW:%#v, PRTCapacity:%#v, NoIdleDrain:%#v}\n",
+		scheme.Name, scheme.Policy, scheme.Directory, scheme.IRMB != (core.Geometry{}),
+		scheme.IRMB, scheme.UnusedBits, scheme.ZeroLatencyInval, scheme.TransFW, prtCapacity, scheme.NoIdleDrain)
 	fmt.Fprintf(h, "warmup %d\n", warmup)
 	// Trace params include fields Save does not carry (e.g. ThresholdFactor,
 	// which scales the counter threshold at run time), so hash them

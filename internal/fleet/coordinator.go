@@ -39,10 +39,6 @@ type Config struct {
 	// after a job computes, the result is pushed to the next-ranked
 	// workers until this many members hold it. 1 disables replication.
 	Replicas int
-	// RouteAttempts bounds how many distinct workers one job may be
-	// relayed to before failing (default 3, clamped to the fleet size at
-	// dispatch time).
-	RouteAttempts int
 	// ProbeInterval is the heartbeat cadence (default 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health check (default 2s).
@@ -54,8 +50,6 @@ type Config struct {
 	// which answers repeat submissions without touching the fleet.
 	CacheEntries int
 	CacheDir     string
-	// CopysetEntries bounds the copyset tracker (default 4096).
-	CopysetEntries int
 	// BreakerCooldown is how long a suspect worker's breaker stays open
 	// before a single half-open trial dispatch is allowed (default 15s).
 	BreakerCooldown time.Duration
@@ -72,6 +66,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// routeAttempts bounds how many distinct workers one job may be relayed
+	// to before failing; a fleet smaller than this runs out of untried
+	// workers first.
+	routeAttempts = 3
+	// copysetEntries bounds the copyset tracker.
+	copysetEntries = 4096
+)
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -85,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.RouteAttempts <= 0 {
-		c.RouteAttempts = 3
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -96,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailLimit <= 0 {
 		c.FailLimit = 3
-	}
-	if c.CopysetEntries <= 0 {
-		c.CopysetEntries = 4096
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -128,7 +125,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:       cfg,
-		copysets:  NewCopysets(cfg.CopysetEntries),
+		copysets:  NewCopysets(copysetEntries),
 		probeDone: make(chan struct{}),
 	}
 	// The trip hook runs only from MarkFailed, which nothing calls before
@@ -245,7 +242,7 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 
 	tried := make(map[string]bool)
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.RouteAttempts; attempt++ {
+	for attempt := 0; attempt < routeAttempts; attempt++ {
 		target, trial := c.nextTarget(hash, tried)
 		if target == nil {
 			break

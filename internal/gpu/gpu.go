@@ -229,31 +229,24 @@ func New(dom *pdes.Domain, id int, machine config.Machine, scheme config.Scheme,
 		Threads:       machine.PTWThreads,
 		QueueCapacity: machine.WalkQueueDepth,
 		LevelLatency:  machine.PTWLevelLatency,
-		PWCHitLatency: 1,
 		PWCEntries:    machine.PWCEntries,
 		PWCWays:       machine.PWCWays,
-		RetryDelay:    8,
 	}, st)
 	g.data = datapath.NewFrom(r, engine, machine.CUsPerGPU, datapath.Config{
 		L1Bytes: machine.L1CacheBytes, L1Ways: machine.L1CacheWays, L1HitLatency: machine.L1CacheLatency,
 		L2Bytes: machine.L2CacheBytes, L2Ways: machine.L2CacheWays, L2HitLatency: machine.L2CacheLatency,
 		DRAMLatency: machine.DRAMLatency,
-		LineBytes:   memdef.CachelineBytes,
 		PageBytes:   int(machine.PageSize.Bytes()),
 	}, st)
-	if scheme.Lazy {
-		geom := scheme.IRMB
-		if geom.Bases == 0 {
-			geom = core.DefaultGeometry
-		}
-		g.irmb = core.NewIRMB(geom)
+	if scheme.IRMB != (core.Geometry{}) {
+		g.irmb = core.NewIRMB(scheme.IRMB)
 		g.wbCancelled, g.wbLanded = g.writebackCancelled, g.writebackLanded
 		if !scheme.NoIdleDrain {
 			g.gmmu.SetOnIdle(g.drainIRMB)
 		}
 	}
 	if scheme.TransFW {
-		g.prt = transfw.New(scheme.PRTCapacity)
+		g.prt = new(transfw.PRT)
 	}
 	return g
 }

@@ -52,6 +52,43 @@ func TestSpecHashCollapsesSpellings(t *testing.T) {
 	}
 }
 
+// TestSpecHashGolden pins the canonical bytes and content address of a
+// cell spec, a figure spec, a spec with apps and a spec with a warmup: a
+// change here orphans every on-disk result cache and reroutes every fleet
+// job.
+func TestSpecHashGolden(t *testing.T) {
+	for _, c := range []struct{ spec, canonical, hash string }{
+		{`{"kind":"cell","app":"PR","scheme":"idyll","options":{"cus_per_gpu":4,"accesses_per_cu":200}}`,
+			`{"kind":"cell","figure":"cell","app":"PR","scheme":"idyll","options":{"cus_per_gpu":4,"accesses_per_cu":200,"seed":20231028,"counter_threshold":2}}`,
+			"51b92d6156c9e48aee043a4a8cf917913422051d6d7ce29eb8aaa06e26ed5105"},
+		{`{"kind":"figure","figure":"fig11"}`,
+			`{"kind":"figure","figure":"fig11","options":{"cus_per_gpu":16,"accesses_per_cu":600,"seed":20231028,"counter_threshold":2}}`,
+			"349da3d9072ba9141d80748f16d4b26321b774bb44db5154bc636a47881e3fee"},
+		{`{"kind":"figure","figure":"fig11","options":{"apps":["pr","KM"],"seed":7}}`,
+			`{"kind":"figure","figure":"fig11","options":{"cus_per_gpu":16,"accesses_per_cu":600,"seed":7,"apps":["PR","KM"],"counter_threshold":2}}`,
+			"ee629d616bbb0e6e4c87389c37749631cbe6c44865025c30e9a8142f9a6bb186"},
+		{`{"kind":"cell","figure":"fig11","app":"KM","scheme":"only-lazy","options":{"cus_per_gpu":2,"accesses_per_cu":60,"warmup_accesses_per_cu":30,"counter_threshold":4}}`,
+			`{"kind":"cell","figure":"fig11","app":"KM","scheme":"lazy","options":{"cus_per_gpu":2,"accesses_per_cu":60,"seed":20231028,"counter_threshold":4,"warmup_accesses_per_cu":30}}`,
+			"dbbf5e80e2deb84beee517b72b85b44b3c275d357cb52559e33081a647893425"},
+	} {
+		spec, err := DecodeSpec([]byte(c.spec))
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		canon := mustCanon(t, spec)
+		raw, err := canon.canonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != c.canonical {
+			t.Errorf("%s: canonical\n %s\nwant\n %s", c.spec, raw, c.canonical)
+		}
+		if h, err := canon.Hash(); err != nil || h != c.hash {
+			t.Errorf("%s: hash %s (err %v), want %s", c.spec, h, err, c.hash)
+		}
+	}
+}
+
 func TestSpecSchemeAliasCanonicalizes(t *testing.T) {
 	a := mustCanon(t, JobSpec{Kind: "cell", App: "PR", Scheme: "only-lazy"})
 	b := mustCanon(t, JobSpec{Kind: "cell", App: "PR", Scheme: "lazy"})

@@ -33,7 +33,7 @@ func TestSystemLivenessUnderAdversarialGeometry(t *testing.T) {
 		m.MigrationBlockPages = 1 << (knobs[7] % 3)
 
 		scheme := schemes[seed%uint64(len(schemes))]()
-		if scheme.Lazy {
+		if scheme.IRMB != (core.Geometry{}) {
 			scheme.IRMB = core.Geometry{Bases: 1, Offsets: 2}
 		}
 

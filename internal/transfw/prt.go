@@ -19,8 +19,9 @@ import "idyll/internal/memdef"
 // paper's scaled configuration.
 const FingerprintBits = 13
 
-// DefaultCapacity is the §7.5 PRT size matched to the IRMB's 720 bytes.
-const DefaultCapacity = 443
+// Capacity is the PRT's fingerprint count: the §7.5 size matched to the
+// IRMB's 720 bytes.
+const Capacity = 443
 
 // Fingerprint compresses a VPN to FingerprintBits bits. The mix must spread
 // nearby VPNs (migrated neighbourhoods) across the space; a multiplicative
@@ -35,18 +36,10 @@ type entry struct {
 	gpu int8
 }
 
-// PRT is one GPU's fingerprint table.
+// PRT is one GPU's fingerprint table. The zero PRT is empty and ready to
+// use.
 type PRT struct {
-	capacity int
-	fifo     []entry
-}
-
-// New builds a PRT with the given fingerprint capacity.
-func New(capacity int) *PRT {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &PRT{capacity: capacity}
+	fifo []entry
 }
 
 // Insert records that gpu holds a valid translation for vpn. The oldest
@@ -59,7 +52,7 @@ func (p *PRT) Insert(vpn memdef.VPN, gpu int) {
 			return
 		}
 	}
-	if len(p.fifo) >= p.capacity {
+	if len(p.fifo) >= Capacity {
 		copy(p.fifo, p.fifo[1:])
 		p.fifo = p.fifo[:len(p.fifo)-1]
 	}
@@ -96,6 +89,6 @@ func (p *PRT) InvalidateVPN(vpn memdef.VPN) {
 // Len reports resident fingerprints.
 func (p *PRT) Len() int { return len(p.fifo) }
 
-// Bytes reports the hardware cost: capacity × (fingerprint + GPU id ≈ 13
-// bits) rounded to bytes, ≈ 720 bytes at the default capacity.
-func (p *PRT) Bytes() int { return p.capacity * FingerprintBits / 8 }
+// Bytes reports the hardware cost: Capacity × (fingerprint + GPU id ≈ 13
+// bits) rounded to bytes, ≈ 720 bytes.
+func (p *PRT) Bytes() int { return Capacity * FingerprintBits / 8 }

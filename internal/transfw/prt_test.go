@@ -7,7 +7,7 @@ import (
 )
 
 func TestInsertLookup(t *testing.T) {
-	p := New(16)
+	p := new(PRT)
 	p.Insert(100, 2)
 	gpu, ok := p.Lookup(100)
 	if !ok || gpu != 2 {
@@ -16,7 +16,7 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestLookupMiss(t *testing.T) {
-	p := New(16)
+	p := new(PRT)
 	p.Insert(100, 2)
 	// Find a VPN whose fingerprint differs from 100's.
 	probe := memdef.VPN(101)
@@ -29,18 +29,18 @@ func TestLookupMiss(t *testing.T) {
 }
 
 func TestFIFOEviction(t *testing.T) {
-	p := New(2)
-	vpns := distinctFingerprintVPNs(3)
-	p.Insert(vpns[0], 0)
-	p.Insert(vpns[1], 1)
-	p.Insert(vpns[2], 2) // displaces vpns[0]
+	p := new(PRT)
+	vpns := distinctFingerprintVPNs(Capacity + 1)
+	for i, v := range vpns {
+		p.Insert(v, i%4) // the last displaces vpns[0]
+	}
 	if _, ok := p.Lookup(vpns[0]); ok {
 		t.Fatal("oldest fingerprint survived")
 	}
 	if _, ok := p.Lookup(vpns[1]); !ok {
 		t.Fatal("second fingerprint lost")
 	}
-	if p.Len() != 2 {
+	if p.Len() != Capacity {
 		t.Fatalf("len = %d", p.Len())
 	}
 }
@@ -60,7 +60,7 @@ func distinctFingerprintVPNs(n int) []memdef.VPN {
 }
 
 func TestCollisionGivesFalsePositive(t *testing.T) {
-	p := New(DefaultCapacity)
+	p := new(PRT)
 	base := memdef.VPN(12345)
 	p.Insert(base, 3)
 	// Find a colliding VPN: same fingerprint, different page.
@@ -75,7 +75,7 @@ func TestCollisionGivesFalsePositive(t *testing.T) {
 }
 
 func TestInsertRefreshesExistingFingerprint(t *testing.T) {
-	p := New(4)
+	p := new(PRT)
 	p.Insert(7, 1)
 	p.Insert(7, 2) // same page remaps to GPU2
 	gpu, _ := p.Lookup(7)
@@ -88,7 +88,7 @@ func TestInsertRefreshesExistingFingerprint(t *testing.T) {
 }
 
 func TestInvalidateVPN(t *testing.T) {
-	p := New(8)
+	p := new(PRT)
 	p.Insert(9, 1)
 	p.InvalidateVPN(9)
 	if _, ok := p.Lookup(9); ok {
@@ -98,7 +98,7 @@ func TestInvalidateVPN(t *testing.T) {
 }
 
 func TestStatsAndBytes(t *testing.T) {
-	p := New(DefaultCapacity)
+	p := new(PRT)
 	// §7.5: PRT scaled to ~720 bytes to match the IRMB.
 	if b := p.Bytes(); b < 700 || b > 740 {
 		t.Fatalf("PRT bytes = %d, want ≈720", b)

@@ -9,7 +9,7 @@ import "idyll/internal/checkpoint"
 
 // SaveState writes the PRT's fingerprints to w.
 func (p *PRT) SaveState(w *checkpoint.Writer) {
-	w.Int(p.capacity)
+	w.Int(Capacity)
 	w.U32(uint32(len(p.fifo)))
 	for _, e := range p.fifo {
 		w.U16(e.fp)
@@ -17,16 +17,15 @@ func (p *PRT) SaveState(w *checkpoint.Writer) {
 	}
 }
 
-// RestoreState reads the state written by SaveState into p, which must have
-// the same capacity.
+// RestoreState reads the state written by SaveState into p.
 func (p *PRT) RestoreState(r *checkpoint.Reader) {
-	if c := r.Int(); c != p.capacity {
-		r.Failf("transfw: PRT capacity %d in checkpoint, %d configured", c, p.capacity)
+	if c := r.Int(); c != Capacity {
+		r.Failf("transfw: PRT capacity %d in checkpoint, want %d", c, Capacity)
 		return
 	}
 	n := r.Count(3)
-	if n > p.capacity {
-		r.Failf("transfw: PRT checkpoint holds %d entries, capacity %d", n, p.capacity)
+	if n > Capacity {
+		r.Failf("transfw: PRT checkpoint holds %d entries, capacity %d", n, Capacity)
 		return
 	}
 	p.fifo = p.fifo[:0]

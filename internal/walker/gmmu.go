@@ -20,13 +20,17 @@ type Config struct {
 	Threads       int
 	QueueCapacity int
 	LevelLatency  sim.VTime // memory access for one page-table level
-	PWCHitLatency sim.VTime // PWC lookup time on a hit
 	PWCEntries    int
 	PWCWays       int
-	// RetryDelay is how long a rejected (queue-full) request waits before
-	// re-attempting enqueue.
-	RetryDelay sim.VTime
 }
+
+const (
+	// pwcHitLatency is the PWC lookup time on a hit.
+	pwcHitLatency sim.VTime = 1
+	// retryDelay is how long a rejected (queue-full) request waits before
+	// re-attempting enqueue.
+	retryDelay sim.VTime = 8
+)
 
 // DefaultConfig returns Table 2's GMMU configuration.
 func DefaultConfig() Config {
@@ -34,10 +38,8 @@ func DefaultConfig() Config {
 		Threads:       8,
 		QueueCapacity: 64,
 		LevelLatency:  100,
-		PWCHitLatency: 1,
 		PWCEntries:    128,
 		PWCWays:       8,
-		RetryDelay:    8,
 	}
 }
 
@@ -199,7 +201,7 @@ func (g *GMMU) walkCost(visits []pagetable.Visit) sim.VTime {
 		g.st.PWCLookups++
 		if _, ok := g.pwc.Lookup(key); ok {
 			g.st.PWCHits++
-			total += g.cfg.PWCHitLatency
+			total += pwcHitLatency
 		} else {
 			total += g.cfg.LevelLatency
 			g.pwc.Insert(key, struct{}{})
@@ -229,7 +231,7 @@ func (w *walk) enqueue() {
 		return
 	}
 	g.st.WalkQueueRejects++
-	g.engine.Schedule(g.cfg.RetryDelay, w.retry)
+	g.engine.Schedule(retryDelay, w.retry)
 }
 
 // start runs on a walker thread: it walks the table, charges the walk's
