@@ -17,11 +17,11 @@
 //	idylld -coordinator -fleet-workers \
 //	    w1=http://host1:8081,w2=http://host2:8082    # the front door
 //
-// A worker pulls results and warmup checkpoints from its peers before
-// recomputing (peer cache fill); the coordinator routes jobs by rendezvous
-// hashing over the spec's content address, replicates results, and serves a
-// fleet-wide /metrics rollup. Every role schedules its backlog by weighted
-// fair share across tenants (-tenant-weights, -tenant-quota).
+// A worker pulls results from its peers before recomputing (peer cache
+// fill); the coordinator routes jobs by rendezvous hashing over the spec's
+// content address, replicates results, and serves a fleet-wide /metrics
+// rollup. Every role schedules its backlog by weighted fair share across
+// tenants (-tenant-weights, -tenant-quota).
 //
 // SIGTERM/SIGINT drains gracefully: submissions answer 503, queued and
 // in-flight jobs finish (or are cancelled after -drain-timeout), the HTTP
@@ -75,7 +75,6 @@ func main() {
 		// Fleet: worker side.
 		workerMode = flag.Bool("worker", false, "run as a fleet worker (peer cache fill enabled)")
 		fleetID    = flag.String("fleet-id", "", "stable fleet member name (required with -worker)")
-		peers      = flag.String("peers", "", "comma-separated peer base URLs to seed peer cache fill")
 		selfURL    = flag.String("self-url", "", "this worker's externally reachable base URL (default http://<bound addr>)")
 		joinURL    = flag.String("join", "", "coordinator base URL to announce this worker to at startup")
 
@@ -193,11 +192,9 @@ func main() {
 			if self == "" {
 				self = "http://" + bound
 			}
-			filler = fleet.NewFiller(self, splitNonEmpty(*peers))
+			filler = fleet.NewFiller(self)
 			filler.SetFaults(faults)
 			cfg.PeerFill = filler.ResultFill
-			cfg.CkptFill = filler.CkptFill
-			cfg.OnPeers = filler.UpdatePeers
 			cfg.FleetID = *fleetID
 			cfg.FleetVersion = fleet.VersionString
 		}

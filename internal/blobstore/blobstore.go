@@ -1,9 +1,9 @@
 // Package blobstore is idylld's content-addressed byte store: a bounded
-// in-memory LRU with optional disk persistence, singleflight computation
-// dedupe and an optional remote-fill hook. The daemon keeps two instances —
-// whole-job results ("cache") and warmup checkpoints ("ckpt"). Keys are
-// SHA-256 hex content addresses; identical keys name identical bytes, which
-// is what makes every tier (memory, disk, a peer) interchangeable.
+// in-memory LRU with optional disk persistence, used through Get and Put.
+// The daemon keeps two instances — whole-job results ("cache") and warmup
+// checkpoints ("ckpt"). Keys are SHA-256 hex content addresses; identical
+// keys name identical bytes, which is what makes the memory and disk tiers
+// (and, for results, a peer's store) interchangeable.
 //
 // Disk blobs are wrapped in the integrity checksum envelope. A blob that
 // fails to verify on read is quarantined to <key>.corrupt and reported as a
@@ -11,16 +11,13 @@
 // failed job. Disk I/O runs outside the mutex: a memory hit never queues
 // behind a slow disk.
 //
-// Counting rule: every Get and every GetOrCompute call counts exactly once.
-// A Get is a hit when it returns bytes (memory or disk) and a miss
-// otherwise. A GetOrCompute is a miss when it ran compute itself and a hit
-// otherwise: served from memory, disk or a remote fill, or joined another
-// caller's flight. Disk and remote hits are subsets of hits.
+// Counting rule: every Get counts exactly once, as a hit when it returns
+// bytes (memory or disk) and as a miss otherwise. Disk hits are a subset of
+// hits. Put counts nothing.
 package blobstore
 
 import (
 	"container/list"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,10 +38,9 @@ func ValidKey(key string) bool { return keyPattern.MatchString(key) }
 
 // Stats are a store's cumulative counters.
 type Stats struct {
-	Hits       uint64 // lookups that did not run compute themselves
-	Misses     uint64 // Get found nothing, or GetOrCompute ran compute
-	DiskHits   uint64 // subset of Hits read off disk
-	RemoteHits uint64 // subset of Hits filled through the remote hook
+	Hits     uint64 // Gets that returned bytes
+	Misses   uint64 // Gets that found nothing
+	DiskHits uint64 // subset of Hits read off disk
 
 	VerifyFailures uint64 // blobs that failed checksum-envelope verification
 	Quarantined    uint64 // damaged entries moved aside or evicted
@@ -58,14 +54,12 @@ type Store struct {
 	max                 int
 	dir                 string // "" = memory only
 
-	mu       sync.Mutex
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-	inflight map[string]*flight
-	stats    Stats
+	mu      sync.Mutex
+	entries map[string]*list.Element
+	order   *list.List // front = most recently used
+	stats   Stats
 
-	faults     *fault.Injector // nil = injection disabled
-	remoteFill func(ctx context.Context, key string) ([]byte, bool)
+	faults *fault.Injector // nil = injection disabled
 
 	// testDiskDelay, when non-nil, runs at the top of every disk read and
 	// write — the injected slow disk the race and lock-scope tests use.
@@ -75,14 +69,6 @@ type Store struct {
 type entry struct {
 	key  string
 	data []byte
-}
-
-// flight is one in-progress lookup (disk read, remote fill or compute) that
-// late arrivals for the same key wait on.
-type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
 }
 
 // New returns a store named name holding at most maxEntries blobs in memory
@@ -106,7 +92,6 @@ func New(name string, maxEntries int, dir string) (*Store, error) {
 		dir:       dir,
 		entries:   make(map[string]*list.Element),
 		order:     list.New(),
-		inflight:  make(map[string]*flight),
 	}, nil
 }
 
@@ -115,22 +100,14 @@ func New(name string, maxEntries int, dir string) (*Store, error) {
 // disables injection.
 func (s *Store) SetFaults(inj *fault.Injector) { s.faults = inj }
 
-// SetRemoteFill installs the fetch-from-peer hook GetOrCompute consults
-// after a memory and disk miss, before computing. It runs without the
-// store lock and must be safe for concurrent use; a successful fill is
-// cached like a computed value. Get never consults it, so a peer serving
-// its store over HTTP cannot recurse into its own hook. Install it before
-// the store sees traffic.
-func (s *Store) SetRemoteFill(fill func(ctx context.Context, key string) ([]byte, bool)) {
-	s.remoteFill = fill
-}
-
 // Get returns the blob under key from memory, else from disk (a disk hit
-// repopulates memory). It never computes and never consults the remote
-// hook. The returned slice must not be modified.
+// repopulates memory). The returned slice must not be modified.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
-	if data, ok := s.memGetLocked(key); ok {
+	if el, ok := s.entries[key]; ok {
+		s.order.MoveToFront(el)
+		s.stats.Hits++
+		data := el.Value.(*entry).data
 		s.mu.Unlock()
 		return data, true
 	}
@@ -147,17 +124,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	s.mu.Unlock()
 	return data, ok
-}
-
-// memGetLocked serves a memory hit and counts it. Caller holds s.mu.
-func (s *Store) memGetLocked(key string) ([]byte, bool) {
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	s.stats.Hits++
-	return el.Value.(*entry).data, true
 }
 
 // Put stores data under key in memory and, when configured, on disk. The
@@ -183,69 +149,10 @@ func (s *Store) putLocked(key string, data []byte) {
 	}
 }
 
-// GetOrCompute returns the blob under key, computing and caching it on a
-// miss. Concurrent callers with the same key share one flight: its leader
-// reads the disk, then tries the remote-fill hook (with ctx), then runs
-// compute, and the joiners wait for its bytes. hit reports whether this
-// call avoided running compute itself. A joiner whose ctx ends first
-// returns ctx.Err(). A failed compute is not cached and its error reaches
-// every waiter. A failed disk write is dropped: the bytes are still
-// returned and cached in memory.
-func (s *Store) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
-	s.mu.Lock()
-	if data, ok := s.memGetLocked(key); ok {
-		s.mu.Unlock()
-		return data, true, nil
-	}
-	if f, ok := s.inflight[key]; ok {
-		s.stats.Hits++
-		s.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.data, true, f.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	fromDisk, filled := false, false
-	if f.data, fromDisk = s.diskGet(key); !fromDisk && s.remoteFill != nil {
-		f.data, filled = s.remoteFill(ctx, key)
-	}
-	if !fromDisk && !filled {
-		f.data, f.err = compute()
-	}
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	switch {
-	case fromDisk:
-		s.stats.Hits++
-		s.stats.DiskHits++
-	case filled:
-		s.stats.Hits++
-		s.stats.RemoteHits++
-	default:
-		s.stats.Misses++
-	}
-	if f.err == nil {
-		s.putLocked(key, f.data)
-	}
-	s.mu.Unlock()
-	if f.err == nil && !fromDisk {
-		_ = s.diskPut(key, f.data) // persistence is an optimization here
-	}
-	close(f.done)
-	return f.data, fromDisk || filled, f.err
-}
-
 // Quarantine evicts key from memory and moves its disk blob aside as
 // damaged. Callers use it when bytes that verified at the envelope level
 // turn out to be undecodable one level up (e.g. checkpoint Resume fails),
-// so the next GetOrCompute recomputes instead of re-serving poison.
+// so the next Get misses instead of re-serving poison.
 func (s *Store) Quarantine(key string) {
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {

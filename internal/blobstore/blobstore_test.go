@@ -1,15 +1,12 @@
 package blobstore
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"idyll/internal/fault"
 )
@@ -28,26 +25,17 @@ func newStore(t *testing.T, maxEntries int, dir string) *Store {
 	return s
 }
 
-func TestGetOrComputeCachesAndCounts(t *testing.T) {
+// Every Get counts once: a hit when it returns bytes, a miss otherwise. Put
+// counts nothing.
+func TestGetPutCounts(t *testing.T) {
 	s := newStore(t, 4, "")
-	computes := 0
-	compute := func() ([]byte, error) {
-		computes++
-		return []byte("blob"), nil
+	if _, ok := s.Get(key(1)); ok {
+		t.Fatal("Get fabricated a hit")
 	}
-	ctx := context.Background()
-	data, hit, err := s.GetOrCompute(ctx, key(1), compute)
-	if err != nil || hit || string(data) != "blob" {
-		t.Fatalf("first call: data=%q hit=%v err=%v", data, hit, err)
+	s.Put(key(1), []byte("blob"))
+	if data, ok := s.Get(key(1)); !ok || string(data) != "blob" {
+		t.Fatalf("Get after Put = %q, %v", data, ok)
 	}
-	data, hit, err = s.GetOrCompute(ctx, key(1), compute)
-	if err != nil || !hit || string(data) != "blob" {
-		t.Fatalf("second call: data=%q hit=%v err=%v", data, hit, err)
-	}
-	if computes != 1 {
-		t.Fatalf("compute ran %d times", computes)
-	}
-	// A plain Get miss counts as a miss, like a computing GetOrCompute.
 	if _, ok := s.Get(key(2)); ok {
 		t.Fatal("Get fabricated a hit")
 	}
@@ -204,7 +192,7 @@ func TestPutReturnsDiskWriteError(t *testing.T) {
 
 // A bit flipped on the disk read is caught by the envelope at each store's
 // own fault site: the blob is quarantined, the lookup misses, and the
-// recompute rewrites a good entry.
+// caller's recomputed Put rewrites a good entry.
 func TestDiskBitflipQuarantinedAndRecomputed(t *testing.T) {
 	for _, name := range []string{"cache", "ckpt"} {
 		t.Run(name, func(t *testing.T) {
@@ -221,104 +209,22 @@ func TestDiskBitflipQuarantinedAndRecomputed(t *testing.T) {
 			s.Put(key(1), []byte("good"))
 			s.Put(key(2), []byte("evictor")) // key 1 now lives on disk only
 
-			computes := 0
-			data, hit, err := s.GetOrCompute(context.Background(), key(1), func() ([]byte, error) {
-				computes++
-				return []byte("good"), nil
-			})
-			if err != nil || hit || string(data) != "good" || computes != 1 {
-				t.Fatalf("data=%q hit=%v err=%v computes=%d, want a recompute", data, hit, err, computes)
+			if data, ok := s.Get(key(1)); ok {
+				t.Fatalf("damaged blob served: %q", data)
 			}
-			if st := s.Stats(); st.VerifyFailures != 1 || st.Quarantined != 1 || st.DiskHits != 0 {
-				t.Fatalf("stats = %+v, want one verify failure, one quarantine, no disk hit", st)
+			if st := s.Stats(); st.VerifyFailures != 1 || st.Quarantined != 1 || st.DiskHits != 0 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want one verify failure, one quarantine, one miss, no disk hit", st)
 			}
 			if _, err := os.Stat(filepath.Join(dir, key(1)+".corrupt")); err != nil {
 				t.Fatalf("damaged blob not quarantined: %v", err)
 			}
-			// The recompute repaired the disk tier: a fresh store reads it.
+			// The recompute's Put repairs the disk tier: a fresh store reads it.
+			if err := s.Put(key(1), []byte("good")); err != nil {
+				t.Fatal(err)
+			}
 			if data, ok := newStore(t, 1, dir).Get(key(1)); !ok || string(data) != "good" {
 				t.Fatalf("repaired entry = %q, %v", data, ok)
 			}
 		})
-	}
-}
-
-// Concurrent GetOrCompute calls for one key share a single compute; the
-// joiners count as hits.
-func TestSingleflight(t *testing.T) {
-	s := newStore(t, 4, "")
-	const waiters = 8
-	gate := make(chan struct{})
-	var computes int
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, err := s.GetOrCompute(context.Background(), key(9), func() ([]byte, error) {
-				computes++ // leader-only; the gate serializes entry
-				<-gate
-				return []byte("once"), nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	// Joiners may arrive before or after the leader finishes, so only the
-	// compute count and the hit/miss split are asserted.
-	close(gate)
-	wg.Wait()
-	if computes != 1 {
-		t.Fatalf("compute ran %d times under contention", computes)
-	}
-	if st := s.Stats(); st.Misses != 1 || st.Hits != waiters-1 {
-		t.Fatalf("stats = %d hits %d misses, want %d/1", st.Hits, st.Misses, waiters-1)
-	}
-}
-
-// A failed compute propagates its error and caches nothing.
-func TestComputeErrorNotCached(t *testing.T) {
-	s := newStore(t, 4, "")
-	ctx := context.Background()
-	boom := errors.New("boom")
-	if _, _, err := s.GetOrCompute(ctx, key(3), func() ([]byte, error) {
-		return nil, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, ok := s.Get(key(3)); ok {
-		t.Fatal("failed compute was cached")
-	}
-	data, hit, err := s.GetOrCompute(ctx, key(3), func() ([]byte, error) {
-		return []byte("recovered"), nil
-	})
-	if err != nil || hit || string(data) != "recovered" {
-		t.Fatalf("retry after failure: data=%q hit=%v err=%v", data, hit, err)
-	}
-}
-
-// A joiner whose context ends stops waiting on the leader's flight.
-func TestJoinerHonoursContext(t *testing.T) {
-	s := newStore(t, 4, "")
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		s.GetOrCompute(context.Background(), key(5), func() ([]byte, error) {
-			close(entered)
-			<-gate
-			return []byte("late"), nil
-		})
-	}()
-	<-entered
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, _, err := s.GetOrCompute(ctx, key(5), nil)
-	close(gate)
-	<-leaderDone
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("joiner err = %v, want its own deadline", err)
 	}
 }

@@ -61,8 +61,9 @@ type Options struct {
 	// prefix can fork from one cached checkpoint (see CheckpointStore).
 	WarmupAccessesPerCU int `json:"warmup_accesses_per_cu,omitempty"`
 	// CheckpointStore, when non-nil and WarmupAccessesPerCU is positive,
-	// caches warmup checkpoints content-addressed by warmupKey, so repeated
-	// or concurrent runs sharing a warmup prefix compute it once. Forking
+	// caches warmup checkpoints content-addressed by warmupKey, so a run
+	// whose warmup is already stored forks from it instead of recomputing
+	// it (two concurrent runs missing one key each compute it). Forking
 	// from the store is byte-identical to running straight through
 	// (CI-enforced), so like Jobs it is an execution knob, never part of
 	// result identity.

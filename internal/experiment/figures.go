@@ -263,8 +263,8 @@ func Figure13(o Options) (*Table, error) {
 	}
 	var lat, num []float64
 	for j := range apps {
-		lat = append(lat, float64(idyll[j].Inval.Sum)/float64(maxU64(uint64(base[j].Inval.Sum), 1)))
-		num = append(num, float64(idyll[j].InvalReceived)/float64(maxU64(base[j].InvalReceived, 1)))
+		lat = append(lat, float64(idyll[j].Inval.Sum)/float64(max(uint64(base[j].Inval.Sum), 1)))
+		num = append(num, float64(idyll[j].InvalReceived)/float64(max(base[j].InvalReceived, 1)))
 	}
 	t.AddRow("Total latency", withMean(lat))
 	t.AddRow("Total number", withMean(num))
@@ -392,7 +392,7 @@ func Figure17(o Options) (*Table, error) {
 // (§7.2: "we only increase the number of GPUs without changing the
 // application's input dataset sizes").
 func scaleAppToGPUs(app workload.Params, numGPUs int) workload.Params {
-	app.PagesPerGPU = maxInt(256, app.PagesPerGPU*4/numGPUs)
+	app.PagesPerGPU = max(256, app.PagesPerGPU*4/numGPUs)
 	return app
 }
 
@@ -462,9 +462,9 @@ func Figure20(o Options) (*Table, error) {
 		Columns: appColumns(apps),
 	}
 	o256 := o
-	o256.CounterThreshold = maxInt(1, 256/TraceScaleFactor)
+	o256.CounterThreshold = max(1, 256/TraceScaleFactor)
 	o512 := o
-	o512.CounterThreshold = maxInt(1, 512/TraceScaleFactor)
+	o512.CounterThreshold = max(1, 512/TraceScaleFactor)
 	m := config.Default()
 
 	// All four (scheme, threshold) runs of an app share its cell seed, so
@@ -513,7 +513,7 @@ func Figure21(o Options) (*Table, error) {
 	// A 2 MB page absorbs the access traffic of 512 small pages, so the
 	// trace-scaled threshold scales back up (×16 ≈ the paper's relative
 	// conservativeness for big-page migration).
-	o2.CounterThreshold = maxInt(1, o.CounterThreshold*16)
+	o2.CounterThreshold = max(1, o.CounterThreshold*16)
 	apps := o.apps()
 	t := &Table{
 		Title:   "Figure 21: IDYLL with 2MB pages",
@@ -530,8 +530,8 @@ func Figure21(o Options) (*Table, error) {
 		// Re-express footprints in 2 MB pages on an enlarged (16×) input:
 		// 4 KB pages / 512 × 16 = /32. Hot pools shrink less (shared arrays
 		// span fewer large pages — the false-sharing effect).
-		app.PagesPerGPU = maxInt(64, app.PagesPerGPU/32)
-		app.HotPages = maxInt(8, app.HotPages/2)
+		app.PagesPerGPU = max(64, app.PagesPerGPU/32)
+		app.HotPages = max(8, app.HotPages/2)
 		idx[j] = [2]int{
 			cs.addParamsOpts(m, config.Baseline(), app, o2),
 			cs.addParamsOpts(m, config.IDYLL(), app, o2),
@@ -664,18 +664,4 @@ func AblationDrainOnIdle(o Options) (*Table, error) {
 	t.AddRow("Drain on idle (default)", withMean(rows[0]))
 	t.AddRow("Eviction-only", withMean(rows[1]))
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

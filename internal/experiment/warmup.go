@@ -135,13 +135,19 @@ func runSystem(o Options, m config.Machine, scheme config.Scheme, sh *sharedTrac
 		return st, true, err
 	}
 	// A stored checkpoint that fails to decode must cost a recompute, never
-	// the job: quarantine it and retry once (the store recomputes on the
-	// retry because the bad entry is gone). If even freshly computed bytes
-	// fail to resume, fall through to the straight two-phase run.
+	// the job: quarantine it and retry once (the retry misses and recomputes
+	// because the bad entry is gone). If even freshly computed bytes fail to
+	// resume, fall through to the straight two-phase run.
 	for attempt := 0; attempt < 2; attempt++ {
-		blob, _, err := o.CheckpointStore.GetOrCompute(o.Context(), key, compute)
-		if err != nil {
-			return nil, err
+		blob, ok := o.CheckpointStore.Get(key)
+		if !ok {
+			var err error
+			if blob, err = compute(); err != nil {
+				return nil, err
+			}
+			// The memory tier always takes the bytes; a failed disk write
+			// only costs a later process the recompute.
+			_ = o.CheckpointStore.Put(key, blob)
 		}
 		if st, ok, err := resume(blob); ok {
 			return st, err

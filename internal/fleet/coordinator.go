@@ -209,17 +209,6 @@ func (c *Coordinator) hintURLs(hash, excludeID string) []string {
 	return urls
 }
 
-// peerURLs lists every non-dead member's base URL — the X-Idyll-Peers
-// payload that teaches workers the current fleet shape.
-func (c *Coordinator) peerURLs() []string {
-	hintable := c.members.Hintable()
-	urls := make([]string, 0, len(hintable))
-	for _, mb := range hintable {
-		urls = append(urls, mb.URL)
-	}
-	return urls
-}
-
 // dispatch is the coordinator's Runner: relay one canonical spec to the
 // rendezvous-ranked worker, falling down the ranking on worker failure.
 // Job idempotency (content addressing) makes blind re-submission to the
@@ -252,7 +241,6 @@ func (c *Coordinator) dispatch(ctx context.Context, spec service.CanonicalSpec, 
 		opts := service.SubmitOpts{
 			Tenant: spec.Tenant,
 			Hints:  c.hintURLs(hash, target.ID),
-			Peers:  c.peerURLs(),
 		}
 		st, err := target.Dispatch.SubmitAndWaitWith(ctx, wire, opts, onEvent)
 		if err != nil {
@@ -418,7 +406,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.members.Add(req.ID, strings.TrimRight(req.URL, "/"))
-	writeJSON(w, http.StatusOK, JoinResponse{OK: true, Peers: c.peerURLs()})
+	writeJSON(w, http.StatusOK, JoinResponse{OK: true})
 }
 
 // handleMetrics is the fleet-wide rollup: the coordinator's own counters

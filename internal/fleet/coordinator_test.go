@@ -29,7 +29,7 @@ type testWorker struct {
 
 func newTestWorker(t *testing.T, id string) *testWorker {
 	t.Helper()
-	w := &testWorker{id: id, filler: NewFiller("", nil)}
+	w := &testWorker{id: id, filler: NewFiller("")}
 	srv, err := service.NewServer(service.Config{
 		Workers: 2,
 		Runner: func(ctx context.Context, spec service.CanonicalSpec,
@@ -44,7 +44,6 @@ func newTestWorker(t *testing.T, id string) *testWorker {
 			return []byte(fmt.Sprintf(`{"hash":%q,"seed":%d}`, h, spec.Options.Seed)), nil
 		},
 		PeerFill:     w.filler.ResultFill,
-		OnPeers:      w.filler.UpdatePeers,
 		FleetID:      id,
 		FleetVersion: VersionString,
 	})
@@ -241,7 +240,7 @@ func TestCoordinatorDeterministicFailureDoesNotReroute(t *testing.T) {
 	cfg := Config{Replicas: 1}
 	workers := make([]*testWorker, 0, 2)
 	for i := 1; i <= 2; i++ {
-		w := &testWorker{id: fmt.Sprintf("w%d", i), filler: NewFiller("", nil)}
+		w := &testWorker{id: fmt.Sprintf("w%d", i), filler: NewFiller("")}
 		srv, err := service.NewServer(service.Config{
 			Workers: 1,
 			Runner: func(context.Context, service.CanonicalSpec,
@@ -353,13 +352,13 @@ func TestCoordinatorJoinVersionGate(t *testing.T) {
 		t.Fatal("incompatible join accepted")
 	}
 
-	// Compatible version: joins and learns the peer set.
+	// Compatible version: joins.
 	var resp JoinResponse
 	if err := postJSON(t, base+"/v1/fleet/join",
 		JoinRequest{ID: "w9", URL: "http://127.0.0.1:1", Version: VersionString}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK || len(resp.Peers) < 2 {
+	if !resp.OK {
 		t.Fatalf("join response = %+v", resp)
 	}
 	if _, ok := coord.Members().Get("w9"); !ok {
@@ -370,7 +369,7 @@ func TestCoordinatorJoinVersionGate(t *testing.T) {
 func TestCoordinatorTenantQuotaSheds(t *testing.T) {
 	// A gated runner keeps jobs queued so the quota engages.
 	gate := make(chan struct{})
-	w := &testWorker{id: "w1", filler: NewFiller("", nil)}
+	w := &testWorker{id: "w1", filler: NewFiller("")}
 	srv, err := service.NewServer(service.Config{
 		Workers: 1,
 		Runner: func(ctx context.Context, _ service.CanonicalSpec,

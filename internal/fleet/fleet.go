@@ -8,7 +8,7 @@
 // availability optimization, never a correctness question.
 //
 // The layering keeps internal/service fleet-agnostic: service exposes
-// generic extension points (the Runner, PeerFill/CkptFill hooks, the
+// generic extension points (the Runner, the PeerFill hook, the
 // X-Idyll-* headers) and fleet plugs into them. The coordinator itself IS a
 // service.Server — it reuses the cache, weighted fair-share queue,
 // singleflight, SSE streaming, drain, and shedding machinery, with a
@@ -45,11 +45,9 @@ type JoinRequest struct {
 	Version string `json:"version"`
 }
 
-// JoinResponse acknowledges a join and teaches the newcomer the current
-// peer set.
+// JoinResponse acknowledges a join.
 type JoinResponse struct {
-	OK    bool     `json:"ok"`
-	Peers []string `json:"peers"`
+	OK bool `json:"ok"`
 }
 
 // WorkerInfo is one fleet member's externally visible state

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -11,17 +10,12 @@ import (
 	"idyll/internal/service"
 )
 
-// Filler is the worker-side peer cache client: it implements the
-// service.Config hooks (PeerFill, CkptFill, OnPeers) that let a worker pull
-// a result or a warmup checkpoint from a peer before recomputing it. The
-// peer list is dynamic — the coordinator attaches X-Idyll-Peers to every
-// dispatch, so workers started on ephemeral ports learn their peers from
-// traffic, and a static -peers flag seeds the list for coordinator-less
-// setups.
+// Filler is the worker-side peer cache client: its ResultFill is the
+// service.Config.PeerFill hook that lets a worker pull a result from the
+// peers the coordinator's copyset hint names before recomputing it.
 type Filler struct {
 	mu      sync.Mutex
 	self    string // this worker's own base URL, excluded from every probe
-	peers   []string
 	clients map[string]*service.Client
 	timeout time.Duration
 	faults  *fault.Injector
@@ -29,34 +23,13 @@ type Filler struct {
 }
 
 // NewFiller returns a filler for the worker reachable at self (may be
-// empty when unknown), seeded with the given static peer URLs.
-func NewFiller(self string, peers []string) *Filler {
-	f := &Filler{
+// empty when unknown).
+func NewFiller(self string) *Filler {
+	return &Filler{
 		self:    self,
 		clients: make(map[string]*service.Client),
 		timeout: 5 * time.Second,
 	}
-	f.UpdatePeers(peers)
-	return f
-}
-
-// UpdatePeers replaces the peer list (the OnPeers hook). Self and
-// duplicates are filtered; order is normalized so fills probe peers
-// deterministically.
-func (f *Filler) UpdatePeers(peers []string) {
-	seen := make(map[string]bool)
-	var next []string
-	for _, p := range peers {
-		if p == "" || p == f.self || seen[p] {
-			continue
-		}
-		seen[p] = true
-		next = append(next, p)
-	}
-	sort.Strings(next)
-	f.mu.Lock()
-	f.peers = next
-	f.mu.Unlock()
 }
 
 // SetFaults arms deterministic fault injection (sites "peer.fill" and
@@ -68,8 +41,8 @@ func (f *Filler) SetFaults(inj *fault.Injector) {
 	f.mu.Unlock()
 }
 
-// SetMetrics wires the verify-failure counters (peer_verify_failures,
-// ckpt_peer_verify_failures) into the worker's metric set.
+// SetMetrics wires the verify-failure counter (peer_verify_failures) into
+// the worker's metric set.
 func (f *Filler) SetMetrics(m interface{ Inc(string, uint64) }) {
 	f.mu.Lock()
 	f.metrics = m
@@ -83,13 +56,6 @@ func (f *Filler) inc(name string) {
 	if m != nil {
 		m.Inc(name, 1)
 	}
-}
-
-// Peers returns the current peer list.
-func (f *Filler) Peers() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.peers...)
 }
 
 // client returns a cached non-retrying client for url. Fills never retry
@@ -110,39 +76,24 @@ func (f *Filler) client(url string) *service.Client {
 }
 
 // ResultFill is the service.Config.PeerFill hook: fetch the result bytes
-// for hash from the hinted peers (copyset hint), first hit wins.
+// for hash from the hinted peers (copyset hint), first hit wins. Each peer
+// is probed under ctx with the per-peer timeout. A payload that fails
+// checksum verification is dropped like a miss and counted under
+// peer_verify_failures — the next hint (or a recompute) supplies good bytes.
 func (f *Filler) ResultFill(ctx context.Context, hash string, hints []string) ([]byte, bool) {
-	return f.fill(ctx, hints, hash, (*service.Client).CacheGet, "peer_verify_failures")
-}
-
-// CkptFill is the service.Config.CkptFill hook: fetch a warmup checkpoint
-// from any current peer. Unlike results, checkpoints carry no copyset
-// hints (they are produced as a side effect of jobs, invisible to the
-// coordinator), so the filler asks every peer in order.
-func (f *Filler) CkptFill(ctx context.Context, key string, _ []string) ([]byte, bool) {
-	return f.fill(ctx, f.Peers(), key, (*service.Client).CkptGet, "ckpt_peer_verify_failures")
-}
-
-// fill probes urls in order under ctx, each with the per-peer timeout, and
-// returns the first verified hit. A payload that fails checksum
-// verification is dropped like a miss and counted under verifyFailures —
-// the next candidate (or a recompute) supplies good bytes.
-func (f *Filler) fill(ctx context.Context, urls []string, key string,
-	get func(*service.Client, context.Context, string) ([]byte, bool, error),
-	verifyFailures string) ([]byte, bool) {
-	for _, url := range urls {
+	for _, url := range hints {
 		if url == "" || url == f.self {
 			continue
 		}
 		pctx, cancel := context.WithTimeout(ctx, f.timeout)
-		data, ok, err := get(f.client(url), pctx, key)
+		data, ok, err := f.client(url).CacheGet(pctx, hash)
 		cancel()
 		if err == nil && ok {
 			return data, true
 		}
 		var ce *service.ChecksumError
 		if errors.As(err, &ce) {
-			f.inc(verifyFailures)
+			f.inc("peer_verify_failures")
 		}
 	}
 	return nil, false

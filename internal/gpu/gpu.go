@@ -175,7 +175,6 @@ type GPU struct {
 	running        int // CU slots still live
 	finished       bool
 	doneAt         sim.VTime
-	onDone         func()
 	computeGap     int
 	instrPerAccess int
 	// slots holds one record per outstanding-access slot, built in Run.
@@ -304,13 +303,12 @@ func (g *GPU) device() memdef.DeviceID { return memdef.GPUDevice(g.ID) }
 // CU issue model.
 // ---------------------------------------------------------------------------
 
-// Run starts executing a per-CU trace; onDone fires when every CU has
+// Run starts executing a per-CU trace. Finished reports when every CU has
 // retired its last access.
-func (g *GPU) Run(trace [][]workload.Access, onDone func()) {
+func (g *GPU) Run(trace [][]workload.Access) {
 	g.running, g.finished = 0, false
 	g.trace = trace
 	g.cuNext = make([]int, len(trace))
-	g.onDone = onDone
 	perCU := g.machine.OutstandingPerCU
 	g.slots = make([]slot, len(trace)*perCU)
 	for i := range g.slots {
@@ -345,7 +343,7 @@ func (s *slot) issueNext() {
 	g.cuNext[s.cu] = idx + 1
 	s.acc = g.trace[s.cu][idx]
 	g.st.Accesses++
-	g.st.Instructions += uint64(maxInt(1, g.traceInstrPerAccess()))
+	g.st.Instructions += uint64(max(1, g.traceInstrPerAccess()))
 	g.access(s)
 }
 
@@ -354,9 +352,6 @@ func (g *GPU) finishSlot() {
 	if g.running <= 0 {
 		g.finished = true
 		g.doneAt = g.engine.Now()
-		if g.onDone != nil {
-			g.onDone()
-		}
 	}
 }
 
@@ -797,11 +792,4 @@ func (g *GPU) ReceivePRTInsert(vpn memdef.VPN, holder int) {
 // simulation begins (see driver.Preinstall). TLBs stay cold.
 func (g *GPU) Preinstall(vpn memdef.VPN, pte pagetable.PTE) {
 	g.gmmu.PageTable().Map(vpn, pte)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

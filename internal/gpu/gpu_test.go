@@ -82,10 +82,9 @@ func accessesTo(cus int, pages []memdef.VPN, repeats int, write bool) [][]worklo
 func TestLocalAccessNeedsNoHost(t *testing.T) {
 	e, g, h, st := rig(t, config.Baseline())
 	g.Preinstall(5, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(0), 1), Valid: true, Writable: true})
-	done := false
-	g.Run(accessesTo(1, []memdef.VPN{5}, 3, false), func() { done = true })
+	g.Run(accessesTo(1, []memdef.VPN{5}, 3, false))
 	e.Run()
-	if !done {
+	if !g.Finished() {
 		t.Fatal("GPU never finished")
 	}
 	if len(h.faults) != 0 {
@@ -98,7 +97,7 @@ func TestLocalAccessNeedsNoHost(t *testing.T) {
 
 func TestUnmappedAccessFarFaults(t *testing.T) {
 	e, g, h, _ := rig(t, config.Baseline())
-	g.Run(accessesTo(1, []memdef.VPN{9}, 1, false), nil)
+	g.Run(accessesTo(1, []memdef.VPN{9}, 1, false))
 	e.RunUntil(5000)
 	if len(h.faults) != 1 || h.faults[0] != 9 {
 		t.Fatalf("faults = %v", h.faults)
@@ -114,7 +113,7 @@ func TestUnmappedAccessFarFaults(t *testing.T) {
 func TestMSHRBlocksDuplicateFaults(t *testing.T) {
 	e, g, h, st := rig(t, config.Baseline())
 	// Both CUs, both slots, hammer the same unmapped page.
-	g.Run(accessesTo(2, []memdef.VPN{3}, 2, false), nil)
+	g.Run(accessesTo(2, []memdef.VPN{3}, 2, false))
 	e.RunUntil(20000)
 	if len(h.faults) != 1 {
 		t.Fatalf("same-page faults = %d, want 1 (MSHR merging)", len(h.faults))
@@ -133,7 +132,7 @@ func TestRemoteAccessCountsTowardMigration(t *testing.T) {
 	e, g, h, st := rig(t, config.Baseline())
 	// Map page 7 to remote GPU1 memory; threshold is 4.
 	g.Preinstall(7, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(1), 1), Valid: true, Writable: true})
-	g.Run(accessesTo(1, []memdef.VPN{7}, 6, false), nil)
+	g.Run(accessesTo(1, []memdef.VPN{7}, 6, false))
 	e.Run()
 	if st.RemoteAccesses != 6 {
 		t.Fatalf("remote accesses = %d", st.RemoteAccesses)
@@ -151,7 +150,7 @@ func TestReleasedGPUStartsEmpty(t *testing.T) {
 	var r sim.Recycler
 	e, g, _, _ := rigFrom(t, &r, config.Baseline())
 	g.Preinstall(7, remote)
-	g.Run(accessesTo(1, []memdef.VPN{7}, 3, false), nil) // threshold is 4
+	g.Run(accessesTo(1, []memdef.VPN{7}, 3, false)) // threshold is 4
 	e.Run()
 	maps := g.pageMaps
 	g.Release()
@@ -166,7 +165,7 @@ func TestReleasedGPUStartsEmpty(t *testing.T) {
 		t.Fatal("reused per-page tables are not empty")
 	}
 	g.Preinstall(7, remote)
-	g.Run(accessesTo(1, []memdef.VPN{7}, 6, false), nil)
+	g.Run(accessesTo(1, []memdef.VPN{7}, 6, false))
 	e.Run()
 	if len(h.migrations) != 1 {
 		t.Fatalf("migration requests = %v, want one for page 7", h.migrations)
@@ -176,7 +175,7 @@ func TestReleasedGPUStartsEmpty(t *testing.T) {
 func TestFirstTouchPolicyNeverRequestsMigration(t *testing.T) {
 	e, g, h, _ := rig(t, config.FirstTouchScheme())
 	g.Preinstall(7, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(1), 1), Valid: true, Writable: true})
-	g.Run(accessesTo(1, []memdef.VPN{7}, 10, false), nil)
+	g.Run(accessesTo(1, []memdef.VPN{7}, 10, false))
 	e.Run()
 	if len(h.migrations) != 0 {
 		t.Fatalf("first-touch requested migrations: %v", h.migrations)
@@ -251,7 +250,7 @@ func accessOnce(g *GPU, cu int, acc workload.Access, done func()) {
 func TestInvalidationShootsDownTLBs(t *testing.T) {
 	e, g, h, _ := rig(t, config.Baseline())
 	g.Preinstall(5, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(0), 1), Valid: true, Writable: true})
-	g.Run(accessesTo(1, []memdef.VPN{5}, 2, false), nil) // warms TLBs
+	g.Run(accessesTo(1, []memdef.VPN{5}, 2, false)) // warms TLBs
 	e.Run()
 	g.ReceiveInvalidation(5, func() {})
 	e.Run()
@@ -316,7 +315,7 @@ func TestReceiveMappingAnnihilatesBufferedInvalidation(t *testing.T) {
 func TestWriteToReadOnlyMappingFaultsAsWrite(t *testing.T) {
 	e, g, h, _ := rig(t, config.ReplicationScheme())
 	g.Preinstall(19, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(0), 1), Valid: true, Writable: false})
-	g.Run(accessesTo(1, []memdef.VPN{19}, 1, true), nil)
+	g.Run(accessesTo(1, []memdef.VPN{19}, 1, true))
 	e.RunUntil(20000)
 	if len(h.faults) == 0 {
 		t.Fatal("write to read-only mapping did not fault")
@@ -344,7 +343,7 @@ func TestSharingRecorded(t *testing.T) {
 	e, g, _, st := rig(t, config.Baseline())
 	g.Preinstall(2, pagetable.PTE{PFN: memdef.MakePFN(memdef.GPUDevice(0), 1), Valid: true, Writable: true})
 	acc := accessesTo(1, []memdef.VPN{2}, 4, false)
-	g.Run(acc, nil)
+	g.Run(acc)
 	e.Run()
 	sh := workload.FromAccesses("t", [][][]workload.Access{acc}, 0, 1).Sharing(memdef.Page4K)
 	if st.Accesses != 4 || sh.Pages() != 1 || sh[0].Accesses != st.Accesses {

@@ -59,7 +59,7 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 
 // WithFaults arms deterministic fault injection on this client: each
 // request consults inj at site (network errors, delays), and payloads
-// fetched by CacheGet/CkptGet are additionally mangled at site+".payload"
+// fetched by CacheGet are additionally mangled at site+".payload"
 // before checksum verification — which is how the chaos gate proves
 // verification actually runs. A nil injector is inert.
 func WithFaults(inj *fault.Injector, site string) ClientOption {
@@ -171,16 +171,12 @@ type SubmitOpts struct {
 	// (copyset hints, X-Idyll-Copyset): the worker tries a peer cache
 	// fill before recomputing.
 	Hints []string
-	// Peers lists the current fleet membership (X-Idyll-Peers), letting
-	// workers on ephemeral ports learn where their peers live.
-	Peers []string
 }
 
 func (o SubmitOpts) headers() map[string]string {
 	return map[string]string{
 		HeaderTenant:  o.Tenant,
 		HeaderCopyset: strings.Join(o.Hints, ","),
-		HeaderPeers:   strings.Join(o.Peers, ","),
 	}
 }
 
@@ -358,20 +354,6 @@ func (c *Client) Figure(ctx context.Context, name string, o experiment.Options) 
 	return experiment.ParseTableJSON(string(raw))
 }
 
-// CacheGet fetches the raw result bytes a peer holds under hash
-// (GET /v1/cache/{hash}). ok=false is a clean miss (the peer simply does
-// not have it); errors are transport or server failures. Misses are not
-// retried — a filler falls through to the next hint.
-func (c *Client) CacheGet(ctx context.Context, hash string) (data []byte, ok bool, err error) {
-	return c.getRaw(ctx, "/v1/cache/"+url.PathEscape(hash))
-}
-
-// CkptGet fetches a peer's warmup checkpoint under key
-// (GET /v1/ckpt/{key}); miss/err semantics match CacheGet.
-func (c *Client) CkptGet(ctx context.Context, key string) (data []byte, ok bool, err error) {
-	return c.getRaw(ctx, "/v1/ckpt/"+url.PathEscape(key))
-}
-
 // ChecksumError reports a peer-fill payload whose bytes disagree with the
 // X-Idyll-Checksum header the server sent: the transfer (or the peer's
 // memory) is corrupt, and the bytes must not be used.
@@ -386,7 +368,12 @@ func (e *ChecksumError) Error() string {
 		e.Path, e.Want, e.Got)
 }
 
-func (c *Client) getRaw(ctx context.Context, path string) ([]byte, bool, error) {
+// CacheGet fetches the raw result bytes a peer holds under hash
+// (GET /v1/cache/{hash}). ok=false is a clean miss (the peer simply does
+// not have it); errors are transport or server failures. Misses are not
+// retried — a filler falls through to the next hint.
+func (c *Client) CacheGet(ctx context.Context, hash string) ([]byte, bool, error) {
+	path := "/v1/cache/" + url.PathEscape(hash)
 	resp, err := c.do(ctx, http.MethodGet, path, nil, nil,
 		http.StatusOK, http.StatusNotFound)
 	if err != nil {

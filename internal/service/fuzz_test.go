@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzSplitComma guards the X-Idyll-Copyset / X-Idyll-Peers header parser:
+// FuzzSplitComma guards the X-Idyll-Copyset header parser:
 // whatever a peer sends, the parse never panics, never yields an empty
 // element, and never yields an element containing a comma or a space —
 // join(parse(s)) must be a fixed point of the parse.

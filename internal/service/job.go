@@ -30,11 +30,10 @@ const (
 const (
 	HeaderTenant  = "X-Idyll-Tenant"  // fairness/accounting identity
 	HeaderCopyset = "X-Idyll-Copyset" // comma-separated peer base URLs holding this result
-	HeaderPeers   = "X-Idyll-Peers"   // comma-separated current fleet peer base URLs
 	HeaderSource  = "X-Idyll-Source"  // response: computed | cache | peer
 	// HeaderChecksum carries the lowercase hex SHA-256 of the response body
-	// on the peer-fill endpoints (GET /v1/cache/{hash}, GET /v1/ckpt/{key});
-	// clients verify it before trusting transferred bytes.
+	// on the peer-fill endpoint (GET /v1/cache/{hash}); clients verify it
+	// before trusting transferred bytes.
 	HeaderChecksum = "X-Idyll-Checksum"
 )
 

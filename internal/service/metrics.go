@@ -32,10 +32,6 @@ var MetricKeys = []string{
 	"ckpt_entries",
 	"ckpt_hits",
 	"ckpt_misses",
-	"ckpt_peer_serve_misses",
-	"ckpt_peer_serves",
-	"ckpt_peer_verify_failures",
-	"ckpt_remote_hits",
 	"ckpt_verify_failures",
 	"faults_injected",
 	"faults_injected_site",

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"testing"
 )
 
@@ -81,5 +83,49 @@ func TestServiceEndToEndRealRunner(t *testing.T) {
 	}
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Errorf("cached result differs from computed result")
+	}
+}
+
+// TestDaemonWarmupCheckpointCounts replays CI's checkpoint-gate daemon step
+// in process: fig11 at 2 CUs, 60 accesses and a 30-access warmup, first for
+// PR and then for PR,KM, on one server with a disk-backed checkpoint store.
+// The first job stores PR's six warmups (6 misses); the second forks PR's
+// cells from them (6 hits) and stores KM's (6 misses). Forking changes no
+// byte: each job's result equals a cold server's.
+func TestDaemonWarmupCheckpointCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation in -short mode")
+	}
+	figure := func(c *Client, apps string) []byte {
+		t.Helper()
+		resp, err := http.Get(c.Base() + "/v1/figures/fig11?cus=2&accesses=60&warmup=30&apps=" + apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("fig11 apps=%s: %d %s (%v)", apps, resp.StatusCode, body, err)
+		}
+		return body
+	}
+	_, c := newTestServer(t, Config{Workers: 1, CkptDir: t.TempDir()})
+	jobs := []string{"PR", "PR,KM"}
+	var warm [][]byte
+	for _, apps := range jobs {
+		warm = append(warm, figure(c, apps))
+	}
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["idylld_ckpt_misses"] != 12 || m["idylld_ckpt_hits"] != 6 {
+		t.Errorf("ckpt misses/hits = %v/%v, want 12/6", m["idylld_ckpt_misses"], m["idylld_ckpt_hits"])
+	}
+	for i, apps := range jobs {
+		_, cold := newTestServer(t, Config{Workers: 1})
+		if got := figure(cold, apps); !bytes.Equal(warm[i], got) {
+			t.Errorf("fig11 apps=%s differs from a cold server's:\nwarm: %s\ncold: %s", apps, warm[i], got)
+		}
 	}
 }

@@ -44,15 +44,6 @@ type Config struct {
 	// successful fill is cached and finishes the job without recomputing
 	// (metrics: peer_fills / peer_fill_misses).
 	PeerFill func(ctx context.Context, hash string, hints []string) ([]byte, bool)
-	// CkptFill, when non-nil, is installed as the warmup-checkpoint store's
-	// remote-fill hook: consulted after a memory and disk miss, before the
-	// warmup is recomputed, under the job's context (no hints are passed).
-	// Ignored when Runner is injected.
-	CkptFill func(ctx context.Context, key string, hints []string) ([]byte, bool)
-	// OnPeers, when non-nil, receives the peer list that rode in on
-	// X-Idyll-Peers with a dispatch — the coordinator's way of teaching
-	// workers who their current peers are without static configuration.
-	OnPeers func(peers []string)
 	// FleetID is this process's stable fleet member name (idylld -fleet-id),
 	// echoed in /healthz; the coordinator's rendezvous hashing keys on it.
 	FleetID string
@@ -164,11 +155,6 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	ckpt.SetFaults(cfg.Faults)
-	if fill := cfg.CkptFill; fill != nil {
-		ckpt.SetRemoteFill(func(ctx context.Context, key string) ([]byte, bool) {
-			return fill(ctx, key, nil)
-		})
-	}
 	if cfg.Runner == nil {
 		cfg.Runner = RunSpecWith(ckpt)
 	}
@@ -456,15 +442,12 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/figures/{name}", s.handleFigure)
-	// Peer endpoints: read-only cache lookups other fleet members use for
-	// peer cache fill. They never trigger computation, and they keep
-	// serving during drain — a draining worker's caches are exactly what
-	// its peers need to pick up its work.
-	mux.HandleFunc("GET /v1/cache/{hash}", s.handleBlobGet(s.cache, "hash",
-		"application/json", "peer_serves", "peer_serve_misses"))
+	// Peer endpoints: result-cache reads and fills other fleet members use
+	// for peer cache fill. They never trigger computation, and they keep
+	// serving during drain — a draining worker's cache is exactly what its
+	// peers need to pick up its work.
+	mux.HandleFunc("GET /v1/cache/{hash}", s.handleCacheGet)
 	mux.HandleFunc("POST /v1/cache/fill", s.handleCacheFill)
-	mux.HandleFunc("GET /v1/ckpt/{key}", s.handleBlobGet(s.ckpt, "key",
-		"application/octet-stream", "ckpt_peer_serves", "ckpt_peer_serve_misses"))
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -517,16 +500,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyFleetHeaders threads the fleet request headers into the canonical
-// spec (tenant, copyset hints) and delivers peer-list updates.
+// spec (tenant, copyset hints).
 func (s *Server) applyFleetHeaders(canon *CanonicalSpec, r *http.Request) {
 	canon.Tenant = tenantOrDefault(r.Header.Get(HeaderTenant))
 	if hints := r.Header.Get(HeaderCopyset); hints != "" {
 		canon.Hints = splitComma(hints)
-	}
-	if s.cfg.OnPeers != nil {
-		if peers := r.Header.Get(HeaderPeers); peers != "" {
-			s.cfg.OnPeers(splitComma(peers))
-		}
 	}
 }
 
@@ -645,31 +623,26 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 
 // ---- peer endpoints (fleet) ----
 
-// handleBlobGet returns the peer-serve handler for one blob store: the
-// bytes under the path wildcard (memory or disk) with their checksum
-// header, 404 on miss. It never computes, never blocks on the queue, and
-// never recurses into the store's own remote-fill hook (Get is local-only).
-// This is the supply side of peer fill, for results and checkpoints alike.
-func (s *Server) handleBlobGet(st *blobstore.Store, wildcard, contentType,
-	served, missed string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		key := r.PathValue(wildcard)
-		if !blobstore.ValidKey(key) {
-			writeJSON(w, http.StatusBadRequest, apiError{wildcard + " must be 64 hex chars"})
-			return
-		}
-		data, ok := st.Get(key)
-		if !ok {
-			s.metrics.Inc(missed, 1)
-			writeJSON(w, http.StatusNotFound, apiError{"nothing stored under " + wildcard})
-			return
-		}
-		s.metrics.Inc(served, 1)
-		w.Header().Set("Content-Type", contentType)
-		w.Header().Set(HeaderChecksum, integrity.SumHex(data))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
+// handleCacheGet serves the result bytes under hash (memory or disk) with
+// their checksum header, 404 on miss. It never computes and never blocks on
+// the queue. This is the supply side of peer fill.
+func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
+	hash := r.PathValue("hash")
+	if !blobstore.ValidKey(hash) {
+		writeJSON(w, http.StatusBadRequest, apiError{"hash must be 64 hex chars"})
+		return
 	}
+	data, ok := s.cache.Get(hash)
+	if !ok {
+		s.metrics.Inc("peer_serve_misses", 1)
+		writeJSON(w, http.StatusNotFound, apiError{"nothing stored under hash"})
+		return
+	}
+	s.metrics.Inc("peer_serves", 1)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(HeaderChecksum, integrity.SumHex(data))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
 }
 
 // fillRequest is the body of POST /v1/cache/fill: the coordinator's
@@ -801,12 +774,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.setStoreMetrics(s.cache.Stats(), "cache_hits", "cache_misses",
 		"cache_disk_hits", "cache_verify_failures", "cache_corrupt_quarantined")
-	ckpt := s.ckpt.Stats()
-	s.setStoreMetrics(ckpt, "ckpt_hits", "ckpt_misses",
+	s.setStoreMetrics(s.ckpt.Stats(), "ckpt_hits", "ckpt_misses",
 		"ckpt_disk_hits", "ckpt_verify_failures", "ckpt_corrupt_quarantined")
-	// Only checkpoints have a remote-fill hook; results are peer-filled per
-	// job (peer_fills) and never count remote hits.
-	s.metrics.Set("ckpt_remote_hits", ckpt.RemoteHits)
 	if s.cfg.Faults != nil {
 		s.metrics.Set("faults_injected", s.cfg.Faults.TotalFired())
 		for site, n := range s.cfg.Faults.FiredBySite() {

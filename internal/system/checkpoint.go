@@ -37,7 +37,7 @@ func (s *System) RunWarmupCtx(ctx context.Context, trace *workload.Trace, warmup
 		return err
 	}
 	for i, g := range s.GPUs {
-		g.Run(tracePrefix(trace.Accesses[i], warmupPerCU), nil)
+		g.Run(tracePrefix(trace.Accesses[i], warmupPerCU))
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -77,7 +77,7 @@ func (s *System) RunRemainderCtx(ctx context.Context, trace *workload.Trace, war
 	// Workload shape is derived state, re-applied rather than checkpointed.
 	s.setShape(trace)
 	for i, g := range s.GPUs {
-		g.Run(traceSuffix(trace.Accesses[i], warmupPerCU), nil)
+		g.Run(traceSuffix(trace.Accesses[i], warmupPerCU))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

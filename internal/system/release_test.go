@@ -204,7 +204,7 @@ func TestReleaseAfterCancelledRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, g := range s.GPUs {
-			g.Run(trace.Accesses[j], nil)
+			g.Run(trace.Accesses[j])
 		}
 		if err := s.Cluster.RunCtx(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled run: %v", err)

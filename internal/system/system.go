@@ -188,7 +188,7 @@ func (s *System) RunCtx(ctx context.Context, trace *workload.Trace) (*stats.Sim,
 		return nil, err
 	}
 	for i, g := range s.GPUs {
-		g.Run(trace.Accesses[i], nil)
+		g.Run(trace.Accesses[i])
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

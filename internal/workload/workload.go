@@ -227,7 +227,7 @@ func generateCU(p Params, numGPUs, gpu, cu, n int, r *sim.Rand) []Access {
 	base := memdef.VPN(gpu * partPages)
 	// Private streaming position: CUs start spread across the partition so
 	// a GPU's CUs collectively stream it (inter-CTA locality).
-	pos := (cu * partPages) / maxInt(1, 16)
+	pos := (cu * partPages) / 16
 	var hot *sim.Zipf
 	if p.HotPages > 0 {
 		hot = sim.NewZipf(r, p.HotPages, p.HotZipf)
@@ -246,7 +246,7 @@ func generateCU(p Params, numGPUs, gpu, cu, n int, r *sim.Rand) []Access {
 			}
 			vpn = base + memdef.VPN(pos)
 		}
-		run := 1 + r.Intn(maxInt(1, p.RunLength))
+		run := 1 + r.Intn(max(1, p.RunLength))
 		for k := 0; k < run && len(out) < n; k++ {
 			off := uint64(r.Intn(4096/64)) * 64
 			out = append(out, Access{
@@ -307,14 +307,14 @@ func sharedPage(p Params, numGPUs, gpu, epoch int, r *sim.Rand, hot *sim.Zipf) m
 		h := phaseMix(gpu, epoch)
 		u = float64(h%1024) / 1024 * total
 		window := 4 // an aligned group of pages, matching migration blocks
-		lo := int(h>>10) % maxInt(1, p.HotPages-window)
+		lo := int(h>>10) % max(1, p.HotPages-window)
 		rank = lo + r.Intn(window)
 	}
 	switch {
 	case u < p.GlobalFrac:
 		// All-GPU hot pool: a contiguous shared segment (rank 0 hottest),
 		// identical for every GPU.
-		return memdef.VPN(globalPoolBase(p, numGPUs) + rank%maxInt(1, p.HotPages))
+		return memdef.VPN(globalPoolBase(p, numGPUs) + rank%max(1, p.HotPages))
 	case u < p.GlobalFrac+p.PairFrac:
 		// Fixed-partner pool: the contiguous exchange buffer of this GPU
 		// pair (matrix transpose / bitonic partners). Both ends use the
@@ -327,7 +327,7 @@ func sharedPage(p Params, numGPUs, gpu, epoch int, r *sim.Rand, hot *sim.Zipf) m
 		if partner < gpu {
 			pair = partner // canonical pair id
 		}
-		return memdef.VPN(pairPoolBase(p, numGPUs, pair) + rank%maxInt(1, p.HotPages))
+		return memdef.VPN(pairPoolBase(p, numGPUs, pair) + rank%max(1, p.HotPages))
 	default:
 		// Neighbour halo: the boundary region between this partition and a
 		// randomly chosen adjacent one.
@@ -339,7 +339,7 @@ func sharedPage(p Params, numGPUs, gpu, epoch int, r *sim.Rand, hot *sim.Zipf) m
 		} else if gpu+1 < numGPUs {
 			neighbour = gpu + 1
 		}
-		halo := maxInt(2, p.HotPages)
+		halo := max(2, p.HotPages)
 		var boundary int
 		if neighbour > gpu {
 			boundary = (gpu + 1) * part
@@ -404,7 +404,7 @@ func generateDNNCU(p Params, numGPUs, gpu, cu, n int, r *sim.Rand) []Access {
 		// Weight reads dominate (GEMM operand reuse); the layer's weights
 		// live on this GPU, so these are local streaming reads.
 		for k := 0; k < 12; k++ {
-			emit(wbase+memdef.VPN(r.Intn(maxInt(1, wpages))), false)
+			emit(wbase+memdef.VPN(r.Intn(max(1, wpages))), false)
 		}
 		// Read input activations (written by the previous stage's GPU) —
 		// the cross-stage sharing that triggers migrations.
@@ -414,19 +414,12 @@ func generateDNNCU(p Params, numGPUs, gpu, cu, n int, r *sim.Rand) []Access {
 		// Occasionally touch the shared trunk weights (first layers are read
 		// by every stage for skip/normalization paths).
 		if r.Bool(0.1) {
-			emit(layerWeightBase[0]+memdef.VPN(zipf.Rank()%maxInt(1, p.DNNLayers[0])), false)
+			emit(layerWeightBase[0]+memdef.VPN(zipf.Rank()%max(1, p.DNNLayers[0])), false)
 		}
 		// Write output activations for the next stage.
 		emit(actBase[l+1]+memdef.VPN(zipf.Rank()%activationPagesPerLayer), true)
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String renders the app line as in Table 3.
