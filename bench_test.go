@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"idyll"
-	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/core"
 	"idyll/internal/datapath"
@@ -168,9 +167,9 @@ func BenchmarkSuiteFig11Parallel(b *testing.B) {
 func benchSuiteFig11(b *testing.B, jobs int) {
 	o := benchOptions()
 	o.Jobs = jobs
-	// Time the steady state, as the checkpointed variant does: every pass
-	// reuses the machines the previous one left on the recycler free list,
-	// which the first pass in a process has to build.
+	// Time the steady state: every pass reuses the machines the previous
+	// one left on the recycler free list, which the first pass in a process
+	// has to build.
 	if _, err := experiment.Figure11(o); err != nil {
 		b.Fatal(err)
 	}
@@ -190,38 +189,12 @@ func benchSuiteFig11(b *testing.B, jobs int) {
 	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }
 
-// BenchmarkSuiteFig11Warmup and BenchmarkSuiteFig11Checkpointed regenerate
-// the headline matrix with a warmup drain barrier at 80% of the trace
-// (WarmupAccessesPerCU). Warmup runs the two-phase schedule straight through every time;
-// Checkpointed forks each cell's warmup from a pre-populated checkpoint
-// store, so each regeneration simulates only the post-warmup remainder —
-// the repeated-sweep case the store exists for (parameter studies, idylld
-// re-submissions). Their wall-clock ratio is the warmup-sharing speedup;
-// both render byte-identical tables (CI-enforced).
+// BenchmarkSuiteFig11Warmup regenerates the headline matrix with a warmup
+// drain barrier at 80% of the trace (WarmupAccessesPerCU), so every cell
+// runs the two-phase schedule.
 func BenchmarkSuiteFig11Warmup(b *testing.B) {
-	benchSuiteFig11Warmup(b, nil)
-}
-
-func BenchmarkSuiteFig11Checkpointed(b *testing.B) {
-	st, err := blobstore.New("ckpt", 128, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchSuiteFig11Warmup(b, st)
-}
-
-func benchSuiteFig11Warmup(b *testing.B, st *blobstore.Store) {
 	o := benchOptions()
 	o.WarmupAccessesPerCU = o.AccessesPerCU * 4 / 5
-	o.CheckpointStore = st
-	if st != nil {
-		// Populate the store once outside the timed region: the benchmark
-		// measures the steady state, where every cell's warmup is a cache hit.
-		if _, err := experiment.Figure11(o); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-	}
 	var headline float64
 	for i := 0; i < b.N; i++ {
 		tab, err := experiment.Figure11(o)

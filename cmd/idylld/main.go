@@ -59,8 +59,6 @@ func main() {
 		queueDepth   = flag.Int("queue", 64, "accepted-but-not-running job backlog before shedding with 429")
 		cacheEntries = flag.Int("cache-entries", 256, "in-memory result cache size")
 		cacheDir     = flag.String("cache-dir", "", "persist results to this directory (empty = memory only)")
-		ckptEntries  = flag.Int("ckpt-entries", 64, "in-memory warmup-checkpoint cache size")
-		ckptDir      = flag.String("ckpt-dir", "", "persist warmup checkpoints to this directory (empty = memory only)")
 		ttl          = flag.Duration("ttl", 15*time.Minute, "how long finished job records stay queryable")
 		maxBody      = flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job run-time cap")
@@ -86,6 +84,10 @@ func main() {
 		brCooldown    = flag.Duration("breaker-cooldown", 15*time.Second, "how long a tripped breaker stays open before one half-open trial dispatch")
 		degradedLocal = flag.Bool("degraded-local", true, "run jobs on the coordinator itself when zero workers are routable")
 	)
+	// idylld keeps no warmup checkpoints; these two flags are parsed only so
+	// launch scripts that still pass them keep starting.
+	flag.String("ckpt-dir", "", "ignored: accepted for compatibility, idylld keeps no warmup checkpoints")
+	flag.Int("ckpt-entries", 64, "ignored: accepted for compatibility, idylld keeps no warmup checkpoints")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "idylld: unexpected argument %q\n", flag.Arg(0))
@@ -178,8 +180,6 @@ func main() {
 			TenantQuota:   *tenantQuota,
 			CacheEntries:  *cacheEntries,
 			CacheDir:      *cacheDir,
-			CkptEntries:   *ckptEntries,
-			CkptDir:       *ckptDir,
 			TTL:           *ttl,
 			MaxBodyBytes:  *maxBody,
 			JobTimeout:    *jobTimeout,

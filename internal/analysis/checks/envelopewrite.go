@@ -8,7 +8,7 @@ import (
 )
 
 // Envelopewrite enforces the at-rest integrity contract the chaos gate
-// relies on: every blob the blob store (results and checkpoints) or the
+// relies on: every blob the result store or the
 // service layer writes to disk must carry the IDYLLSUM checksum envelope,
 // because the read path treats anything unverifiable as damage
 // (quarantine + recompute). A write

@@ -8,9 +8,9 @@ import (
 )
 
 // Missnoterror enforces the degrade-to-miss contract on the disk tiers: a
-// blob-store read (results or checkpoints) that fails — file absent, envelope
-// unverifiable, decode broken — must be reported as a cache miss, never
-// surfaced as an error. The caller's recovery path is always the same
+// result-store read that fails — file absent, envelope unverifiable,
+// decode broken — must be reported as a cache miss, never surfaced as an
+// error. The caller's recovery path is always the same
 // (recompute and re-store), so propagating the error upward only converts a
 // self-healing condition into a request failure; the chaos gate depends on
 // corrupt blobs being quarantined and recomputed, not 500'd. Mechanically:

@@ -1,9 +1,9 @@
 // Package blobstore is idylld's content-addressed byte store: a bounded
 // in-memory LRU with optional disk persistence, used through Get and Put.
-// The daemon keeps two instances — whole-job results ("cache") and warmup
-// checkpoints ("ckpt"). Keys are SHA-256 hex content addresses; identical
-// keys name identical bytes, which is what makes the memory and disk tiers
-// (and, for results, a peer's store) interchangeable.
+// The daemon keeps one instance, its whole-job result cache ("cache"). Keys
+// are SHA-256 hex content addresses; identical keys name identical bytes,
+// which is what makes the memory and disk tiers (and a peer's store)
+// interchangeable.
 //
 // Disk blobs are wrapped in the integrity checksum envelope. A blob that
 // fails to verify on read is quarantined to <key>.corrupt and reported as a
@@ -43,13 +43,13 @@ type Stats struct {
 	DiskHits uint64 // subset of Hits read off disk
 
 	VerifyFailures uint64 // blobs that failed checksum-envelope verification
-	Quarantined    uint64 // damaged entries moved aside or evicted
+	Quarantined    uint64 // damaged disk blobs moved aside
 }
 
 // Store is a bounded LRU of blobs with optional disk persistence. The zero
 // value is not usable; use New. All methods are safe for concurrent use.
 type Store struct {
-	name                string // "cache" or "ckpt": error prefix and fault-site stem
+	name                string // error prefix and fault-site stem
 	readSite, writeSite string // <name>.disk.read, <name>.disk.write
 	max                 int
 	dir                 string // "" = memory only
@@ -149,21 +149,6 @@ func (s *Store) putLocked(key string, data []byte) {
 	}
 }
 
-// Quarantine evicts key from memory and moves its disk blob aside as
-// damaged. Callers use it when bytes that verified at the envelope level
-// turn out to be undecodable one level up (e.g. checkpoint Resume fails),
-// so the next Get misses instead of re-serving poison.
-func (s *Store) Quarantine(key string) {
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.Remove(el)
-		delete(s.entries, key)
-	}
-	s.mu.Unlock()
-	path, _ := s.path(key)
-	s.quarantine(path)
-}
-
 // Len reports how many blobs are resident in memory.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -213,7 +198,7 @@ func (s *Store) diskGet(key string) ([]byte, bool) {
 	return data, true
 }
 
-// quarantine counts a damaged blob and moves its file (if any) aside as
+// quarantine counts a damaged blob and moves its file aside as
 // <file>.corrupt, removing it if the rename fails, so the next read is a
 // clean miss and the evidence keeps.
 func (s *Store) quarantine(path string) {
@@ -221,9 +206,6 @@ func (s *Store) quarantine(path string) {
 	s.stats.VerifyFailures++
 	s.stats.Quarantined++
 	s.mu.Unlock()
-	if path == "" {
-		return
-	}
 	if os.Rename(path, path+".corrupt") != nil {
 		os.Remove(path)
 	}

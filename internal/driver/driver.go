@@ -269,6 +269,12 @@ func (d *Driver) Owner(vpn memdef.VPN) (memdef.DeviceID, bool) {
 // Migrating reports whether vpn has an in-flight migration or collapse.
 func (d *Driver) Migrating(vpn memdef.VPN) bool { return d.migrating.Has(vpn) }
 
+// InFlight reports the pages with an open migration, with mapping replies
+// on the wire, and with a migration queued behind those replies.
+func (d *Driver) InFlight() (migrations, replies, queued int) {
+	return d.migrating.Len(), d.repliesInFlight.Len(), d.queuedMigration.Len()
+}
+
 // alloc returns a fresh frame on dev.
 func (d *Driver) alloc(dev memdef.DeviceID) memdef.PFN {
 	f := d.nextFrame[dev]

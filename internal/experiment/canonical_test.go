@@ -103,9 +103,37 @@ func TestOptionsFromCanonicalJSONRejectsUnknownField(t *testing.T) {
 	// Execution fields are not part of the encoding either: accepting one
 	// would suggest it changes the result.
 	for _, field := range []string{`"warp_width":32`, `"jobs":2`, `"Jobs":2`,
-		`"CheckpointStore":null`, `"Progress":null`, `"ctx":null`} {
+		`"Progress":null`, `"ctx":null`} {
 		if _, err := OptionsFromCanonicalJSON([]byte(`{"cus_per_gpu":4,` + field + `}`)); err == nil {
 			t.Errorf("unknown field %s accepted — it would alias a different result", field)
 		}
+	}
+}
+
+// The default (no warmup) must encode to the exact canonical bytes of the
+// pre-warmup format, preserving every existing content-addressed result.
+func TestCanonicalJSONOmitsZeroWarmup(t *testing.T) {
+	raw, err := DefaultOptions().CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte("warmup")) {
+		t.Fatalf("zero warmup leaked into canonical JSON: %s", raw)
+	}
+	o := DefaultOptions()
+	o.WarmupAccessesPerCU = 100
+	raw, err = o.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"warmup_accesses_per_cu":100`)) {
+		t.Fatalf("warmup missing from canonical JSON: %s", raw)
+	}
+	back, err := OptionsFromCanonicalJSON(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.WarmupAccessesPerCU != 100 {
+		t.Fatalf("round-trip lost warmup: %+v", back)
 	}
 }

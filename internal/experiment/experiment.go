@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"idyll/internal/blobstore"
 	"idyll/internal/workload"
 )
 
@@ -56,18 +55,8 @@ type Options struct {
 	// parameter — results at W>0 differ from W=0 — and it is part of result
 	// identity. It is omitted from the canonical JSON when zero, so the
 	// default encodes to the same bytes as before the field existed and
-	// every earlier content address stays valid. Its payoff: the
-	// post-warmup state is checkpointable, so sweep cells sharing a warmup
-	// prefix can fork from one cached checkpoint (see CheckpointStore).
+	// every earlier content address stays valid.
 	WarmupAccessesPerCU int `json:"warmup_accesses_per_cu,omitempty"`
-	// CheckpointStore, when non-nil and WarmupAccessesPerCU is positive,
-	// caches warmup checkpoints content-addressed by warmupKey, so a run
-	// whose warmup is already stored forks from it instead of recomputing
-	// it (two concurrent runs missing one key each compute it). Forking
-	// from the store is byte-identical to running straight through
-	// (CI-enforced), so like Jobs it is an execution knob, never part of
-	// result identity.
-	CheckpointStore *blobstore.Store `json:"-"`
 	// Progress, when non-nil, is called after each cell a runner pass
 	// completes, with the finished count, the pass total, and a
 	// "figure app/scheme" label. Calls are serialized, never concurrent.

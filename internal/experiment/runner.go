@@ -254,9 +254,6 @@ func planCell(spec CellSpec, o Options) (cellPlan, error) {
 		if co.ctx == nil { // per-cell options inherit the pass's context
 			co.ctx = o.ctx
 		}
-		if co.CheckpointStore == nil { // execution knob, inherited like the context
-			co.CheckpointStore = o.CheckpointStore
-		}
 	}
 	m := spec.Machine
 	if co.CounterThreshold > 0 {
@@ -280,7 +277,7 @@ func planCell(spec CellSpec, o Options) (cellPlan, error) {
 		m.CUsPerGPU = co.CUsPerGPU
 	}
 	return cellPlan{o: co, m: m, params: *params, key: traceKey{
-		// %#v, as in warmupKey: every field, and no String() method.
+		// %#v: every field, and no String() method.
 		params:    fmt.Sprintf("%#v", *params),
 		gpus:      m.NumGPUs,
 		cusPerGPU: m.CUsPerGPU,
@@ -297,16 +294,12 @@ type traceMemo struct {
 }
 
 // sharedTrace is one trace of a pass and its placement, built by the first
-// of its cells to start. users counts its cells yet to start. enc is the
-// trace's Save encoding, made by the first cell that needs a warmup key
-// (see warmupKey).
+// of its cells to start. users counts its cells yet to start.
 type sharedTrace struct {
-	once    sync.Once
-	users   int
-	trace   *workload.Trace
-	place   *system.Placement
-	encOnce sync.Once
-	enc     []byte
+	once  sync.Once
+	users int
+	trace *workload.Trace
+	place *system.Placement
 }
 
 // use registers one more cell on key's trace. It runs before any cell
@@ -335,6 +328,27 @@ func (m *traceMemo) take(p cellPlan) *sharedTrace {
 		e.place = system.Place(e.trace, p.m.PageSize)
 	})
 	return e
+}
+
+// runSystem executes one cell's trace, sh.trace, on a system built from r
+// and released into it once the run returns: straight through, or, when o
+// sets a warmup, in the two phases around the warmup drain barrier. sh.place,
+// when non-nil, is the trace's placement at m's page size.
+func runSystem(o Options, m config.Machine, scheme config.Scheme, sh *sharedTrace, r *sim.Recycler) (*stats.Sim, error) {
+	s, err := system.NewFrom(r, m, scheme)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Release()
+	s.Placement = sh.place
+	warmup := o.WarmupAccessesPerCU
+	if warmup <= 0 {
+		return s.RunCtx(o.Context(), sh.trace)
+	}
+	if err := s.RunWarmupCtx(o.Context(), sh.trace, warmup); err != nil {
+		return nil, err
+	}
+	return s.RunRemainderCtx(o.Context(), sh.trace, warmup)
 }
 
 // cells accumulates one figure's specs so the whole matrix runs in a single

@@ -350,3 +350,12 @@ func TestRecyclerListIsBounded(t *testing.T) {
 		PutRecycler(r)
 	}
 }
+
+// runCell runs one cell through RunCells.
+func runCell(o Options, spec CellSpec) (*stats.Sim, error) {
+	res, err := RunCells(o, []CellSpec{spec})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}

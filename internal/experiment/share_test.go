@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/memdef"
 	"idyll/internal/stats"
@@ -27,21 +26,15 @@ func runSolo(o Options, specs []CellSpec) ([]*stats.Sim, error) {
 }
 
 // shareModes are the execution modes a shared pass must be exact under: a
-// serial and a concurrent pool, and the warmup path forking every cell from
-// a checkpoint store.
-func shareModes(t *testing.T) map[string]func() Options {
+// serial and a concurrent pool, and the two-phase warmup run.
+func shareModes() map[string]func() Options {
 	return map[string]func() Options{
 		"jobs1": func() Options { o := QuickOptions(); o.Jobs = 1; return o },
 		"jobs4": func() Options { o := QuickOptions(); o.Jobs = 4; return o },
-		"warmup-store": func() Options {
+		"warmup": func() Options {
 			o := QuickOptions()
 			o.Jobs = 4
 			o.WarmupAccessesPerCU = 100
-			st, err := blobstore.New("ckpt", 256, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.CheckpointStore = st
 			return o
 		},
 	}
@@ -59,7 +52,7 @@ func TestSharedTraceFiguresMatchSoloCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for mode, opts := range shareModes(t) {
+		for mode, opts := range shareModes() {
 			runPass = RunCells
 			shared, err := e.Run(opts())
 			if err != nil {
@@ -128,7 +121,7 @@ func TestSharedGivenTracesMatchSoloCells(t *testing.T) {
 				Machine: big, Scheme: s, Trace: tr})
 		}
 	}
-	for mode, opts := range shareModes(t) {
+	for mode, opts := range shareModes() {
 		shared, err := RunCells(opts(), specs)
 		if err != nil {
 			t.Fatalf("%s shared: %v", mode, err)

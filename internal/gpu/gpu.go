@@ -331,6 +331,10 @@ func (g *GPU) DoneAt() sim.VTime { return g.doneAt }
 // the rest of the GPU's state.
 func (g *GPU) Finished() bool { return g.finished }
 
+// OutstandingMisses reports the pages with a translation miss still held in
+// the L2 TLB's MSHR. Like Finished, read it after the run completes.
+func (g *GPU) OutstandingMisses() int { return g.mshr.Len() }
+
 // issueNext pulls the CU's next trace entry into this slot, or retires the
 // slot when the stream is exhausted.
 func (s *slot) issueNext() {

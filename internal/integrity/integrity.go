@@ -1,5 +1,5 @@
 // Package integrity implements the self-describing checksum envelope that
-// wraps every result-cache and checkpoint blob at rest, and the hex digest
+// wraps every result-cache blob at rest, and the hex digest
 // carried by the X-Idyll-Checksum header on peer fills.
 //
 // Envelope layout (41-byte header + payload):

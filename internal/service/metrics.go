@@ -27,12 +27,6 @@ var MetricKeys = []string{
 	"cache_hits",
 	"cache_misses",
 	"cache_verify_failures",
-	"ckpt_corrupt_quarantined",
-	"ckpt_disk_hits",
-	"ckpt_entries",
-	"ckpt_hits",
-	"ckpt_misses",
-	"ckpt_verify_failures",
 	"faults_injected",
 	"faults_injected_site",
 	"fleet_breaker_trips",

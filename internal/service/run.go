@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"idyll/internal/blobstore"
 	"idyll/internal/config"
 	"idyll/internal/experiment"
 	"idyll/internal/stats"
@@ -46,29 +45,8 @@ type CellResult struct {
 // next batch boundary.
 func RunSpec(ctx context.Context, spec CanonicalSpec,
 	progress func(done, total int, cell string)) ([]byte, error) {
-	return runSpec(ctx, spec, progress, nil)
-}
-
-// RunSpecWith returns the fully-configured production RunFunc: RunSpec plus
-// a warmup-checkpoint store shared by every job the server runs. Specs whose
-// options request a warmup phase (warmup_accesses_per_cu > 0) fetch or
-// compute their warmup checkpoint through ckpt, so sweeps that share a
-// warmup prefix simulate it once per daemon lifetime (or once ever, with a
-// disk-backed store). The store is an execution knob: forking from a
-// checkpoint is byte-identical to running straight through, so spec hashes
-// and cached results are unaffected.
-func RunSpecWith(ckpt *blobstore.Store) RunFunc {
-	return func(ctx context.Context, spec CanonicalSpec,
-		progress func(done, total int, cell string)) ([]byte, error) {
-		return runSpec(ctx, spec, progress, ckpt)
-	}
-}
-
-func runSpec(ctx context.Context, spec CanonicalSpec,
-	progress func(done, total int, cell string), ckpt *blobstore.Store) ([]byte, error) {
 	o := spec.Options.WithContext(ctx)
 	o.Progress = progress
-	o.CheckpointStore = ckpt
 
 	switch spec.Kind {
 	case KindCell:

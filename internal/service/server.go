@@ -55,14 +55,6 @@ type Config struct {
 	// CacheDir, when non-empty, persists results on disk so cache contents
 	// survive restarts.
 	CacheDir string
-	// CkptEntries sizes the in-memory warmup-checkpoint LRU (default 64).
-	// Checkpoints are full machine states, orders of magnitude larger than
-	// result payloads, so the default is smaller than CacheEntries.
-	CkptEntries int
-	// CkptDir, when non-empty, persists warmup checkpoints on disk so a
-	// restarted daemon serves warmups computed in a previous life. Ignored
-	// when Runner is injected.
-	CkptDir string
 	// TTL is how long finished job records stay queryable (default 15m);
 	// cached results are unaffected — only the job-ID records expire.
 	TTL time.Duration
@@ -74,11 +66,9 @@ type Config struct {
 	// Runner executes specs (default RunSpec). Tests inject stubs.
 	Runner RunFunc
 	// Faults, when non-nil, arms deterministic fault injection (idylld
-	// -fault-spec). Sites this server exercises: <name>.disk.read and
-	// <name>.disk.write of its two blob stores, "cache" (results) and
-	// "ckpt" (warmup checkpoints) — cache.disk.read, cache.disk.write,
-	// ckpt.disk.read, ckpt.disk.write — and worker.run (delay/panic around
-	// job execution). nil = zero overhead.
+	// -fault-spec). Sites this server exercises: cache.disk.read and
+	// cache.disk.write of its result store, and worker.run (delay/panic
+	// around job execution). nil = zero overhead.
 	Faults *fault.Injector
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -94,9 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.CkptEntries <= 0 {
-		c.CkptEntries = 64
-	}
 	if c.TTL <= 0 {
 		c.TTL = 15 * time.Minute
 	}
@@ -106,8 +93,9 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 10 * time.Minute
 	}
-	// Runner's default is filled in NewServer, not here: the production
-	// RunFunc closes over the server's warmup-checkpoint store.
+	if c.Runner == nil {
+		c.Runner = RunSpec
+	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -120,7 +108,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	cache   *blobstore.Store // job results, keyed by spec hash
-	ckpt    *blobstore.Store // warmup checkpoints, shared by every job
 	metrics *Metrics
 	mux     *http.ServeMux
 
@@ -150,19 +137,10 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cache.SetFaults(cfg.Faults)
-	ckpt, err := blobstore.New("ckpt", cfg.CkptEntries, cfg.CkptDir)
-	if err != nil {
-		return nil, err
-	}
-	ckpt.SetFaults(cfg.Faults)
-	if cfg.Runner == nil {
-		cfg.Runner = RunSpecWith(ckpt)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
 		cache:      cache,
-		ckpt:       ckpt,
 		metrics:    NewMetrics(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -772,10 +750,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.setStoreMetrics(s.cache.Stats(), "cache_hits", "cache_misses",
-		"cache_disk_hits", "cache_verify_failures", "cache_corrupt_quarantined")
-	s.setStoreMetrics(s.ckpt.Stats(), "ckpt_hits", "ckpt_misses",
-		"ckpt_disk_hits", "ckpt_verify_failures", "ckpt_corrupt_quarantined")
+	st := s.cache.Stats()
+	s.metrics.Set("cache_hits", st.Hits)
+	s.metrics.Set("cache_misses", st.Misses)
+	s.metrics.Set("cache_disk_hits", st.DiskHits)
+	s.metrics.Set("cache_verify_failures", st.VerifyFailures)
+	s.metrics.Set("cache_corrupt_quarantined", st.Quarantined)
 	if s.cfg.Faults != nil {
 		s.metrics.Set("faults_injected", s.cfg.Faults.TotalFired())
 		for site, n := range s.cfg.Faults.FiredBySite() {
@@ -788,21 +768,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"jobs_inflight": s.running,
 		"jobs_tracked":  len(s.jobs),
 		"cache_entries": s.cache.Len(),
-		"ckpt_entries":  s.ckpt.Len(),
 	}
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.WriteString(w, s.metrics.Render(gauges))
-}
-
-// setStoreMetrics publishes one blob store's counters under the literal keys
-// its caller names (registered in MetricKeys).
-func (s *Server) setStoreMetrics(st blobstore.Stats, hits, misses, diskHits,
-	verifyFailures, quarantined string) {
-	s.metrics.Set(hits, st.Hits)
-	s.metrics.Set(misses, st.Misses)
-	s.metrics.Set(diskHits, st.DiskHits)
-	s.metrics.Set(verifyFailures, st.VerifyFailures)
-	s.metrics.Set(quarantined, st.Quarantined)
 }

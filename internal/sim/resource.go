@@ -60,6 +60,9 @@ func NewResource(engine *Engine, servers, queueCap int) *Resource {
 // Idle reports whether at least one server is free and nothing is queued.
 func (r *Resource) Idle() bool { return r.busy < r.servers && r.queued() == 0 }
 
+// Occupancy reports how many servers are held and how many jobs wait.
+func (r *Resource) Occupancy() (busy, queued int) { return r.busy, r.queued() }
+
 // queued reports how many jobs wait for a server.
 func (r *Resource) queued() int { return len(r.queue) - r.head }
 

@@ -1,10 +1,10 @@
 // Checkpointing: a System that has fully drained its event cluster is at a
 // quiescent point — no event closure is pending anywhere — so its complete
 // architectural state is plain data and can be serialized. Checkpoints are
-// taken between a warmup phase and the remainder of the trace; forking N
-// sweep cells from one warmup checkpoint replays byte-identically to running
-// each cell straight through, because both paths execute the same phased run
-// (warmup, drain barrier, remainder) on identical state.
+// taken between a warmup phase and the remainder of the trace; resuming one
+// replays byte-identically to running the cell straight through, because
+// both paths execute the same phased run (warmup, drain barrier, remainder)
+// on identical state.
 //
 // Events themselves (Go closures) are never serialized; that is why the
 // two-phase run exists. The drain barrier between phases is part of the

@@ -248,10 +248,11 @@ func (s *System) setShape(trace *workload.Trace) {
 	}
 }
 
-// finalize checks for deadlock and coherence violations and fills the
-// run-level fields. It assigns every field it derives and never adds to one:
-// the collector is live, checkpointed state, so an accumulation here would
-// count whatever the collector already held a second time.
+// finalize checks for deadlock, coherence violations and work left in
+// flight, and fills the run-level fields. It assigns every field it derives
+// and never adds to one: the collector is live, checkpointed state, so an
+// accumulation here would count whatever the collector already held a
+// second time.
 func (s *System) finalize() (*stats.Sim, error) {
 	remaining := 0
 	var execEnd, drainedAt sim.VTime
@@ -275,6 +276,9 @@ func (s *System) finalize() (*stats.Sim, error) {
 		return nil, fmt.Errorf("system: %d translation-coherence violations, first: %s",
 			len(s.hardViolations), s.hardViolations[0])
 	}
+	if err := s.checkDrained(); err != nil {
+		return nil, err
+	}
 	s.Stats.ExecCycles = execEnd
 	s.Stats.NVLinkBytes, s.Stats.PCIeBytes = s.Net.TotalBytes()
 	es := s.Cluster.EngineStats()
@@ -288,6 +292,27 @@ func (s *System) finalize() (*stats.Sim, error) {
 		s.Stats.VMCacheHits = vm.Hits()
 	}
 	return s.Stats, nil
+}
+
+// checkDrained checks the end-of-run conservation invariants: every request
+// a component took in was answered, so nothing is left in flight once the
+// cluster has no event to fire. It names the first invariant violated.
+func (s *System) checkDrained() error {
+	if n := s.Cluster.Pending(); n != 0 {
+		return fmt.Errorf("system: %d events or staged messages left after the run", n)
+	}
+	for i, g := range s.GPUs {
+		if n := g.OutstandingMisses(); n != 0 {
+			return fmt.Errorf("system: GPU %d ends with %d MSHR entries outstanding", i, n)
+		}
+		if busy, queued := g.GMMU().Occupancy(); busy != 0 || queued != 0 {
+			return fmt.Errorf("system: GPU %d's GMMU ends with %d busy walkers and %d queued walks", i, busy, queued)
+		}
+	}
+	if m, r, q := s.Driver.InFlight(); m != 0 || r != 0 || q != 0 {
+		return fmt.Errorf("system: driver ends with %d migrations, %d mapping replies and %d queued migrations in flight", m, r, q)
+	}
+	return nil
 }
 
 // Placement is the affinity pre-placement of one trace's pages: every page

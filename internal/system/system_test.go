@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"testing"
 
 	"idyll/internal/config"
@@ -301,4 +302,33 @@ func maxU(a, b uint64) uint64 {
 		return a
 	}
 	return b
+}
+
+// Every run must end drained: no event or staged message left, and no
+// MSHR entry, walker, walk, migration or mapping reply still in flight
+// (finalize's conservation checks). Quick-scale cells of every scheme on 4
+// and on 16 GPUs.
+func TestRunsEndDrained(t *testing.T) {
+	app, err := workload.App("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gpus := range []int{4, 16} {
+		m := config.Default()
+		m.NumGPUs, m.CUsPerGPU = gpus, 4
+		trace := workload.Generate(app, gpus, m.CUsPerGPU, 200, 7)
+		for _, name := range config.SchemeNames() {
+			sc, err := config.SchemeByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%dgpu/%s", gpus, name), func(t *testing.T) {
+				s := MustNew(m, sc)
+				defer s.Release()
+				if _, err := s.Run(trace); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
 }

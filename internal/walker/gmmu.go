@@ -184,6 +184,10 @@ func (g *GMMU) SetOnIdle(fn func()) { g.walkers.OnIdle = fn }
 // Idle reports whether a walker is free and the queue is empty.
 func (g *GMMU) Idle() bool { return g.walkers.Idle() }
 
+// Occupancy reports how many walker threads are busy and how many walks
+// wait in the walk queue.
+func (g *GMMU) Occupancy() (busy, queued int) { return g.walkers.Occupancy() }
+
 // walkCost charges PWC lookups/updates for one walk of vpn and returns the
 // total walk latency. The PWC caches non-leaf levels only; the leaf PTE
 // access always goes to memory, so a batch of invalidations sharing all

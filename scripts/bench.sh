@@ -21,17 +21,15 @@
 # The tracked set is the micro-benchmarks (event engine, IRMB, Zipf, the
 # page-migration data-cache flush, a GPU's TLB shootdown, a page-table walk,
 # one migration through the driver's FSM, one fig11 cell's machine assembly)
-# plus the end-to-end throughput benchmarks (BenchmarkSuiteFig11Serial, and
+# plus the end-to-end throughput benchmarks (BenchmarkSuiteFig11Serial,
 # BenchmarkSuiteFig11Parallel, where cells run concurrently and so the
-# garbage collector's cost shows) and the warmup-checkpoint path
-# (BenchmarkSuiteFig11Warmup vs BenchmarkSuiteFig11Checkpointed is the
-# warmup-sharing speedup); see BENCH_PR24.json for the committed baseline and
-# DESIGN.md "Engine internals & profiling" / "Checkpoint format & forking"
-# for how these numbers are used.
+# garbage collector's cost shows, and BenchmarkSuiteFig11Warmup, the
+# two-phase warmup run); see BENCH_PR24.json for the committed baseline and
+# DESIGN.md "Engine internals & profiling" for how these numbers are used.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkTLBShootdown|BenchmarkPageTableWalk|BenchmarkDriverMigration|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11Parallel|BenchmarkSuiteFig11Warmup|BenchmarkSuiteFig11Checkpointed)$'
+PATTERN='^(BenchmarkEventEngine|BenchmarkIRMBInsertLookup|BenchmarkZipfSampling|BenchmarkDataPageFlush|BenchmarkTLBShootdown|BenchmarkPageTableWalk|BenchmarkDriverMigration|BenchmarkNewSystem|BenchmarkSimulatePageRank|BenchmarkSuiteFig11Serial|BenchmarkSuiteFig11Parallel|BenchmarkSuiteFig11Warmup)$'
 BASELINE=BENCH_PR24.json
 OUT=${BENCH_OUT:-/tmp/idyll_bench.txt}
 PROFILE=${BENCH_PROFILE:-/tmp/idyll_cpu.pprof}
