@@ -6,7 +6,10 @@
 // byte-identity CI gate, idylld's content-addressed result cache — assumes
 // the deterministic core never consults wall-clock time, global math/rand,
 // unordered map iteration, or ad-hoc goroutines. The analyzers under
-// checks/ turn that assumption into a machine-checked invariant.
+// checks/ turn the parts of that assumption an import list cannot express
+// into machine-checked invariants; the root determinism_contract_test.go
+// bans the time, rand and sync imports and keeps the core's module imports
+// inside the core.
 //
 // The deterministic core is the set of packages listed in CorePackages.
 // Concurrency and real time belong to the orchestration layers (experiment,
@@ -26,18 +29,21 @@ import (
 // packages that must produce bit-identical results for a given seed,
 // independent of Go release, GOMAXPROCS, scheduling, or map iteration
 // order. cmd/idyllvet runs the core-only analyzers on exactly this set, and
-// the determinism contract test at the repository root independently bans
-// wall-clock and concurrency imports on the same set as a cheap backstop.
+// the determinism contract test at the repository root bans wall-clock,
+// math/rand and concurrency imports on the same set and requires every
+// module import of a core package to be a core package too, so no static
+// call chain leaves the core.
 //
-// Deliberately absent: config (a configuration surface — it may carry
-// time.Duration knobs for the service layer), experiment and service (the
-// concurrency layers: worker pools, caches, HTTP), blobstore (the
-// concurrent result store: mutex, disk I/O — the pure checkpoint codec in
-// internal/checkpoint IS core),
-// profiling (wraps runtime/pprof), and the cmd/ binaries.
+// config is core: it is the simulator's input (machine, schemes, run
+// options) and imports nothing but fmt, strings and other core packages.
+// Absent: experiment and service (the concurrency layers: worker pools,
+// caches, HTTP), blobstore (the concurrent result store: mutex, disk I/O),
+// fault, integrity and fleet (service-side), profiling (wraps
+// runtime/pprof), and the cmd/ binaries.
 var CorePackages = []string{
 	"internal/cache",
 	"internal/checkpoint",
+	"internal/config",
 	"internal/core",
 	"internal/datapath",
 	"internal/driver",
@@ -69,12 +75,12 @@ func IsCore(rel string) bool {
 
 // An Analyzer describes one named check.
 type Analyzer struct {
-	// Name identifies the check in diagnostics ("[name]") and in
-	// //idyllvet:ignore comments. Lower-case, no spaces.
+	// Name identifies the check in diagnostics ("[name]"). Lower-case, no
+	// spaces.
 	Name string
 
 	// Doc is a one-paragraph description of what the check enforces and
-	// why, shown by `idyllvet -list`.
+	// why.
 	Doc string
 
 	// CoreOnly restricts the analyzer to packages in CorePackages. All
@@ -94,30 +100,12 @@ type Analyzer struct {
 	// reserved for internal failures, not findings.
 	Run func(pass *Pass) error
 
-	// Sources, when non-nil, enrolls the analyzer in the interprocedural
-	// taint engine: it reports the nondeterminism source sites inside one
-	// function body (a time.Now call, an order-sensitive map range, ...).
-	// The engine calls it on every type-checked function in the module —
-	// core and non-core alike — and propagates the taint backwards over
-	// the static call graph, so a core function whose call chain reaches a
-	// source three packages away is reported with the full chain even
-	// though no core file mentions the source directly. Sources must not
-	// call pass.Reportf; it returns sites, the engine does the reporting.
-	Sources func(pass *Pass, fn *ast.FuncDecl) []Source
-
 	// RunProgram, when non-nil, runs once over the whole loaded program
 	// instead of package by package — for contract checks that need a
 	// cross-package view, like metricreg's registry-vs-increment
 	// reconciliation. It only runs when at least one package the analyzer
 	// applies to was matched.
 	RunProgram func(prog *Program) ([]Diagnostic, error)
-}
-
-// A Source is one nondeterminism site inside a function body, found by an
-// Analyzer's Sources hook and propagated by the taint engine.
-type Source struct {
-	Pos token.Pos
-	Msg string // e.g. "time.Now reads the wall clock"
 }
 
 // A Pass carries one analyzer's view of one type-checked package.
@@ -150,7 +138,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Pkg.Info.ObjectOf(id)
 }
 
-// A Diagnostic is one finding, printable as "file:line:col [check] message".
+// A Diagnostic is one finding, printable as "file:line:col: [check] message".
 type Diagnostic struct {
 	Check    string
 	Position token.Position
@@ -162,47 +150,89 @@ func (d Diagnostic) String() string {
 		d.Position.Filename, d.Position.Line, d.Position.Column, d.Check, d.Message)
 }
 
-// Run applies each applicable analyzer to each package and returns the
-// findings sorted by position, with //idyllvet:ignore suppressions already
-// applied. Packages that fail to type-check surface as an error: analyzers
-// must never run on partial type information, because a silently missing
-// types.Info entry turns a real finding into a false negative.
-func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
+// A Program is the whole-program view RunAll and the program-level
+// analyzers operate on: the matched packages plus the loader that resolves
+// (and type-checks) their module-internal dependencies.
+type Program struct {
+	Loader *Loader
+	Pkgs   []*Package // matched packages, in Loader.Match order
+}
+
+// NewProgram pairs a loader with its matched packages.
+func NewProgram(l *Loader, pkgs []*Package) *Program {
+	return &Program{Loader: l, Pkgs: pkgs}
+}
+
+// Scoped returns the matched packages the analyzer applies to, in match
+// order — the package set a RunProgram implementation should inspect.
+func (p *Program) Scoped(a *Analyzer) []*Package {
+	var out []*Package
+	for _, pkg := range p.Pkgs {
+		if a.appliesTo(pkg.Rel) {
+			out = append(out, pkg)
+		}
+	}
+	return out
+}
+
+// Position resolves a token.Pos against the program's file set.
+func (p *Program) Position(pos token.Pos) token.Position {
+	return p.Loader.Fset.Position(pos)
+}
+
+// Apply runs a single analyzer on a single package regardless of its
+// CoreOnly scoping — the entry point the golden-file test harness uses
+// against testdata packages.
+func Apply(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+	if pkg.Types == nil || pkg.Info == nil {
+		return nil, fmt.Errorf("package %s was not type-checked", pkg.Path)
+	}
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		applicable := applicableTo(analyzers, pkg)
-		if len(applicable) == 0 {
-			continue
-		}
-		if pkg.Types == nil || pkg.Info == nil {
-			return nil, fmt.Errorf("package %s was not type-checked", pkg.Path)
-		}
-		var raw []Diagnostic
-		for _, a := range applicable {
-			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &raw}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-		diags = append(diags, applyDirectives(pkg, raw)...)
+	pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &diags}
+	if err := a.Run(pass); err != nil {
+		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
 }
 
-// Apply runs a single analyzer on a single package regardless of its
-// CoreOnly scoping, with suppression directives applied — the entry point
-// the golden-file test harness uses against testdata packages.
-func Apply(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	if pkg.Types == nil || pkg.Info == nil {
-		return nil, fmt.Errorf("package %s was not type-checked", pkg.Path)
+// RunAll is the whole-program entry point: it type-checks every matched
+// package an analyzer applies to, runs the per-package analyzers and the
+// program-level checks, and returns the findings sorted by position.
+// Packages no analyzer applies to are parsed but never type-checked, which
+// keeps `idyllvet ./...` fast even though the service layer drags in
+// net/http. A package that fails to type-check is an error: analyzers must
+// never run on partial type information, because a silently missing
+// types.Info entry turns a real finding into a false negative.
+func RunAll(analyzers []*Analyzer, prog *Program) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		for _, a := range analyzers {
+			if !a.appliesTo(pkg.Rel) {
+				continue
+			}
+			if err := prog.Loader.TypeCheck(pkg); err != nil {
+				return nil, err
+			}
+			if a.Run == nil {
+				continue
+			}
+			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &diags}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+			}
+		}
 	}
-	var raw []Diagnostic
-	pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &raw}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+	for _, a := range analyzers {
+		if a.RunProgram == nil || len(prog.Scoped(a)) == 0 {
+			continue
+		}
+		ds, err := a.RunProgram(prog)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+		diags = append(diags, ds...)
 	}
-	diags := applyDirectives(pkg, raw)
 	sortDiagnostics(diags)
 	return diags, nil
 }
@@ -223,17 +253,6 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-func applicableTo(analyzers []*Analyzer, pkg *Package) []*Analyzer {
-	var out []*Analyzer
-	for _, a := range analyzers {
-		if !a.appliesTo(pkg.Rel) {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 // appliesTo reports whether the analyzer's scoping admits the
 // module-relative package path.
 func (a *Analyzer) appliesTo(rel string) bool {
@@ -249,67 +268,4 @@ func (a *Analyzer) appliesTo(rel string) bool {
 		return false
 	}
 	return true
-}
-
-// NeedsTypes reports whether any analyzer in the set applies to pkg, i.e.
-// whether the loader must type-check it at all. Parsing every package but
-// type-checking only the analyzed ones keeps `idyllvet ./...` fast even
-// though the service layer drags in net/http.
-func NeedsTypes(analyzers []*Analyzer, pkg *Package) bool {
-	return len(applicableTo(analyzers, pkg)) > 0
-}
-
-// RunAll is the whole-program entry point: it type-checks every matched
-// package an analyzer applies to (core packages additionally when any
-// analyzer enrolls in the taint engine, since their module-internal
-// dependencies are pulled in transitively), runs the per-package analyzers,
-// the interprocedural taint engine, and the program-level checks, and
-// returns the findings with suppression directives from every matched
-// package applied.
-func RunAll(analyzers []*Analyzer, prog *Program) ([]Diagnostic, error) {
-	needTaint := false
-	for _, a := range analyzers {
-		if a.Sources != nil {
-			needTaint = true
-			break
-		}
-	}
-	for _, pkg := range prog.Pkgs {
-		if len(applicableTo(analyzers, pkg)) == 0 && !(needTaint && IsCore(pkg.Rel)) {
-			continue
-		}
-		if err := prog.Loader.TypeCheck(pkg); err != nil {
-			return nil, err
-		}
-	}
-
-	var raw []Diagnostic
-	for _, pkg := range prog.Pkgs {
-		for _, a := range applicableTo(analyzers, pkg) {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &raw}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-	}
-	if needTaint {
-		raw = append(raw, runTaint(analyzers, prog)...)
-	}
-	for _, a := range analyzers {
-		if a.RunProgram == nil || len(prog.Scoped(a)) == 0 {
-			continue
-		}
-		ds, err := a.RunProgram(prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		raw = append(raw, ds...)
-	}
-
-	diags := applyDirectivesAll(prog.Pkgs, raw)
-	sortDiagnostics(diags)
-	return diags, nil
 }

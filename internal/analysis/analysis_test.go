@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"testing"
-)
+import "testing"
 
 func TestMatchPattern(t *testing.T) {
 	tests := []struct {
@@ -29,97 +24,6 @@ func TestMatchPattern(t *testing.T) {
 		if got := matchPattern(tt.pat, tt.rel); got != tt.want {
 			t.Errorf("matchPattern(%q, %q) = %v, want %v", tt.pat, tt.rel, got, tt.want)
 		}
-	}
-}
-
-// parseOne builds a minimal Package (syntax and fset only) for directive
-// tests, which never consult type information.
-func parseOne(t *testing.T, src string) *Package {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "fake/src.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Package{Path: "fake", Fset: fset, Files: []*ast.File{f}}
-}
-
-func TestParseDirectives(t *testing.T) {
-	pkg := parseOne(t, `package p
-
-//idyllvet:ignore maporder commutative integer reduction
-var a int
-
-//idyllvet:ignore-file walltime,globalrand legacy shim
-var b int
-
-//idyllvet:ignore straygoroutine
-var c int
-`)
-	dirs, bad := parseDirectives(pkg)
-	if len(dirs) != 2 {
-		t.Fatalf("got %d well-formed directives, want 2", len(dirs))
-	}
-	if dirs[0].fileWide || dirs[0].line != 3 || !dirs[0].checks["maporder"] {
-		t.Errorf("first directive parsed wrong: %+v", dirs[0])
-	}
-	if !dirs[1].fileWide || !dirs[1].checks["walltime"] || !dirs[1].checks["globalrand"] {
-		t.Errorf("ignore-file directive parsed wrong: %+v", dirs[1])
-	}
-	// The justification-free directive must be rejected and reported.
-	if len(bad) != 1 {
-		t.Fatalf("got %d malformed-directive findings, want 1", len(bad))
-	}
-	if bad[0].Check != "idyllvet" || bad[0].Position.Line != 9 {
-		t.Errorf("malformed directive finding = %+v, want [idyllvet] at line 9", bad[0])
-	}
-}
-
-func TestApplyDirectives(t *testing.T) {
-	pkg := parseOne(t, `package p
-
-//idyllvet:ignore maporder justified here
-var a int
-var b int
-`)
-	at := func(line int, check string) Diagnostic {
-		return Diagnostic{
-			Check:    check,
-			Position: token.Position{Filename: "fake/src.go", Line: line},
-		}
-	}
-	raw := []Diagnostic{
-		at(3, "maporder"), // same line as the directive
-		at(4, "maporder"), // line directly below the directive
-		at(5, "maporder"), // out of the directive's reach
-		at(4, "walltime"), // different check, not covered
-	}
-	got := applyDirectives(pkg, raw)
-	if len(got) != 2 {
-		t.Fatalf("got %d findings after suppression, want 2: %v", len(got), got)
-	}
-	if got[0].Position.Line != 5 || got[0].Check != "maporder" {
-		t.Errorf("surviving finding 0 = %+v", got[0])
-	}
-	if got[1].Position.Line != 4 || got[1].Check != "walltime" {
-		t.Errorf("surviving finding 1 = %+v", got[1])
-	}
-}
-
-func TestFileWideSuppression(t *testing.T) {
-	pkg := parseOne(t, `package p
-
-//idyllvet:ignore-file maporder whole file is a reviewed exception
-var a int
-`)
-	raw := []Diagnostic{
-		{Check: "maporder", Position: token.Position{Filename: "fake/src.go", Line: 100}},
-		{Check: "walltime", Position: token.Position{Filename: "fake/src.go", Line: 100}},
-		{Check: "maporder", Position: token.Position{Filename: "other/file.go", Line: 100}},
-	}
-	got := applyDirectives(pkg, raw)
-	if len(got) != 2 {
-		t.Fatalf("got %d findings, want 2 (other check and other file): %v", len(got), got)
 	}
 }
 
@@ -152,30 +56,46 @@ func TestLoaderCore(t *testing.T) {
 	}
 }
 
-// TestRunSkipsNonCore pins the scoping rule: a CoreOnly analyzer never
-// runs on non-core packages, and Run does not demand type information for
-// packages no analyzer applies to.
+// TestRunSkipsNonCore pins the scoping rule on a two-package module: a
+// CoreOnly analyzer runs on the core package and never on the non-core
+// one, and RunAll does not even type-check a package no analyzer applies
+// to (the non-core package here would fail to).
 func TestRunSkipsNonCore(t *testing.T) {
-	fired := false
+	root := writeModule(t, map[string]string{
+		"go.mod":                            "module probe\n\ngo 1.22\n",
+		"internal/config/config.go":         "package config\n\nvar X int\n",
+		"internal/experiment/experiment.go": "package experiment\n\nvar X int = \"not an int\"\n",
+	})
+
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Match([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []string
 	a := &Analyzer{
 		Name:     "probe",
 		Doc:      "test probe",
 		CoreOnly: true,
 		Run: func(pass *Pass) error {
-			fired = true
+			ran = append(ran, pass.Pkg.Rel)
+			pass.Reportf(pass.Pkg.Files[0].Package, "probe fired")
 			return nil
 		},
 	}
-	pkg := parseOne(t, "package p\n") // Rel "fake" is not core; never type-checked
-	pkg.Rel = "internal/experiment"
-	diags, err := Run([]*Analyzer{a}, []*Package{pkg})
+	diags, err := RunAll([]*Analyzer{a}, NewProgram(loader, pkgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fired || len(diags) != 0 {
-		t.Fatalf("CoreOnly analyzer ran on non-core package (fired=%v, diags=%v)", fired, diags)
+	if len(ran) != 1 || ran[0] != "internal/config" || len(diags) != 1 {
+		t.Fatalf("CoreOnly analyzer ran on %v with %d findings, want only internal/config with 1", ran, len(diags))
 	}
-	if NeedsTypes([]*Analyzer{a}, pkg) {
-		t.Fatal("NeedsTypes must be false when no analyzer applies")
+	for _, pkg := range pkgs {
+		if pkg.Rel == "internal/experiment" && pkg.Types != nil {
+			t.Fatal("RunAll type-checked a package no analyzer applies to")
+		}
 	}
 }

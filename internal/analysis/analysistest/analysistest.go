@@ -4,14 +4,12 @@
 // A test package lives under internal/analysis/testdata/src/<name>/ and
 // annotates the lines where findings are expected:
 //
-//	now := time.Now() // want `time\.Now reads the wall clock`
+//	go func() {}() // want `go statement in the deterministic core`
 //
 // Each back-quoted or double-quoted argument is a regexp that must match
 // exactly one finding reported on that line; findings with no matching
 // expectation, and expectations with no matching finding, both fail the
-// test. Suppression directives (//idyllvet:ignore) are honored, so golden
-// packages can also pin the suppression behaviour: a suppressed line simply
-// carries no want comment.
+// test.
 package analysistest
 
 import (
@@ -55,11 +53,11 @@ func Run(t *testing.T, a *analysis.Analyzer, testdata, pkg string) {
 
 // RunModule loads testdata/src/<name> as a self-contained mini-module (the
 // directory carries its own go.mod), runs the full whole-program pipeline —
-// per-package checks, the interprocedural taint engine, and program-level
+// per-package checks under their real package scoping, then program-level
 // checks — over ./... of that module, and checks the findings against the
 // want comments of every package in it. This is the harness for behaviour
-// that cannot be pinned from a single directory: taint chains crossing
-// package boundaries, and registry checks that reconcile two packages.
+// that cannot be pinned from a single directory: which packages count as
+// core, and registry checks that reconcile two packages.
 func RunModule(t *testing.T, analyzers []*analysis.Analyzer, testdata, name string) {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join(testdata, "src", name))

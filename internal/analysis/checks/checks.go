@@ -1,25 +1,21 @@
-// Package checks holds the idyllvet analyzers that encode the simulator's
-// determinism contract. Each analyzer is a pure function over one
-// type-checked package; all of them are CoreOnly — the orchestration layers
-// (experiment, service, cmd/...) are allowed to use goroutines, wall time,
-// and everything else the core may not.
+// Package checks holds the idyllvet analyzers: the core-only determinism
+// checks that an import list cannot express (stray goroutines and
+// channels, order-sensitive map iteration, float accumulation in map
+// order), and the service-layer contract checks, each scoped to the
+// orchestration packages it binds.
 package checks
 
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 
 	"idyll/internal/analysis"
 )
 
-// All returns every analyzer, in stable registration order: the five
-// core-only determinism checks (all enrolled in the interprocedural taint
-// engine), then the service-layer contract checks.
+// All returns every analyzer, in stable registration order: the three
+// core-only determinism checks, then the service-layer contract checks.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Walltime,
-		Globalrand,
 		Straygoroutine,
 		Maporder,
 		Floataccum,
@@ -30,73 +26,9 @@ func All() []*analysis.Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated -checks flag value, returning nil and
-// the offending name if one is unknown.
-func ByName(names []string) ([]*analysis.Analyzer, string) {
-	var out []*analysis.Analyzer
-	for _, name := range names {
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, name
-		}
-	}
-	return out, ""
-}
-
 // ---------------------------------------------------------------------------
 // Shared AST helpers.
 // ---------------------------------------------------------------------------
-
-// reportImports flags every import of the given package paths in the
-// package under analysis.
-func reportImports(pass *analysis.Pass, banned map[string]string) {
-	for _, f := range pass.Pkg.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if msg, ok := banned[path]; ok {
-				pass.Reportf(imp.Pos(), "import of %q in the deterministic core: %s", path, msg)
-			}
-		}
-	}
-}
-
-// eachUseOf calls fn for every identifier in the package that resolves to a
-// package-level object of the named package (e.g. time.Now, rand.Intn).
-func eachUseOf(pass *analysis.Pass, pkgPath string, fn func(id *ast.Ident, obj types.Object)) {
-	for _, f := range pass.Pkg.Files {
-		eachUseOfIn(pass, f, pkgPath, fn)
-	}
-}
-
-// eachUseOfIn is eachUseOf scoped to one subtree — the form the taint
-// engine's per-function Sources hooks use.
-func eachUseOfIn(pass *analysis.Pass, root ast.Node, pkgPath string, fn func(id *ast.Ident, obj types.Object)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.ObjectOf(id)
-		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != pkgPath {
-			return true
-		}
-		if obj.Parent() != obj.Pkg().Scope() {
-			return true // method or field, not a package-level symbol
-		}
-		fn(id, obj)
-		return true
-	})
-}
 
 // calleeFunc resolves a call expression's static callee, or nil for calls
 // through function values, builtins, and type conversions.

@@ -1,7 +1,6 @@
 package checks_test
 
 import (
-	"strings"
 	"testing"
 
 	"idyll/internal/analysis"
@@ -10,20 +9,16 @@ import (
 )
 
 // TestAnalyzers drives every analyzer over its golden package under
-// ../testdata/src, covering positive, negative, and suppression cases via
-// the // want expectation comments in the sources themselves. Single-
-// directory goldens run one analyzer through the per-package path; the
-// mini-module goldens (a go.mod of their own under testdata/src/<name>)
-// run the whole-program pipeline — the interprocedural taint engine and
-// the cross-package registry reconciliation — exactly as `idyllvet ./...`
-// does.
+// ../testdata/src, covering positive and negative cases via the // want
+// expectation comments in the sources themselves. Single-directory goldens
+// run one analyzer through the per-package path; the mini-module goldens (a
+// go.mod of their own under testdata/src/<name>) run the whole-program
+// pipeline with the real package scoping, exactly as `idyllvet ./...` does.
 func TestAnalyzers(t *testing.T) {
 	tests := []struct {
 		analyzer *analysis.Analyzer
 		pkg      string
 	}{
-		{checks.Walltime, "walltime"},
-		{checks.Globalrand, "globalrand"},
 		{checks.Straygoroutine, "straygoroutine"},
 		{checks.Maporder, "maporder"},
 		{checks.Floataccum, "floataccum"},
@@ -39,12 +34,12 @@ func TestAnalyzers(t *testing.T) {
 			analysistest.Run(t, tt.analyzer, "../testdata", tt.pkg)
 		})
 	}
-	// Whole-program goldens: interproc pins the taint engine (a core
-	// function reaching time.Now two hops away through non-core helpers,
-	// next to the direct-import case reporting under the same check), and
-	// metricreg pins the registry reconciliation across two packages.
-	t.Run("interproc", func(t *testing.T) {
-		analysistest.RunModule(t, checks.All(), "../testdata", "interproc")
+	// Whole-program goldens: coreconfig pins that internal/config is core
+	// (the core-only checks fire there and stay silent on the same code in
+	// internal/experiment), and metricreg pins the registry reconciliation
+	// across two packages.
+	t.Run("coreconfig", func(t *testing.T) {
+		analysistest.RunModule(t, checks.All(), "../testdata", "coreconfig")
 	})
 	t.Run("metricreg", func(t *testing.T) {
 		analysistest.RunModule(t, checks.All(), "../testdata", "metricreg")
@@ -59,23 +54,30 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the registry's shape: stable names, docs, and the
-// scoping contract — every analyzer is either core-only (the determinism
-// checks) or bound to an explicit package list (the service-layer contract
-// checks); nothing may silently apply everywhere.
+// TestRegistry pins the registry's shape: the seven checks in registration
+// order, with docs, and the scoping contract — every analyzer is either
+// core-only (the determinism checks) or bound to an explicit package list
+// (the service-layer contract checks); nothing may silently apply
+// everywhere.
 func TestRegistry(t *testing.T) {
-	names := make(map[string]bool)
-	for _, a := range checks.All() {
-		if a.Name == "" || a.Doc == "" {
-			t.Errorf("analyzer %+v is missing name or doc", a)
+	want := []string{
+		"straygoroutine", "maporder", "floataccum",
+		"envelopewrite", "missnoterror", "metricreg", "lockorder",
+	}
+	all := checks.All()
+	if len(all) != len(want) {
+		t.Fatalf("registry has %d analyzers, want %d (%v)", len(all), len(want), want)
+	}
+	for i, a := range all {
+		if a.Name != want[i] {
+			t.Errorf("analyzer %d is %q, want %q", i, a.Name, want[i])
+		}
+		if a.Doc == "" {
+			t.Errorf("analyzer %s is missing its doc", a.Name)
 		}
 		if a.Run == nil && a.RunProgram == nil {
 			t.Errorf("analyzer %s has neither Run nor RunProgram", a.Name)
 		}
-		if names[a.Name] {
-			t.Errorf("duplicate analyzer name %q", a.Name)
-		}
-		names[a.Name] = true
 		if a.CoreOnly == (len(a.Packages) > 0) {
 			t.Errorf("analyzer %s must be either CoreOnly or scoped to an explicit package list (got CoreOnly=%v, %d packages)",
 				a.Name, a.CoreOnly, len(a.Packages))
@@ -83,37 +85,5 @@ func TestRegistry(t *testing.T) {
 		if a.CoreOnly && a.Run == nil {
 			t.Errorf("core determinism check %s must have a per-package Run", a.Name)
 		}
-		if a.Name != strings.ToLower(a.Name) || strings.ContainsAny(a.Name, " \t") {
-			t.Errorf("analyzer name %q must be lower-case with no spaces", a.Name)
-		}
-	}
-	for _, want := range []string{
-		"walltime", "globalrand", "straygoroutine", "maporder", "floataccum",
-		"envelopewrite", "missnoterror", "metricreg", "lockorder",
-	} {
-		if !names[want] {
-			t.Errorf("registry is missing the %s analyzer", want)
-		}
-	}
-	// The five determinism checks are all enrolled in the taint engine; the
-	// contract checks are not (their findings are not reachability facts).
-	for _, name := range []string{"walltime", "globalrand", "straygoroutine", "maporder", "floataccum"} {
-		a, _ := checks.ByName([]string{name})
-		if a[0].Sources == nil {
-			t.Errorf("determinism check %s is not enrolled in the taint engine (nil Sources)", name)
-		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	got, unknown := checks.ByName([]string{"walltime", "maporder"})
-	if unknown != "" || len(got) != 2 {
-		t.Fatalf("ByName(walltime,maporder) = %d analyzers, unknown %q", len(got), unknown)
-	}
-	if got[0].Name != "walltime" || got[1].Name != "maporder" {
-		t.Fatalf("ByName returned wrong analyzers: %s, %s", got[0].Name, got[1].Name)
-	}
-	if _, unknown := checks.ByName([]string{"nosuchcheck"}); unknown != "nosuchcheck" {
-		t.Fatalf("ByName should report unknown check, got %q", unknown)
 	}
 }

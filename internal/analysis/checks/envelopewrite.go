@@ -16,9 +16,8 @@ import (
 // the next process — or worse, ride on the legacy-blob tolerance and skip
 // verification entirely. The check is function-granular: a function that
 // puts bytes on disk (os.WriteFile, or Write/WriteString/WriteAt on an
-// *os.File) must itself call integrity.Wrap; helpers that receive
-// pre-wrapped bytes from a caller need an //idyllvet:ignore envelopewrite
-// directive stating exactly that.
+// *os.File) must itself call integrity.Wrap, so a helper never receives
+// bytes it must trust were wrapped by its caller.
 var Envelopewrite = &analysis.Analyzer{
 	Name: "envelopewrite",
 	Packages: []string{

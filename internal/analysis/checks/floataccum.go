@@ -13,57 +13,33 @@ import (
 // accumulation keyed off randomized map order can flip the last bits of a
 // reported figure between runs — precisely the drift the byte-identity
 // gates exist to catch. Integer accumulation is exact and commutative, so
-// it is left to maporder's broader shared-state rule (where a suppression
-// with justification is acceptable); float accumulation gets its own check
-// because no justification can make it order-safe.
+// it is left to maporder's broader shared-state rule; float accumulation
+// gets its own check, which names the rounding hazard.
 var Floataccum = &analysis.Analyzer{
 	Name:     "floataccum",
 	CoreOnly: true,
 	Doc: "flag float64/float32 += (or x = x + y) under range-over-map: float " +
 		"addition is not associative, so randomized iteration order can change " +
 		"rounding between runs; iterate sorted keys so the summation order is " +
-		"fixed; non-core helpers reached from the core are scanned " +
-		"interprocedurally",
-	Run:     runFloataccum,
-	Sources: floataccumSources,
+		"fixed",
+	Run: runFloataccum,
 }
 
+// runFloataccum finds every map range and reports its order-sensitive
+// float accumulations.
 func runFloataccum(pass *analysis.Pass) error {
 	for _, f := range pass.Pkg.Files {
-		scanFloataccumUnder(pass, f, func(pos token.Pos, msg string) {
-			pass.Reportf(pos, "%s", msg)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rng, ok := n.(*ast.RangeStmt); ok && isMapRange(pass, rng) {
+				scanFloatAccum(pass, rng)
+			}
+			return true
 		})
 	}
 	return nil
 }
 
-// floataccumSources marks each order-sensitive float accumulation inside fn
-// as a taint source.
-func floataccumSources(pass *analysis.Pass, fn *ast.FuncDecl) []analysis.Source {
-	if fn.Body == nil {
-		return nil
-	}
-	var out []analysis.Source
-	scanFloataccumUnder(pass, fn.Body, func(pos token.Pos, msg string) {
-		out = append(out, analysis.Source{Pos: pos, Msg: msg})
-	})
-	return out
-}
-
-// scanFloataccumUnder finds every map range under root and reports its
-// order-sensitive float accumulations.
-func scanFloataccumUnder(pass *analysis.Pass, root ast.Node, report func(pos token.Pos, msg string)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok || !isMapRange(pass, rng) {
-			return true
-		}
-		scanFloatAccum(pass, rng, report)
-		return true
-	})
-}
-
-func scanFloatAccum(pass *analysis.Pass, rng *ast.RangeStmt, report func(pos token.Pos, msg string)) {
+func scanFloatAccum(pass *analysis.Pass, rng *ast.RangeStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.RangeStmt:
@@ -83,10 +59,10 @@ func scanFloatAccum(pass *analysis.Pass, rng *ast.RangeStmt, report func(pos tok
 			}
 			switch x.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN:
-				report(x.TokPos, "order-sensitive float accumulation under range-over-map: float addition is not associative; iterate sorted keys")
+				pass.Reportf(x.TokPos, "order-sensitive float accumulation under range-over-map: float addition is not associative; iterate sorted keys")
 			case token.ASSIGN:
 				if isSelfAccum(pass, lhs, x.Rhs[0]) {
-					report(x.TokPos, "order-sensitive float accumulation (x = x ± ...) under range-over-map: float addition is not associative; iterate sorted keys")
+					pass.Reportf(x.TokPos, "order-sensitive float accumulation (x = x ± ...) under range-over-map: float addition is not associative; iterate sorted keys")
 				}
 			}
 		}

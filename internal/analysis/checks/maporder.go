@@ -19,67 +19,41 @@ import (
 //
 // The canonical fix is recognized and allowed: a loop that only collects
 // the keys (or key-derived records) into a slice which is then handed to
-// package sort before any other use. Everything else needs either sorted
-// keys or an //idyllvet:ignore maporder directive with a justification
-// (e.g. a commutative integer reduction).
+// package sort before any other use. Everything else iterates sorted keys.
 var Maporder = &analysis.Analyzer{
 	Name:     "maporder",
 	CoreOnly: true,
 	Doc: "flag order-sensitive bodies under range-over-map (appends, writes to " +
 		"outer state, event scheduling, function-value calls, value-bearing " +
 		"returns): map iteration order is randomized per run, so these leak the " +
-		"hash seed into results; collect-and-sort the keys first, or suppress " +
-		"with a justification when the reduction is provably commutative; " +
-		"non-core helpers reached from the core are scanned interprocedurally",
-	Run:     runMaporder,
-	Sources: maporderSources,
+		"hash seed into results; collect-and-sort the keys first",
+	Run: runMaporder,
 }
 
+// runMaporder reports each order-sensitive map range, with the
+// collect-keys-then-sort idiom recognized and skipped.
 func runMaporder(pass *analysis.Pass) error {
 	for _, f := range pass.Pkg.Files {
-		scanMaporder(pass, f, func(rng *ast.RangeStmt, v string) {
-			pass.Reportf(rng.For, "range over %s: %s; iterate sorted keys instead",
-				types.TypeString(pass.TypeOf(rng.X), types.RelativeTo(pass.Pkg.Types)), v)
+		eachStmtList(f, func(list []ast.Stmt) {
+			for i, st := range list {
+				if lab, ok := st.(*ast.LabeledStmt); ok {
+					st = lab.Stmt
+				}
+				rng, ok := st.(*ast.RangeStmt)
+				if !ok || !isMapRange(pass, rng) {
+					continue
+				}
+				if isSortedKeyCollection(pass, rng, list[i+1:]) {
+					continue
+				}
+				for _, v := range mapOrderViolations(pass, rng) {
+					pass.Reportf(rng.For, "range over %s: %s; iterate sorted keys instead",
+						types.TypeString(pass.TypeOf(rng.X), types.RelativeTo(pass.Pkg.Types)), v)
+				}
+			}
 		})
 	}
 	return nil
-}
-
-// maporderSources marks each order-sensitive map range inside fn as a taint
-// source — a non-core helper that hands back (or schedules) map-ordered
-// results poisons every core caller.
-func maporderSources(pass *analysis.Pass, fn *ast.FuncDecl) []analysis.Source {
-	if fn.Body == nil {
-		return nil
-	}
-	var out []analysis.Source
-	scanMaporder(pass, fn.Body, func(rng *ast.RangeStmt, v string) {
-		out = append(out, analysis.Source{Pos: rng.For, Msg: "order-sensitive range over a map (" + v + ")"})
-	})
-	return out
-}
-
-// scanMaporder reports each order-sensitive map range under root through
-// report, with the collect-keys-then-sort idiom already recognized and
-// skipped.
-func scanMaporder(pass *analysis.Pass, root ast.Node, report func(rng *ast.RangeStmt, violation string)) {
-	eachStmtList(root, func(list []ast.Stmt) {
-		for i, st := range list {
-			if lab, ok := st.(*ast.LabeledStmt); ok {
-				st = lab.Stmt
-			}
-			rng, ok := st.(*ast.RangeStmt)
-			if !ok || !isMapRange(pass, rng) {
-				continue
-			}
-			if isSortedKeyCollection(pass, rng, list[i+1:]) {
-				continue
-			}
-			for _, v := range mapOrderViolations(pass, rng) {
-				report(rng, v)
-			}
-		}
-	})
 }
 
 // mapOrderViolations scans the loop body for order-sensitive effects. The

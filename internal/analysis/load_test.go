@@ -14,24 +14,15 @@ import (
 // a file:line:col diagnostic and exit 2 instead of dumping whatever type-
 // checker error happens to come first.
 func TestLoadErrorPosition(t *testing.T) {
-	root := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module broken\n\ngo 1.22\n")
-	write("a.go", `package a
+	root := writeModule(t, map[string]string{
+		"go.mod": "module broken\n\ngo 1.22\n",
+		"a.go": `package a
 
 import "broken/missing"
 
 var _ = missing.X
-`)
+`,
+	})
 	// The directory exists but holds no Go files — the shape left behind by
 	// a bad rename or an over-eager delete.
 	if err := os.MkdirAll(filepath.Join(root, "missing"), 0o755); err != nil {
@@ -74,4 +65,21 @@ var _ = missing.X
 	if filepath.Base(le.Pos.Filename) != "a.go" || le.Pos.Line != 3 {
 		t.Errorf("LoadError.Pos = %s:%d, want a.go:3 (the import spec)", le.Pos.Filename, le.Pos.Line)
 	}
+}
+
+// writeModule lays out files (module-relative slash path → contents) in a
+// fresh temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for rel, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
 }

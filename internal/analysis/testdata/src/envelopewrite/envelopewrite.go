@@ -1,6 +1,6 @@
 // Package envelopewrite is the golden input for the envelopewrite check:
 // disk writes in the cache/store layers must flow through integrity.Wrap
-// in the same function, or carry a reviewed suppression.
+// in the same function.
 package envelopewrite
 
 import (
@@ -30,11 +30,4 @@ func badFile(f *os.File, payload []byte) error {
 func goodFile(f *os.File, payload []byte) error {
 	_, err := f.Write(integrity.Wrap(payload))
 	return err
-}
-
-// preWrapped receives bytes the caller already wrapped — the reviewed
-// exception path a suppression documents.
-func preWrapped(path string, wrapped []byte) error {
-	//idyllvet:ignore envelopewrite caller passes pre-wrapped bytes (golden suppression case)
-	return os.WriteFile(path, wrapped, 0o644)
 }

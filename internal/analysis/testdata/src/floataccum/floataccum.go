@@ -1,5 +1,4 @@
-// Golden input for the floataccum check: positive, negative, and
-// suppression cases.
+// Golden input for the floataccum check: positive and negative cases.
 package floataccum
 
 // Positive: += on a float under map iteration rounds differently per
@@ -56,13 +55,4 @@ func loopLocal(m map[int][]float64) {
 		}
 		_ = rowSum
 	}
-}
-
-// Suppression: an inline directive on the offending line.
-func suppressed(m map[int]float64) float64 {
-	var total float64
-	for _, v := range m {
-		total += v //idyllvet:ignore floataccum golden test for the suppression path
-	}
-	return total
 }

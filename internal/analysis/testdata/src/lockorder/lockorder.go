@@ -82,30 +82,3 @@ func (o *Outer) B() {
 	o.in.mu.Lock()
 	defer o.in.mu.Unlock()
 }
-
-// Pinned and Quiet form a cycle whose witness carries a reviewed
-// suppression: no finding.
-type Pinned struct {
-	mu sync.Mutex
-	q  *Quiet
-}
-
-type Quiet struct {
-	mu sync.Mutex
-	p  *Pinned
-}
-
-func (p *Pinned) Hold() {
-	p.mu.Lock()
-	//idyllvet:ignore lockorder golden: pins that cycle findings honor suppression directives
-	p.q.mu.Lock()
-	p.q.mu.Unlock()
-	p.mu.Unlock()
-}
-
-func (q *Quiet) Hold() {
-	q.mu.Lock()
-	q.p.mu.Lock()
-	q.p.mu.Unlock()
-	q.mu.Unlock()
-}

@@ -1,5 +1,4 @@
-// Golden input for the maporder check: positive, negative, and
-// suppression cases.
+// Golden input for the maporder check: positive and negative cases.
 package maporder
 
 import "sort"
@@ -72,14 +71,4 @@ func locals(m map[int][]int) {
 			delete(m, k)
 		}
 	}
-}
-
-// Suppression: a commutative integer reduction, justified in place.
-func commutativeCount(m map[int]bool) int {
-	n := 0
-	//idyllvet:ignore maporder integer count is commutative, order cannot be observed
-	for range m {
-		n++
-	}
-	return n
 }

@@ -5,8 +5,7 @@ package fleet
 
 import "metricreg/internal/service"
 
-// report exercises the wildcard-prefix match and the suppression path.
+// report exercises the wildcard-prefix match.
 func report(m *service.Metrics, source string) {
 	m.Inc("fleet_results_"+source, 1)
-	m.Inc("fleet_rogue", 1) //idyllvet:ignore metricreg golden: pins that registry findings honor suppression directives
 }

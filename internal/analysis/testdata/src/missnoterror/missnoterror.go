@@ -50,13 +50,3 @@ func badUnwrap(raw []byte) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// justified keeps the error on purpose — the reviewed exception path.
-func justified(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		//idyllvet:ignore missnoterror strict-verification entry point returns the error by design (golden suppression case)
-		return nil, err
-	}
-	return raw, nil
-}

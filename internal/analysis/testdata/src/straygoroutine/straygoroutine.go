@@ -1,9 +1,10 @@
-// Golden input for the straygoroutine check: positive, negative, and
-// suppression cases.
+// Golden input for the straygoroutine check: positive and negative cases.
+// Importing sync is not this check's finding: the root
+// TestCoreImportsStayDeterministic bans that import in the core.
 package straygoroutine
 
 import (
-	"sync" // want `import of "sync" in the deterministic core`
+	"sync"
 )
 
 // Positive: goroutines and channels make event interleaving depend on the
@@ -36,8 +37,3 @@ func (e *engine) run() {
 		fn()
 	}
 }
-
-// Suppression: the directive on the preceding line silences the finding.
-//
-//idyllvet:ignore straygoroutine golden test for the suppression path
-func suppressed() { go func() {}() }

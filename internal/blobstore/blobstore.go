@@ -42,8 +42,7 @@ type Stats struct {
 	Misses   uint64 // Gets that found nothing
 	DiskHits uint64 // subset of Hits read off disk
 
-	VerifyFailures uint64 // blobs that failed checksum-envelope verification
-	Quarantined    uint64 // damaged disk blobs moved aside
+	VerifyFailures uint64 // disk blobs that failed verification and were moved aside
 }
 
 // Store is a bounded LRU of blobs with optional disk persistence. The zero
@@ -204,7 +203,6 @@ func (s *Store) diskGet(key string) ([]byte, bool) {
 func (s *Store) quarantine(path string) {
 	s.mu.Lock()
 	s.stats.VerifyFailures++
-	s.stats.Quarantined++
 	s.mu.Unlock()
 	if os.Rename(path, path+".corrupt") != nil {
 		os.Remove(path)

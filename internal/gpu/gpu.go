@@ -545,15 +545,17 @@ func (g *GPU) translationReady(vpn memdef.VPN, e tlb.Entry) {
 	waiters := g.mshr.Complete(vpn)
 	g.l2tlb.Fill(vpn, e)
 	for _, w := range waiters {
-		g.st.DemandMiss.Add(g.engine.Now() - w.missStart)
 		if w.s.acc.Write && !e.Writable {
 			// Write to a read-only mapping (a replica): permission fault.
+			// The waiter keeps its missStart and is sampled once, when
+			// the writable translation completes it.
 			w := w
 			if g.mshr.Add(vpn, w) == tlb.Allocated {
 				g.farFault(vpn, true)
 			}
 			continue
 		}
+		g.st.DemandMiss.Add(g.engine.Now() - w.missStart)
 		g.l1tlbs[w.s.cu].Fill(vpn, e)
 		g.dataAccess(w.s, e)
 	}

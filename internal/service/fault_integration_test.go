@@ -105,8 +105,8 @@ func TestDiskCorruptionQuarantineAndRecompute(t *testing.T) {
 	if runs.Load() != 3 {
 		t.Fatalf("runs = %d, want 3 (corrupt entry recomputed)", runs.Load())
 	}
-	if cs := srv.cache.Stats(); cs.VerifyFailures != 1 || cs.Quarantined != 1 {
-		t.Fatalf("verify failures = %d, quarantined = %d, want 1/1", cs.VerifyFailures, cs.Quarantined)
+	if cs := srv.cache.Stats(); cs.VerifyFailures != 1 {
+		t.Fatalf("verify failures = %d, want 1", cs.VerifyFailures)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "*.corrupt"))
 	if err != nil || len(matches) != 1 {
@@ -152,8 +152,8 @@ func TestLegacyDiskEntryTreatedAsMiss(t *testing.T) {
 			t.Fatalf("seed %d: rewritten entry does not verify: %v %v", seed, err, uerr)
 		}
 	}
-	if cs := srv.cache.Stats(); cs.VerifyFailures != 1 || cs.Quarantined != 1 {
-		t.Fatalf("verify failures = %d, quarantined = %d, want 1/1", cs.VerifyFailures, cs.Quarantined)
+	if cs := srv.cache.Stats(); cs.VerifyFailures != 1 {
+		t.Fatalf("verify failures = %d, want 1", cs.VerifyFailures)
 	}
 }
 

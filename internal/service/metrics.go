@@ -21,7 +21,6 @@ import (
 // must be backed by code. Entries ending in "*" register a runtime-built
 // family by prefix (e.g. fleet_results_<source>). Keep the list sorted.
 var MetricKeys = []string{
-	"cache_corrupt_quarantined",
 	"cache_disk_hits",
 	"cache_entries",
 	"cache_hits",

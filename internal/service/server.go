@@ -755,7 +755,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Set("cache_misses", st.Misses)
 	s.metrics.Set("cache_disk_hits", st.DiskHits)
 	s.metrics.Set("cache_verify_failures", st.VerifyFailures)
-	s.metrics.Set("cache_corrupt_quarantined", st.Quarantined)
 	if s.cfg.Faults != nil {
 		s.metrics.Set("faults_injected", s.cfg.Faults.TotalFired())
 		for site, n := range s.cfg.Faults.FiredBySite() {

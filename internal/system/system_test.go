@@ -306,8 +306,10 @@ func maxU(a, b uint64) uint64 {
 
 // Every run must end drained: no event or staged message left, and no
 // MSHR entry, walker, walk, migration or mapping reply still in flight
-// (finalize's conservation checks). Quick-scale cells of every scheme on 4
-// and on 16 GPUs.
+// (finalize's conservation checks). Each L2 TLB miss is sampled in
+// DemandMiss exactly once, at its final completion (a replica's write
+// permission fault re-queues the waiter rather than completing it).
+// Quick-scale cells of every scheme on 4 and on 16 GPUs.
 func TestRunsEndDrained(t *testing.T) {
 	app, err := workload.App("PR")
 	if err != nil {
@@ -325,8 +327,12 @@ func TestRunsEndDrained(t *testing.T) {
 			t.Run(fmt.Sprintf("%dgpu/%s", gpus, name), func(t *testing.T) {
 				s := MustNew(m, sc)
 				defer s.Release()
-				if _, err := s.Run(trace); err != nil {
+				st, err := s.Run(trace)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if misses := st.L2TLBLookups - st.L2TLBHits; st.DemandMiss.Count != misses {
+					t.Errorf("DemandMiss.Count = %d, want L2 TLB misses %d", st.DemandMiss.Count, misses)
 				}
 			})
 		}
